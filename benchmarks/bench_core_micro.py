@@ -44,14 +44,3 @@ def test_stability_trajectory_throughput(benchmark):
     trajectory = benchmark(stability_trajectory, 1, windows)
     assert len(trajectory) == 50
     assert trajectory.at(10).defined
-
-
-def test_vectorized_stability_throughput(benchmark):
-    from repro.core.vectorized import vectorized_stability
-
-    windows = _synthetic_windows(n_windows=50, n_items=200)
-    values = benchmark(vectorized_stability, windows)
-    assert values.shape == (50,)
-    # Cross-check against the incremental engine on this input.
-    reference = stability_trajectory(1, windows)
-    assert abs(values[10] - reference.at(10).stability) < 1e-12

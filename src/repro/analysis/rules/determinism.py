@@ -1,7 +1,7 @@
 """DET001 / DET002 — determinism of the score paths.
 
-The headline guarantee of this reproduction is that the incremental,
-vectorized and batch engines produce **bit-identical** scores, and that
+The headline guarantee of this reproduction is that the incremental
+and batch engines produce **bit-identical** scores, and that
 a resumed (checkpointed) sweep equals an uninterrupted one.  Both die
 the moment a score path consults global random state or the wall clock:
 

@@ -13,8 +13,7 @@ variables".  This module carries the whole baseline:
 * :func:`rfm_matrix` — the façade dispatching between the two (a
   differential test pins them bit-identical);
 * :class:`RFMModel` — the logistic-regression churn classifier trained
-  per evaluation window (formerly :mod:`repro.baselines.rfm_model`,
-  which remains as a deprecation shim).
+  per evaluation window.
 
 Feature families:
 

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_engines(),
         default="batch",
-        help="stability engine (all are bit-identical; batch is fastest)",
+        help="stability engine (both are bit-identical; batch is faster)",
     )
     figure1.add_argument(
         "--retries",

@@ -57,9 +57,8 @@ class ExperimentConfig:
     first_month, last_month:
         Inclusive month range of the evaluation axis (paper: 12 to 24).
     backend:
-        Name of the registered stability engine
-        (:mod:`repro.core.engines`); validated lazily against the
-        registry so externally registered engines are accepted.
+        Name of the stability engine (:mod:`repro.core.engines`):
+        ``"incremental"`` or ``"batch"``.
     n_jobs:
         Worker processes for the batch engine (``-1`` = all cores).
     retries:
@@ -114,8 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_jobs must be >= 1 or -1, got {self.n_jobs}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        # Engine names live in the registry; imported lazily because
-        # repro.core.engines itself consumes this module's configs.
+        # Engine names live in repro.core.engines, imported lazily
+        # because repro.core itself consumes this module's configs.
         from repro.core.engines import available_engines
 
         if self.backend not in available_engines():

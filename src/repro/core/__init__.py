@@ -32,7 +32,6 @@ from repro.core.engines import (
     available_engines,
     frame_windowed_history,
     get_engine,
-    register_engine,
 )
 from repro.core.explanation import (
     DropExplanation,
@@ -56,7 +55,6 @@ from repro.core.stability import StabilityTrajectory, WindowStability, stability
 from repro.core.streaming import CustomerState, StabilityMonitor, WindowCloseReport
 from repro.core.trend import TrendForecast, forecast_stability, rank_by_risk
 from repro.core.tuning import TuningOutcome, tune_stability_model
-from repro.core.vectorized import vectorized_churn_scores, vectorized_stability
 from repro.core.windowing import Window, WindowGrid, windowed_history
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "available_engines",
     "frame_windowed_history",
     "get_engine",
-    "register_engine",
     "batch_churn_scores",
     "significance_from_counts",
     "stability_matrix",
@@ -105,7 +102,5 @@ __all__ = [
     "explain_window",
     "stability_trajectory",
     "tune_stability_model",
-    "vectorized_churn_scores",
-    "vectorized_stability",
     "windowed_history",
 ]

@@ -35,10 +35,10 @@ whole-population throughput rather than per-customer clarity:
   worker maps the store itself, keeping fork/spawn payloads and
   per-worker RSS flat as the population grows.
 
-Like :mod:`repro.core.vectorized`, only the exponential significance and
-the ``"paper"`` counting scheme are supported; anything else stays on the
-flexible incremental engine.  Exact agreement with both other
-implementations is pinned by differential tests.
+Only the exponential significance and the ``"paper"`` counting scheme
+are supported; anything else stays on the flexible incremental engine.
+Exact agreement with the incremental engine is pinned by differential
+tests.
 """
 
 from __future__ import annotations

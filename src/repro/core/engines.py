@@ -1,27 +1,21 @@
-"""Engine registry: the three stability engines behind one protocol.
+"""Stability engines: the two fit implementations behind one protocol.
 
-:class:`~repro.core.model.StabilityModel` used to hard-code an if/elif
-chain over backend names.  Engines are now *registered implementations*
-of one small protocol (:class:`StabilityEngine`): each consumes a
+Each engine implements :class:`StabilityEngine`: it consumes a
 :class:`~repro.data.population.PopulationFrame` and produces an
-:class:`EngineFit`, and the model (or any other caller) looks them up by
-name.  Registering a new engine — a GPU kernel, an approximate sketch —
-requires no change to the model or to
-:class:`~repro.config.ExperimentConfig`, whose ``backend`` field
-validates against this registry.
+:class:`EngineFit`.  :class:`~repro.core.model.StabilityModel` looks its
+engine up by name (:func:`get_engine`), and
+:class:`~repro.config.ExperimentConfig` validates its ``backend`` field
+against :func:`available_engines`.
 
 * ``"incremental"`` — the flexible per-customer reference engine: every
   significance rule, counting scheme and item weighting, full per-window
   significance snapshots.
-* ``"vectorized"`` — per-customer numpy kernel
-  (:mod:`repro.core.vectorized`).
 * ``"batch"`` — the population-scale columnar engine
   (:mod:`repro.core.batch`), optionally sharded across processes.
 
-The numpy engines support only the paper's exponential significance with
-the ``"paper"`` counting scheme and no item weights; their stability
-values agree bit-for-bit with the incremental engine (differentially
-tested).
+The batch engine supports only the paper's exponential significance with
+the ``"paper"`` counting scheme and no item weights; its stability
+values agree with the incremental engine (differentially tested).
 """
 
 from __future__ import annotations
@@ -31,12 +25,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.batch import BatchStability, stability_matrix
 from repro.core.significance import ExponentialSignificance, SignificanceFunction
-from repro.core.stability import (
-    StabilityTrajectory,
-    WindowStability,
-    stability_trajectory,
-)
-from repro.core.vectorized import _vectorized_masses
+from repro.core.stability import StabilityTrajectory, stability_trajectory
 from repro.core.windowing import Window, windowed_history
 from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
@@ -49,7 +38,6 @@ __all__ = [
     "EngineFit",
     "StabilityEngine",
     "frame_windowed_history",
-    "register_engine",
     "get_engine",
     "available_engines",
 ]
@@ -96,32 +84,6 @@ class StabilityEngine(Protocol):
 
     def fit(self, frame: PopulationFrame, spec: FitSpec) -> EngineFit:
         """Fit every customer in the frame."""
-
-
-def _require_columnar(spec: FitSpec, name: str) -> None:
-    """The numpy engines' envelope: exponential / paper / unweighted."""
-    if not isinstance(spec.significance, ExponentialSignificance):
-        raise ConfigError(
-            f"backend {name!r} supports only ExponentialSignificance, "
-            f"got {type(spec.significance).__name__}"
-        )
-    if spec.counting != "paper":
-        raise ConfigError(
-            f"backend {name!r} supports only the 'paper' counting "
-            f"scheme, got {spec.counting!r}"
-        )
-    if spec.item_weights is not None:
-        raise ConfigError(
-            f"backend {name!r} does not support item_weights; "
-            "use backend='incremental'"
-        )
-
-
-def _require_serial(spec: FitSpec, name: str) -> None:
-    if spec.n_jobs != 1:
-        raise ConfigError(
-            f"n_jobs={spec.n_jobs} requires backend='batch', got {name!r}"
-        )
 
 
 def frame_windowed_history(frame: PopulationFrame, row: int) -> list[Window]:
@@ -175,7 +137,10 @@ class IncrementalEngine:
     name = "incremental"
 
     def validate(self, spec: FitSpec) -> None:
-        _require_serial(spec, self.name)
+        if spec.n_jobs != 1:
+            raise ConfigError(
+                f"n_jobs={spec.n_jobs} requires backend='batch', got {self.name!r}"
+            )
 
     def fit(self, frame: PopulationFrame, spec: FitSpec) -> EngineFit:
         trajectories: dict[int, StabilityTrajectory] = {}
@@ -193,46 +158,27 @@ class IncrementalEngine:
         return EngineFit(trajectories=trajectories)
 
 
-class VectorizedEngine:
-    """Per-customer numpy kernel; paper configuration only."""
-
-    name = "vectorized"
-
-    def validate(self, spec: FitSpec) -> None:
-        _require_columnar(spec, self.name)
-        _require_serial(spec, self.name)
-
-    def fit(self, frame: PopulationFrame, spec: FitSpec) -> EngineFit:
-        alpha = spec.significance.alpha  # type: ignore[attr-defined]
-        trajectories: dict[int, StabilityTrajectory] = {}
-        with span("engine.fit", engine=self.name, customers=frame.n_customers):
-            for row, customer_id in enumerate(frame.customer_ids):
-                cid = int(customer_id)
-                windows = _customer_windows(frame, row, cid)
-                stability, kept, total = _vectorized_masses(windows, alpha=alpha)
-                trajectories[cid] = StabilityTrajectory(
-                    customer_id=cid,
-                    records=tuple(
-                        WindowStability(
-                            window=window,
-                            stability=float(stability[k]),
-                            kept_mass=float(kept[k]),
-                            total_mass=float(total[k]),
-                            significances={},
-                        )
-                        for k, window in enumerate(windows)
-                    ),
-                )
-        return EngineFit(trajectories=trajectories)
-
-
 class BatchEngine:
     """Population-scale columnar engine; paper configuration only."""
 
     name = "batch"
 
     def validate(self, spec: FitSpec) -> None:
-        _require_columnar(spec, self.name)
+        if not isinstance(spec.significance, ExponentialSignificance):
+            raise ConfigError(
+                f"backend {self.name!r} supports only ExponentialSignificance, "
+                f"got {type(spec.significance).__name__}"
+            )
+        if spec.counting != "paper":
+            raise ConfigError(
+                f"backend {self.name!r} supports only the 'paper' counting "
+                f"scheme, got {spec.counting!r}"
+            )
+        if spec.item_weights is not None:
+            raise ConfigError(
+                f"backend {self.name!r} does not support item_weights; "
+                "use backend='incremental'"
+            )
 
     def fit(self, frame: PopulationFrame, spec: FitSpec) -> EngineFit:
         alpha = spec.significance.alpha  # type: ignore[attr-defined]
@@ -247,15 +193,10 @@ class BatchEngine:
             )
 
 
-_REGISTRY: dict[str, StabilityEngine] = {}
-
-
-def register_engine(engine: StabilityEngine) -> StabilityEngine:
-    """Register (or replace) an engine under its ``name``."""
-    if not getattr(engine, "name", ""):
-        raise ConfigError("engine must have a non-empty name")
-    _REGISTRY[engine.name] = engine
-    return engine
+_ENGINES: dict[str, StabilityEngine] = {
+    "incremental": IncrementalEngine(),
+    "batch": BatchEngine(),
+}
 
 
 def get_engine(name: str) -> StabilityEngine:
@@ -264,10 +205,10 @@ def get_engine(name: str) -> StabilityEngine:
     Raises
     ------
     ConfigError
-        If no engine is registered under ``name``.
+        If ``name`` is not one of :func:`available_engines`.
     """
     try:
-        return _REGISTRY[name]
+        return _ENGINES[name]
     except KeyError:
         raise ConfigError(
             f"unknown backend {name!r}; expected one of {available_engines()}"
@@ -275,10 +216,5 @@ def get_engine(name: str) -> StabilityEngine:
 
 
 def available_engines() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-register_engine(IncrementalEngine())
-register_engine(VectorizedEngine())
-register_engine(BatchEngine())
+    """Engine names, the reference engine first."""
+    return tuple(_ENGINES)

@@ -15,9 +15,9 @@ need:
 * ``explain(customer, window, k)`` — the paper's argmax-missing-item
   explanation, extended to top-K.
 
-Engine selection goes through the registry in
-:mod:`repro.core.engines`: ``backend="incremental"|"vectorized"|"batch"``
-are registered implementations of one protocol, not an if/elif chain.
+Engine selection goes through :mod:`repro.core.engines`:
+``backend="incremental"|"batch"`` name two implementations of one
+protocol.
 """
 
 from __future__ import annotations
@@ -75,15 +75,14 @@ class StabilityModel:
         ``alpha`` must be left at their defaults.
 
         Engine selection lives on the config: ``backend`` names a
-        registered fit/score engine (:mod:`repro.core.engines`) —
+        fit/score engine (:mod:`repro.core.engines`) —
         ``"incremental"`` (default, flexible, every significance rule /
         counting scheme / item weighting, full per-window significance
-        snapshots), ``"vectorized"`` (per-customer numpy kernel) or
-        ``"batch"`` (population-scale columnar engine, optionally
-        sharded over ``n_jobs`` worker processes).  The numpy backends
-        support only the paper's exponential significance with the
-        ``"paper"`` counting scheme and no item weights
-        (a :class:`~repro.errors.ConfigError` otherwise); their
+        snapshots) or ``"batch"`` (population-scale columnar engine,
+        optionally sharded over ``n_jobs`` worker processes).  The batch
+        backend supports only the paper's exponential significance with
+        the ``"paper"`` counting scheme and no item weights
+        (a :class:`~repro.errors.ConfigError` otherwise); its
         stability values agree exactly with the incremental engine
         (differentially tested), and :meth:`explain` transparently
         recomputes missing significance snapshots through the
@@ -158,25 +157,6 @@ class StabilityModel:
         return cls(calendar, config=config)
 
     # ------------------------------------------------------------------
-    # Legacy attribute shims
-    # ------------------------------------------------------------------
-    @property
-    def window_months(self) -> int:
-        return self.config.window_months
-
-    @property
-    def counting(self) -> str:
-        return self.config.counting
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def n_jobs(self) -> int:
-        return self.config.n_jobs
-
-    # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
     def fit(
@@ -231,7 +211,7 @@ class StabilityModel:
         return PopulationFrame.from_log(log, self.grid, customers)
 
     def _alpha(self) -> float:
-        """The exponential base (numpy backends are gated to this rule)."""
+        """The exponential base (the batch backend is gated to this rule)."""
         assert isinstance(self.significance, ExponentialSignificance)
         return self.significance.alpha
 

@@ -44,23 +44,28 @@ _LOG_HEADER = ["customer_id", "day", "items", "monetary"]
 def write_log_csv(log: TransactionLog, path: str | Path) -> None:
     """Write a transaction log as CSV, one row per receipt.
 
-    Monetary values are written with full ``repr`` precision so a
-    write/read round trip reproduces every float bit-exactly (a fixed
-    ``%.2f`` format silently rounded sub-cent values).
+    Monetary values round-trip bit-exactly (see :func:`_format_log_row`).
     """
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_LOG_HEADER)
-        for basket in log:
-            writer.writerow(
-                [
-                    basket.customer_id,
-                    basket.day,
-                    " ".join(str(i) for i in sorted(basket.items)),
-                    repr(basket.monetary),
-                ]
-            )
+        writer.writerows(_format_log_row(basket) for basket in log)
+
+
+def _format_log_row(basket: Basket) -> list[int | str]:
+    """One basket as a CSV row.
+
+    Monetary values are written with full ``repr`` precision so a
+    write/read round trip reproduces every float bit-exactly (a fixed
+    ``%.2f`` format silently rounded sub-cent values).
+    """
+    return [
+        basket.customer_id,
+        basket.day,
+        " ".join(str(i) for i in sorted(basket.items)),
+        repr(basket.monetary),
+    ]
 
 
 def _parse_log_row(row: list[str]) -> Basket:

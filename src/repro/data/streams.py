@@ -13,9 +13,9 @@ full-scale deployment would use:
   on-disk layout (one CSV per customer-id bucket) enabling per-shard
   parallel processing and selective reads.
 
-The CSV schema matches :mod:`repro.data.io` (``customer_id, day, items,
-monetary``) so files are interchangeable between the batch and streaming
-paths.
+Rows are formatted and parsed by :mod:`repro.data.io` (``customer_id,
+day, items, monetary``), so files are interchangeable between the batch
+and streaming paths.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.data.basket import Basket
+from repro.data.io import _LOG_HEADER, _format_log_row, _parse_log_row
 from repro.errors import ConfigError, DataError, SchemaError
 
 __all__ = [
@@ -37,24 +38,6 @@ __all__ = [
     "DayBatch",
     "iter_day_batches",
 ]
-
-_LOG_HEADER = ["customer_id", "day", "items", "monetary"]
-
-
-def _parse_row(path: Path, line_no: int, row: list[str]) -> Basket:
-    if len(row) != len(_LOG_HEADER):
-        raise SchemaError(f"{path}:{line_no}: expected {len(_LOG_HEADER)} fields")
-    try:
-        items = [int(token) for token in row[2].split()] if row[2] else []
-        return Basket.of(
-            customer_id=int(row[0]),
-            day=int(row[1]),
-            items=items,
-            monetary=float(row[3]),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}:{line_no}: {exc}") from exc
-
 
 def iter_log_csv(path: str | Path) -> Iterator[Basket]:
     """Stream baskets from a receipt CSV without loading it whole.
@@ -69,7 +52,11 @@ def iter_log_csv(path: str | Path) -> Iterator[Basket]:
         if header != _LOG_HEADER:
             raise SchemaError(f"unexpected CSV header in {path}: {header}")
         for line_no, row in enumerate(reader, start=2):
-            yield _parse_row(path, line_no, row)
+            try:
+                basket = _parse_log_row(row)
+            except (ValueError, DataError) as exc:
+                raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+            yield basket
 
 
 def stream_to_monitor(path: str | Path, monitor) -> list:
@@ -130,14 +117,7 @@ class PartitionedLogWriter:
         if self._writers is None:
             raise ConfigError("PartitionedLogWriter used outside its context")
         shard = basket.customer_id % self.n_shards
-        self._writers[shard].writerow(
-            [
-                basket.customer_id,
-                basket.day,
-                " ".join(str(i) for i in sorted(basket.items)),
-                f"{basket.monetary:.2f}",
-            ]
-        )
+        self._writers[shard].writerow(_format_log_row(basket))
 
     def write_all(self, baskets: Iterable[Basket]) -> int:
         """Append many baskets; returns the count written."""

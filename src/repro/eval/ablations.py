@@ -88,9 +88,9 @@ def _auroc_at_month(
 ) -> float:
     protocol = EvaluationProtocol(
         bundle,
-        window_months=model.window_months,
+        window_months=model.config.window_months,
         first_month=eval_month,
-        last_month=eval_month + model.window_months,
+        last_month=eval_month + model.config.window_months,
     )
     series = protocol.evaluate_stability_model(model, customers)
     return series.points[0].auroc

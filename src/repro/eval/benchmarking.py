@@ -78,7 +78,7 @@ def scaling_telemetry(
 
     ``sizes`` are per-cohort counts (total customers = ``2 * size``:
     loyal + churners, mirroring the paper's scenario generator).
-    ``backends`` defaults to every registered engine.
+    ``backends`` defaults to both engines.
     """
     registered = available_engines()
     backends = registered if backends is None else tuple(backends)

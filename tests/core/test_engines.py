@@ -1,16 +1,14 @@
-"""The engine registry that replaced the model's if/elif backend chain."""
+"""The two stability engines behind ``get_engine``."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.engines import (
-    EngineFit,
     FitSpec,
     StabilityEngine,
     available_engines,
     get_engine,
-    register_engine,
 )
 from repro.core.significance import ExponentialSignificance, LinearSignificance
 from repro.errors import ConfigError
@@ -24,7 +22,7 @@ def spec(**overrides) -> FitSpec:
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert available_engines() == ("incremental", "vectorized", "batch")
+        assert available_engines() == ("incremental", "batch")
 
     def test_get_engine_round_trips_names(self):
         for name in available_engines():
@@ -36,33 +34,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown backend 'gpu'"):
             get_engine("gpu")
 
-    def test_register_custom_engine(self):
-        class DummyEngine:
-            name = "dummy"
-
-            def validate(self, spec):
-                pass
-
-            def fit(self, frame, spec):
-                return EngineFit(trajectories={})
-
-        from repro.core import engines
-
-        register_engine(DummyEngine())
-        try:
-            assert "dummy" in available_engines()
-            assert get_engine("dummy").fit(None, None).trajectories == {}
-        finally:
-            engines._REGISTRY.pop("dummy")
-        assert "dummy" not in available_engines()
-
-    def test_nameless_engine_rejected(self):
-        class Nameless:
-            name = ""
-
-        with pytest.raises(ConfigError, match="non-empty name"):
-            register_engine(Nameless())
-
 
 class TestValidation:
     def test_incremental_accepts_any_rule(self):
@@ -70,22 +41,22 @@ class TestValidation:
             spec(significance=LinearSignificance(), counting="since-first-seen")
         )
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_require_exponential(self, name):
         with pytest.raises(ConfigError, match="ExponentialSignificance"):
             get_engine(name).validate(spec(significance=LinearSignificance()))
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_require_paper_counting(self, name):
         with pytest.raises(ConfigError, match="counting"):
             get_engine(name).validate(spec(counting="since-first-seen"))
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_reject_item_weights(self, name):
         with pytest.raises(ConfigError, match="item_weights"):
             get_engine(name).validate(spec(item_weights={1: 2.0}))
 
-    @pytest.mark.parametrize("name", ["incremental", "vectorized"])
+    @pytest.mark.parametrize("name", ["incremental"])
     def test_serial_engines_reject_parallel_fit(self, name):
         with pytest.raises(ConfigError, match="n_jobs"):
             get_engine(name).validate(spec(n_jobs=4))

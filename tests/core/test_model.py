@@ -151,16 +151,16 @@ class TestBackends:
             StabilityModel(
                 calendar,
                 item_weights={1: 2.0},
-                config=ExperimentConfig(backend="vectorized"),
+                config=ExperimentConfig(backend="batch"),
             )
 
     def test_n_jobs_requires_batch(self, calendar):
         with pytest.raises(ConfigError):
             StabilityModel(
-                calendar, config=ExperimentConfig(backend="vectorized", n_jobs=2)
+                calendar, config=ExperimentConfig(backend="incremental", n_jobs=2)
             )
 
-    @pytest.mark.parametrize("backend", ["vectorized", "batch"])
+    @pytest.mark.parametrize("backend", ["batch"])
     def test_trajectories_match_incremental(self, calendar, backend):
         log = _churn_log(calendar)
         reference = StabilityModel(calendar, window_months=2).fit(log)
@@ -180,7 +180,7 @@ class TestBackends:
                         slow, abs=1e-12
                     )
 
-    @pytest.mark.parametrize("backend", ["vectorized", "batch"])
+    @pytest.mark.parametrize("backend", ["batch"])
     def test_churn_scores_and_detect_match(self, calendar, backend):
         log = _churn_log(calendar)
         reference = StabilityModel(calendar, window_months=2).fit(log)

@@ -272,7 +272,7 @@ class _InterruptingModel:
     def __init__(self, model, fail_after):
         self._model = model
         self._remaining = fail_after
-        self.window_months = model.window_months
+        self.window_months = model.config.window_months
 
     def __getattr__(self, name):
         return getattr(self._model, name)

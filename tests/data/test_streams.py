@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.streaming import StabilityMonitor
@@ -37,14 +39,15 @@ class TestIterLogCsv:
 
     def test_is_lazy(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text(
-            "customer_id,day,items,monetary\n1,0,1,1.0\nBROKEN\n"
-        )
-        stream = iter_log_csv(path)
-        first = next(stream)
-        assert first.customer_id == 1
-        with pytest.raises(SchemaError):
-            next(stream)
+        for bad_row in ("BROKEN", "2,-4,1,1.0"):
+            path.write_text(
+                f"customer_id,day,items,monetary\n1,0,1,1.0\n{bad_row}\n"
+            )
+            stream = iter_log_csv(path)
+            first = next(stream)
+            assert first.customer_id == 1
+            with pytest.raises(SchemaError, match=re.escape(f"{path}:3: ")):
+                next(stream)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -82,6 +85,9 @@ class TestStreamToMonitor:
 
 class TestPartitionedLog:
     def test_round_trip(self, log, tmp_path):
+        # Sub-cent amounts round-trip bit-exactly, as through write_log_csv.
+        log.add(Basket.of(5, 3, items=[1], monetary=12.3456))
+        log.add(Basket.of(6, 4, items=[2], monetary=0.1 + 0.2))
         directory = tmp_path / "shards"
         with PartitionedLogWriter(directory, n_shards=3) as writer:
             count = writer.write_all(log)
@@ -89,9 +95,9 @@ class TestPartitionedLog:
         restored = TransactionLog(iter_partitioned_log(directory))
         assert restored.n_baskets == log.n_baskets
         for customer in log.customers():
-            assert [(b.day, b.items) for b in restored.history(customer)] == [
-                (b.day, b.items) for b in log.history(customer)
-            ]
+            assert [
+                (b.day, b.items, b.monetary) for b in restored.history(customer)
+            ] == [(b.day, b.items, b.monetary) for b in log.history(customer)]
 
     def test_customers_stay_in_one_shard(self, log, tmp_path):
         directory = tmp_path / "shards"

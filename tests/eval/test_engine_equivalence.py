@@ -1,8 +1,8 @@
-"""End-to-end engine equivalence: one protocol, three engines, one ROC.
+"""End-to-end engine equivalence: one protocol, two engines, one ROC.
 
 Satellite guarantee of the PopulationFrame refactor: running the full
 evaluation protocol (ROC sweep over every evaluation window) through the
-incremental, vectorized and batch engines yields **bit-identical** ROC
+incremental and batch engines yields **bit-identical** ROC
 months and AUROC values on a randomized synthetic cohort (exact ``==``,
 the rank statistic tolerates no drift), with raw churn scores agreeing
 to the codebase's established 1e-12 engine tolerance.
@@ -42,7 +42,7 @@ def series_by_engine(randomized_bundle):
 
 
 def test_all_engines_registered(series_by_engine):
-    assert set(series_by_engine) == {"incremental", "vectorized", "batch"}
+    assert set(series_by_engine) == {"incremental", "batch"}
 
 
 def test_roc_months_identical(series_by_engine):

@@ -14,7 +14,6 @@ import pytest
 from repro.baselines.rfm import RFMModel
 from repro.core.model import StabilityModel
 from repro.data.io import read_log_csv, write_log_csv
-from repro.data.store import EventStore
 from repro.eval.figure1 import run_figure1
 from repro.eval.figure2 import run_figure2
 from repro.eval.protocol import EvaluationProtocol
@@ -34,16 +33,6 @@ class TestFullPipeline:
             assert model_a.trajectory(customer).values() == pytest.approx(
                 model_b.trajectory(customer).values(), nan_ok=True
             )
-
-    def test_event_store_preserves_figure1(self, tiny_dataset):
-        """The columnar store round trip must not change stability values."""
-        restored = EventStore.from_log(tiny_dataset.log).to_log()
-        model_a = StabilityModel(tiny_dataset.calendar).fit(tiny_dataset.log)
-        model_b = StabilityModel(tiny_dataset.calendar).fit(restored)
-        customer = tiny_dataset.log.customers()[0]
-        assert model_a.trajectory(customer).values() == pytest.approx(
-            model_b.trajectory(customer).values(), nan_ok=True
-        )
 
     def test_product_level_pipeline(self):
         """Product-level generation + taxonomy abstraction yields a working eval."""

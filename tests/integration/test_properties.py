@@ -5,7 +5,7 @@ invariants that hold regardless of data:
 
 * CSV serialisation round-trips exactly;
 * the streaming monitor agrees with the batch model;
-* the vectorised engine agrees with the incremental one end to end;
+* the batch engine agrees with the incremental one end to end;
 * stability stays in [0, 1] through the full model facade;
 * abstraction (product -> segment) never increases the item universe.
 """
@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.core.streaming import StabilityMonitor
-from repro.core.vectorized import vectorized_stability
-from repro.core.windowing import WindowGrid, windowed_history
 from repro.data.basket import Basket
 from repro.data.calendar import StudyCalendar
 from repro.data.io import read_log_csv, write_log_csv
@@ -83,16 +82,17 @@ class TestEngineEquivalence:
                     assert streamed == pytest.approx(batch, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(log=log_strategy)
-    def test_vectorized_matches_batch(self, log: TransactionLog):
-        grid = WindowGrid.monthly(_CALENDAR, 1)
-        for customer in log.customers():
-            windows = windowed_history(log.history(customer), grid)
-            fast = vectorized_stability(windows)
-            model = StabilityModel(_CALENDAR, window_months=1).fit(
-                log, [customer]
-            )
-            slow = model.trajectory(customer).values()
+    @given(log=log_strategy, alpha=st.sampled_from([1.5, 2.0, 4.0]))
+    def test_batch_matches_incremental(self, log: TransactionLog, alpha):
+        config = ExperimentConfig(window_months=1, alpha=alpha)
+        reference = StabilityModel(_CALENDAR, config=config).fit(log)
+        batch = StabilityModel(
+            _CALENDAR, config=config.evolve(backend="batch")
+        ).fit(log)
+        assert batch.customers() == reference.customers()
+        for customer in reference.customers():
+            slow = reference.trajectory(customer).values()
+            fast = batch.trajectory(customer).values()
             for a, b in zip(fast, slow, strict=True):
                 if math.isnan(b):
                     assert math.isnan(a)

@@ -33,7 +33,7 @@ def _auroc_sweep(dataset, backend: str, n_jobs: int = 1) -> dict[int, float]:
     return {month: series.at_month(month) for month in series.months()}
 
 
-@pytest.mark.parametrize("backend", ["incremental", "vectorized", "batch"])
+@pytest.mark.parametrize("backend", ["incremental", "batch"])
 def test_scores_bit_identical_with_telemetry_on(tiny_dataset, backend):
     baseline = _auroc_sweep(tiny_dataset, backend)
     tracer = Tracer()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.config import DEFAULT_BETA_GRID, ExperimentConfig
@@ -56,8 +58,15 @@ class TestValidation:
             ExperimentConfig(counting="nope")
 
     def test_unknown_backend_names_the_registry(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            ExperimentConfig(backend="gpu")
+        for backend in ("gpu", "vectorized"):
+            with pytest.raises(
+                ConfigError,
+                match=re.escape(
+                    f"unknown backend {backend!r}; "
+                    "expected one of ('incremental', 'batch')"
+                ),
+            ):
+                ExperimentConfig(backend=backend)
 
     def test_n_jobs_zero_rejected(self):
         with pytest.raises(ConfigError, match="n_jobs"):
