@@ -1,7 +1,7 @@
 # Developer entry points. The offline environment lacks the `wheel`
 # package, so `install` uses the legacy setuptools path.
 
-.PHONY: install test test-faults lint typecheck trace-demo serve-demo soak-smoke bench bench-pytest bench-slab-smoke examples figures all clean
+.PHONY: install test test-faults lint typecheck trace-demo serve-demo soak-smoke bench bench-pytest bench-slab-smoke bench-serve-scaling examples figures all clean
 
 install:
 	python setup.py develop
@@ -91,6 +91,13 @@ bench-pytest:
 bench-slab-smoke:
 	REPRO_SLAB_SIZES=1000 REPRO_SLAB_PEAK_BUDGET_MB=256 \
 		pytest benchmarks/bench_slab_grid.py --benchmark-only -q
+
+# Population scaling of the serving path: serve 500- and 2,000-customer
+# paper streams (batch 256, 1 shard, serial), check offline parity at
+# both, and fail when the larger costs over 2x per basket.  Refreshes the
+# population_scaling scenario of BENCH_serve.json.
+bench-serve-scaling:
+	PYTHONPATH=src pytest benchmarks/bench_serve_scaling.py --benchmark-only -q
 
 examples:
 	@for script in examples/*.py; do \

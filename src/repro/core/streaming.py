@@ -163,6 +163,12 @@ class StabilityMonitor:
         """Index of the window currently accumulating baskets."""
         return self._current_window
 
+    @property
+    def last_day_seen(self) -> int:
+        """The stream clock: the latest day ingested or advanced to
+        (-1 before the first)."""
+        return self._last_day_seen
+
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far."""
         return sorted(self._states)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,6 +50,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "snapshot_monitor",
     "restore_monitor",
+    "fold_unions",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -213,6 +215,44 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
             last_stability=math.nan if last is None else float(last),
         )
     return monitor
+
+
+def fold_unions(
+    payload: dict,
+    unions: Mapping[int, Iterable[int]],
+    last_day_seen: int,
+) -> None:
+    """Fold per-customer item unions into a snapshot payload, in place.
+
+    The payload becomes the snapshot of the monitor after the baskets
+    the unions summarise, provided those closed no window: such baskets
+    only register customers, add to their open-window item sets and
+    move the clock to ``last_day_seen``, so nothing else changes.
+
+    Raises
+    ------
+    KeyError, TypeError, ValueError
+        If the payload or the unions are malformed.
+    """
+    records = {record["customer_id"]: record for record in payload["customers"]}
+    registered = False
+    for customer_id, items in unions.items():
+        record = records.get(customer_id)
+        if record is None:
+            # First seen in these baskets: a freshly registered customer.
+            record = records[customer_id] = {
+                "customer_id": customer_id,
+                "presence": [],
+                "first_seen": [],
+                "n_windows_observed": 0,
+                "current_items": [],
+                "last_stability": None,
+            }
+            registered = True
+        record["current_items"] = sorted(set(record["current_items"]).union(items))
+    if registered:
+        payload["customers"] = [records[key] for key in sorted(records)]
+    payload["last_day_seen"] = int(last_day_seen)
 
 
 def save_snapshot(monitor: StabilityMonitor, path: str | Path) -> Path:

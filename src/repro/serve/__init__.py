@@ -14,8 +14,9 @@ Layout
     :func:`~repro.runtime.executor.run_sharded` parallel batch
     processing, bit-identical either way.
 :mod:`repro.serve.checkpoint`
-    :class:`ServeCheckpoint` — write-once state directories sealed by an
-    atomic ``cursor.json`` (the single commit point);
+    :class:`ServeCheckpoint` — state generations (a full base at each
+    window close, a per-batch journal in between) sealed by an atomic
+    ``cursor.json`` (the single commit point);
     :class:`CursorInvalid` signals an unusable cursor and triggers the
     restart-from-head fallback.
 :mod:`repro.serve.loop`

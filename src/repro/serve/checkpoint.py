@@ -1,28 +1,40 @@
-"""Durable serve checkpoints: state dirs sealed by an atomic cursor.
+"""Durable serve checkpoints: state generations sealed by an atomic cursor.
 
 The serving loop's crash contract — *max rework after a crash is one
 batch* — is carried entirely by the write ordering here:
 
-1. :meth:`ServeCheckpoint.write_state` writes the batch's artifacts
-   (one snapshot file per shard plus the upserted score table) into a
-   **new** commit-indexed directory, each file atomically;
+1. :meth:`ServeCheckpoint.write_state` writes the batch's state, each
+   file atomically, where the current cursor does not reference it yet;
 2. :meth:`ServeCheckpoint.commit` atomically replaces ``cursor.json``
-   — the single commit point — with a cursor referencing that
-   directory, then prunes superseded state directories.
+   — the single commit point — with a cursor referencing that state,
+   then prunes superseded generations.
+
+State is kept as one *generation* per ``state-<base>/`` directory: a
+**base** (one snapshot file per shard plus the score table, the full
+state as of commit ``base``) and the **journals** ``journal-<k>.json``
+of the commits after it.  The model's state only moves at window
+boundaries — between two closes a batch adds nothing but each
+customer's open-window items — so a commit whose batch closed no window
+writes only its journal: per shard, the batch's per-customer item
+unions and the shard clock.  A batch that closes a window, the first
+commit in a directory and the finish seal write a new base instead.
+:meth:`ServeCheckpoint.load` decodes the cursor's base and folds its
+journals in, in commit order.
 
 A crash before the commit leaves the previous cursor (and its intact
-state directory) authoritative: the resumed run replays exactly the one
-uncommitted batch.  The orphaned newer state directory doubles as the
-rework marker — :meth:`ServeCheckpoint.load` reports it so the loop can
-count the rework in telemetry.
+generation) authoritative: the resumed run replays exactly the one
+uncommitted batch.  The orphaned newer state — ``state-<commit+1>/`` or
+``journal-<commit+1>.json`` — doubles as the rework marker:
+:meth:`ServeCheckpoint.load` reports it so the loop can count the
+rework in telemetry.
 
 A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
-torn/corrupt cursor, or missing state files — raises
-:class:`CursorInvalid`, and the loop falls back to restarting from the
-stream head (Snippet-2 semantics: idempotent score upsert, warning
-logged) rather than resuming into the wrong data.
+torn/corrupt cursor, a torn, missing or misnumbered state file or
+journal — raises :class:`CursorInvalid`, and the loop falls back to
+restarting from the stream head (Snippet-2 semantics: idempotent score
+upsert, warning logged) rather than resuming into the wrong data.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from repro.atomicio import atomic_write_json
 from repro.errors import ConfigError, ServeError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
+from repro.runtime.snapshot import fold_unions
 
 __all__ = [
     "CURSOR_NAME",
@@ -61,8 +74,8 @@ IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 1
-#: Score-table file inside each state directory.
+CURSOR_VERSION = 2
+#: Score-table file inside each base.
 SCORES_NAME = "scores.json"
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
@@ -71,8 +84,9 @@ _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
 
 class CursorInvalid(ServeError):
     """The checkpoint cannot be resumed from: torn cursor, foreign
-    schema/version, or a stream/config/shard mismatch.  The serving loop
-    treats this as "restart from the stream head", never as fatal."""
+    schema/version, a stream/config/shard mismatch, or a torn, missing
+    or misnumbered state file or journal.  The serving loop treats this
+    as "restart from the stream head", never as fatal."""
 
 
 class CheckpointIOExhausted(ServeError):
@@ -87,14 +101,17 @@ class CheckpointIOExhausted(ServeError):
 class ServeCursor:
     """The committed position of a serving run.
 
-    ``commit_index`` names the state directory holding the shard
-    snapshots and score table as of this commit;
-    ``day_batches_consumed`` is the replay skip count (whole days — a
-    checkpoint batch never splits a day).  Counters ride inside the
-    cursor so a resume restores them atomically with the position.
+    ``commit_index`` is the last committed batch; ``base_index`` names
+    the generation holding its state — the base ``state-<base_index>/``
+    plus journals ``base_index + 1 … commit_index`` (equal indices: the
+    commit wrote the base itself).  ``day_batches_consumed`` is the
+    replay skip count (whole days — a checkpoint batch never splits a
+    day).  Counters ride inside the cursor so a resume restores them
+    atomically with the position.
     """
 
     commit_index: int
+    base_index: int
     day_batches_consumed: int
     counters: dict[str, int]
     stream_fingerprint: str
@@ -107,6 +124,7 @@ class ServeCursor:
             "schema": CURSOR_SCHEMA,
             "version": CURSOR_VERSION,
             "commit_index": self.commit_index,
+            "base_index": self.base_index,
             "day_batches_consumed": self.day_batches_consumed,
             "counters": {
                 key: int(self.counters.get(key, 0)) for key in _COUNTER_KEYS
@@ -144,8 +162,9 @@ class ServeCursor:
         if not isinstance(counters, dict):
             raise CursorInvalid("cursor counters must be an object")
         try:
-            return cls(
+            cursor = cls(
                 commit_index=int(payload["commit_index"]),
+                base_index=int(payload["base_index"]),
                 day_batches_consumed=int(payload["day_batches_consumed"]),
                 counters={
                     key: int(counters.get(key, 0)) for key in _COUNTER_KEYS
@@ -157,6 +176,12 @@ class ServeCursor:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CursorInvalid(f"cursor missing or malformed field: {exc}") from exc
+        if not 0 <= cursor.base_index <= cursor.commit_index:
+            raise CursorInvalid(
+                f"cursor base {cursor.base_index} is not in "
+                f"[0, commit {cursor.commit_index}]"
+            )
+        return cursor
 
 
 @dataclass(frozen=True)
@@ -164,11 +189,16 @@ class LoadedCheckpoint:
     """Everything a resume needs, read back from a valid checkpoint."""
 
     cursor: ServeCursor
+    #: One snapshot payload per shard as of the cursor's commit: the
+    #: base with every journal after it folded in.
     shard_payloads: list[dict]
+    #: The score table (only window closes change it, and every close
+    #: writes a base, so the base's table is current).
     scores: dict
-    #: A state directory newer than the cursor exists: a previous run
-    #: crashed between its state write and the cursor commit, so the
-    #: resumed run will rework exactly that one batch.
+    #: State newer than the cursor exists (``state-<commit+1>/`` or
+    #: ``journal-<commit+1>.json``): a previous run crashed between its
+    #: state write and the cursor commit, so the resumed run will
+    #: rework exactly that one batch.
     orphaned_state: bool
 
 
@@ -178,7 +208,8 @@ class ServeCheckpoint:
     Parameters
     ----------
     directory:
-        The durable run directory (cursor + state dirs + manifest).
+        The durable run directory (cursor + state generations +
+        manifest).
     io_retries:
         Transient-:class:`OSError` budget per write operation: a state
         or cursor write that raises (ENOSPC, EACCES, a flaky NFS mount)
@@ -216,9 +247,13 @@ class ServeCheckpoint:
     def cursor_path(self) -> Path:
         return self.directory / CURSOR_NAME
 
-    def state_dir(self, commit_index: int) -> Path:
-        """The state directory of one commit."""
-        return self.directory / f"state-{commit_index:06d}"
+    def state_dir(self, base_index: int) -> Path:
+        """The generation directory whose base commit ``base_index`` wrote."""
+        return self.directory / f"state-{base_index:06d}"
+
+    def journal_path(self, base_index: int, commit_index: int) -> Path:
+        """The journal commit ``commit_index`` wrote on top of ``base_index``."""
+        return self.state_dir(base_index) / f"journal-{commit_index:06d}.json"
 
     # ------------------------------------------------------------------
     # Write protocol: state first, cursor second (the commit point).
@@ -269,28 +304,69 @@ class ServeCheckpoint:
         self,
         commit_index: int,
         shard_payloads: list[dict],
-        scores: dict,
+        scores: dict | None = None,
+        *,
+        base_index: int | None = None,
     ) -> Path:
-        """Write one commit's shard snapshots + score table (atomically
-        per file, into a directory the current cursor does not reference
-        yet — so a crash mid-write cannot tear the committed state).
-        Transient :class:`OSError` is retried with backoff (see
-        :meth:`_with_io_retry`); a re-attempt rewrites the whole state
-        directory, which is safe because nothing references it yet."""
+        """Write one commit's state where the current cursor does not
+        reference it yet, so a crash mid-write cannot tear the committed
+        state.
 
-        def write() -> Path:
-            directory = self.state_dir(commit_index)
-            for shard, payload in enumerate(shard_payloads):
-                atomic_write_json(
-                    directory / f"shard-{shard:04d}.json", payload
-                )
-            atomic_write_json(directory / SCORES_NAME, scores)
-            return directory
+        Without ``base_index`` this writes a **base**: ``shard_payloads``
+        are per-shard snapshots, written with ``scores`` into a fresh
+        ``state-<commit_index>/`` (whatever an abandoned run left under
+        that name is dropped first); returns the directory.  With
+        ``base_index`` it writes a **journal** into that base's
+        generation: ``shard_payloads`` are the pool's journal entries
+        (:meth:`~repro.serve.pool.ShardedMonitorPool.journal_shards`,
+        ``{"last_day_seen": day, "customers": {id: items}}``), stored
+        with customers and items in sorted order, and no score table;
+        returns the journal's path.
+
+        Transient :class:`OSError` is retried with backoff (see
+        :meth:`_with_io_retry`); a re-attempt rewrites the whole state,
+        which is safe because nothing references it yet.
+        """
+        if base_index is None:
+            if scores is None:
+                raise ConfigError("a base needs its score table")
+
+            def write() -> Path:
+                directory = self.state_dir(commit_index)
+                shutil.rmtree(directory, ignore_errors=True)
+                for shard, payload in enumerate(shard_payloads):
+                    atomic_write_json(
+                        directory / f"shard-{shard:04d}.json", payload
+                    )
+                atomic_write_json(directory / SCORES_NAME, scores)
+                return directory
+
+        else:
+            journal = {
+                "commit_index": commit_index,
+                "shards": [
+                    {
+                        "last_day_seen": entry["last_day_seen"],
+                        "customers": [
+                            [customer_id, sorted(items)]
+                            for customer_id, items in sorted(
+                                entry["customers"].items()
+                            )
+                        ],
+                    }
+                    for entry in shard_payloads
+                ],
+            }
+            path = self.journal_path(base_index, commit_index)
+
+            def write() -> Path:
+                return atomic_write_json(path, journal)
 
         return self._with_io_retry("write_state", commit_index, write)
 
     def commit(self, cursor: ServeCursor) -> Path:
-        """Atomically advance the cursor, then prune superseded state.
+        """Atomically advance the cursor, then prune every generation
+        but the cursor's.
 
         The cursor replace is the commit point; it rides the same
         bounded I/O retry as the state write (re-attempting an atomic
@@ -300,7 +376,7 @@ class ServeCheckpoint:
             return atomic_write_json(self.cursor_path, cursor.to_payload())
 
         path = self._with_io_retry("commit", cursor.commit_index, write)
-        self._prune(keep=cursor.commit_index)
+        self._prune(keep=cursor.base_index)
         return path
 
     def _prune(self, keep: int) -> None:
@@ -312,24 +388,15 @@ class ServeCheckpoint:
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
-    def load(
-        self,
-        *,
-        stream_fingerprint: str,
-        serve_fingerprint: str,
-        n_shards: int,
-    ) -> LoadedCheckpoint | None:
-        """Read the committed checkpoint back for a resume.
-
-        Returns ``None`` when no cursor exists (a fresh start, not an
-        error).
+    def read_cursor(self) -> ServeCursor | None:
+        """The committed cursor, unchecked against any run; ``None``
+        when none was ever committed.
 
         Raises
         ------
         CursorInvalid
-            If the cursor or its referenced state cannot be trusted:
-            torn/corrupt files, schema or version drift, or a
-            stream/config/shard mismatch with the run being resumed.
+            If the cursor file is unreadable, torn, or fails
+            :meth:`ServeCursor.from_payload`.
         """
         if not self.cursor_path.exists():
             return None
@@ -345,7 +412,32 @@ class ServeCheckpoint:
             raise CursorInvalid(
                 f"{self.cursor_path}: torn or corrupt cursor (invalid JSON)"
             ) from exc
-        cursor = ServeCursor.from_payload(payload)
+        return ServeCursor.from_payload(payload)
+
+    def load(
+        self,
+        *,
+        stream_fingerprint: str,
+        serve_fingerprint: str,
+        n_shards: int,
+    ) -> LoadedCheckpoint | None:
+        """Read the committed checkpoint back for a resume: decode the
+        cursor's base, then fold in its journals in commit order.
+
+        Returns ``None`` when no cursor exists (a fresh start, not an
+        error).
+
+        Raises
+        ------
+        CursorInvalid
+            If the cursor or its referenced state cannot be trusted:
+            torn/corrupt files, a journal missing from the generation or
+            naming another commit, schema or version drift, or a
+            stream/config/shard mismatch with the run being resumed.
+        """
+        cursor = self.read_cursor()
+        if cursor is None:
+            return None
         if cursor.stream_fingerprint != stream_fingerprint:
             raise CursorInvalid(
                 f"cursor was recorded over stream "
@@ -363,19 +455,65 @@ class ServeCheckpoint:
                 f"cursor has {cursor.n_shards} shard(s), resuming with "
                 f"{n_shards}"
             )
-        directory = self.state_dir(cursor.commit_index)
+        directory = self.state_dir(cursor.base_index)
         shard_payloads: list[dict] = []
         for shard in range(n_shards):
             shard_payloads.append(
                 self._read_json(directory / f"shard-{shard:04d}.json")
             )
         scores = self._read_json(directory / SCORES_NAME)
+        self._fold_journals(cursor, shard_payloads)
+        after = cursor.commit_index + 1
         return LoadedCheckpoint(
             cursor=cursor,
             shard_payloads=shard_payloads,
             scores=scores,
-            orphaned_state=self.state_dir(cursor.commit_index + 1).exists(),
+            orphaned_state=self.state_dir(after).exists()
+            or self.journal_path(cursor.base_index, after).exists(),
         )
+
+    def _fold_journals(
+        self, cursor: ServeCursor, shard_payloads: list[dict]
+    ) -> None:
+        """Fold journals ``base_index + 1 … commit_index`` into the
+        base's shard payloads: each customer's unions are merged across
+        journals first, so a customer costs one fold however many
+        journals touched them."""
+        unions: list[dict[int, set[int]]] = [{} for _ in shard_payloads]
+        clocks: list[int] = []
+        for commit_index in range(
+            cursor.base_index + 1, cursor.commit_index + 1
+        ):
+            path = self.journal_path(cursor.base_index, commit_index)
+            journal = self._read_json(path)
+            if journal.get("commit_index") != commit_index:
+                raise CursorInvalid(
+                    f"{path}: journal names commit "
+                    f"{journal.get('commit_index')!r}, expected {commit_index}"
+                )
+            try:
+                shards = journal["shards"]
+                clocks = [int(entry["last_day_seen"]) for entry in shards]
+                # strict: a journal holds exactly one entry per shard.
+                for merged, entry in zip(unions, shards, strict=True):
+                    for customer_id, items in entry["customers"]:
+                        known = merged.get(customer_id)
+                        if known is None:
+                            merged[customer_id] = set(items)
+                        else:
+                            known.update(items)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CursorInvalid(
+                    f"{path}: malformed journal: {exc!r}"
+                ) from exc
+        directory = self.state_dir(cursor.base_index)
+        try:
+            for payload, merged, clock in zip(shard_payloads, unions, clocks):
+                fold_unions(payload, merged, clock)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CursorInvalid(
+                f"{directory}: base does not take its journals: {exc!r}"
+            ) from exc
 
     @staticmethod
     def _read_json(path: Path) -> dict:

@@ -7,7 +7,10 @@ checkpoint batches — consecutive whole days until at least
 :class:`~repro.serve.pool.ShardedMonitorPool`, upserts the resulting
 scores/flags into an idempotent score table, and makes the batch
 durable through :class:`~repro.serve.checkpoint.ServeCheckpoint`'s
-state-then-cursor protocol.  The FeedForward streaming-batch runbook
+state-then-cursor protocol.  A batch that closes a window (and the
+first commit, and the finish seal) writes a full base; any other batch
+writes only its journal, so the cost of a commit follows the batch,
+not the population.  The FeedForward streaming-batch runbook
 (SNIPPETS.md Snippet 2) is the contract:
 
 * counters ``ingested`` / ``scored`` / ``flagged`` / ``checkpointed``
@@ -371,8 +374,9 @@ def serve_stream(
         A recorded stream written by
         :func:`repro.synth.stream.record_stream`.
     checkpoint_dir:
-        Durable run directory (cursor + state dirs + run manifest); an
-        existing valid checkpoint there is resumed automatically.
+        Durable run directory (cursor + state generations + run
+        manifest); an existing valid checkpoint there is resumed
+        automatically.
     batch_size:
         Checkpoint cadence: a batch is the smallest run of consecutive
         whole days holding at least this many baskets (days are atomic,
@@ -459,6 +463,9 @@ def serve_stream(
     resumed = False
     reworked = 0
     commit_index = 0
+    #: The commit whose base the next journal extends (None: no base
+    #: in this directory yet, so the next commit writes one).
+    base_index: int | None = None
     day_batches_consumed = 0
     last_day_consumed = -1
     already_finished = False
@@ -499,6 +506,7 @@ def serve_stream(
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)
         commit_index = cursor.commit_index
+        base_index = cursor.base_index
         day_batches_consumed = cursor.day_batches_consumed
         resumed = True
         already_finished = cursor.finished
@@ -551,9 +559,10 @@ def serve_stream(
                 tuple(sorted(record.alarm_windows.items())),
             )
 
-    def make_cursor(finished: bool) -> ServeCursor:
+    def make_cursor(base: int, finished: bool) -> ServeCursor:
         return ServeCursor(
             commit_index=commit_index,
+            base_index=base,
             day_batches_consumed=day_batches_consumed,
             counters=counters.as_dict(),
             stream_fingerprint=stream_fp,
@@ -606,21 +615,37 @@ def serve_stream(
             ],
         }
 
-    def commit_state(finished: bool) -> None:
-        """State first, hook, then the cursor — the one commit point."""
+    def commit_state(finished: bool, closed_window: bool) -> None:
+        """State first, hook, then the cursor — the one commit point.
+
+        The state is a new base when the batch closed a window, the
+        directory has none yet or the run is being sealed; otherwise it
+        is the batch's journal on top of the current base.
+        """
+        nonlocal base_index
+        base = None if closed_window or finished else base_index
         with tracer.span(
             obs_metrics.SPAN_SERVE_CHECKPOINT,
             commit=commit_index,
             finished=finished,
+            journal=base is not None,
         ):
-            checkpoint.write_state(
-                commit_index,
-                active_pool.snapshot_shards(),
-                _table_to_payload(table),
-            )
+            if base is None:
+                checkpoint.write_state(
+                    commit_index,
+                    active_pool.snapshot_shards(),
+                    _table_to_payload(table),
+                )
+                base = base_index = commit_index
+            else:
+                checkpoint.write_state(
+                    commit_index,
+                    active_pool.journal_shards(),
+                    base_index=base,
+                )
             if on_state_written is not None:
                 on_state_written(commit_index)
-            checkpoint.commit(make_cursor(finished))
+            checkpoint.commit(make_cursor(base, finished))
 
     def process_batch(group: list[DayBatch]) -> None:
         nonlocal commit_index, day_batches_consumed, last_day_consumed
@@ -655,7 +680,7 @@ def serve_stream(
         counters.checkpointed += 1
         if status is not None:
             status.set_phase("checkpointing")
-        commit_state(finished=False)
+        commit_state(finished=False, closed_window=bool(reports))
         registry.counter(obs_metrics.SERVE_CHECKPOINTED).inc()
         if status is not None:
             status.set_counters(counters.as_dict())
@@ -709,7 +734,7 @@ def serve_stream(
             final_reports = active_pool.finish()
             _apply_reports(table, final_reports, counters, status)
             commit_index += 1
-            commit_state(finished=True)
+            commit_state(finished=True, closed_window=bool(final_reports))
             if status is not None:
                 status.set_counters(counters.as_dict())
                 status.set_checkpoint(

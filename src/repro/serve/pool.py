@@ -185,6 +185,9 @@ class ShardedMonitorPool:
         #: Executor report of the most recent parallel batch (None until
         #: one ran); surfaces retry/degrade history for the manifest.
         self.last_report: ExecutionReport | None = None
+        #: The day batches of the most recent :meth:`process_batch`
+        #: (see :meth:`journal_shards`).
+        self._last_batches: tuple[DayBatch, ...] = ()
 
     @property
     def n_shards(self) -> int:
@@ -265,6 +268,28 @@ class ShardedMonitorPool:
         """One versioned snapshot payload per shard, in shard order."""
         return [snapshot_monitor(monitor) for monitor in self.monitors]
 
+    def journal_shards(self) -> list[dict]:
+        """What the most recent :meth:`process_batch` added, per shard:
+        the shard clock and each customer's item union over the batch.
+
+        When that batch closed no window, this is the whole difference
+        between the shard states before and after it (a checkpoint
+        journal; see :mod:`repro.serve.checkpoint`).
+        """
+        unions: list[dict[int, set[int]]] = [{} for _ in self.monitors]
+        for batch in self._last_batches:
+            for basket in batch.baskets:
+                shard = unions[shard_of(basket.customer_id, self.n_shards)]
+                items = shard.get(basket.customer_id)
+                if items is None:
+                    shard[basket.customer_id] = set(basket.items)
+                else:
+                    items |= basket.items
+        return [
+            {"last_day_seen": monitor.last_day_seen, "customers": customers}
+            for monitor, customers in zip(self.monitors, unions, strict=True)
+        ]
+
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far, across all shards."""
         seen: set[int] = set()
@@ -280,12 +305,15 @@ class ShardedMonitorPool:
     ) -> list[WindowCloseReport]:
         """Play a group of day batches through every shard; merged reports.
 
+        The group is kept for :meth:`journal_shards`.
+
         Raises
         ------
         DataError
             If the batches regress the stream clock or leave the grid
             (from the underlying monitors).
         """
+        self._last_batches = tuple(batches)
         if not batches:
             return []
         if self.parallel and self.n_shards > 1:

@@ -23,13 +23,16 @@ Layout
 :mod:`repro.soak.harness`
     :func:`run_soak` and the report dataclasses.
 :mod:`repro.soak.bench`
-    ``BENCH_serve.json`` writer and the human-readable renderer.
+    ``BENCH_serve.json`` writer, the human-readable renderer, and the
+    live-plane overhead and population-scaling measurements.
 """
 
 from repro.soak.bench import (
     BENCH_SERVE_NAME,
+    POPULATION_SCALING_BUDGET,
     TELEMETRY_OVERHEAD_BUDGET_PCT,
     live_plane_overhead,
+    population_scaling,
     render_soak,
     write_bench,
 )
@@ -56,8 +59,10 @@ from repro.soak.plan import (
 
 __all__ = [
     "BENCH_SERVE_NAME",
+    "POPULATION_SCALING_BUDGET",
     "TELEMETRY_OVERHEAD_BUDGET_PCT",
     "live_plane_overhead",
+    "population_scaling",
     "render_soak",
     "write_bench",
     "FaultOutcome",

@@ -521,15 +521,21 @@ class _LoopRunner:
         if cell.site == SITE_TEAR_CURSOR:
             torn = tear_file(checkpoint.cursor_path, keep_fraction=0.5)
         else:
-            # When the cell lands on the stream's final batch the leg
-            # runs through the finish seal (a remainder flush commits
-            # outside the max_batches check), which prunes the data
-            # batch's state dir — the seal's own dir is the survivor.
-            state_commit = cell.batch + 1 if result.finished else cell.batch
-            torn = tear_file(
-                checkpoint.state_dir(state_commit) / "shard-0000.json",
-                keep_fraction=0.5,
-            )
+            # Tear the newest committed state file: the journal when the
+            # last commit wrote one, else its base's first shard (a
+            # window close, the first commit, or the finish seal when the
+            # cell lands on the stream's final batch).
+            cursor = checkpoint.read_cursor()
+            if cursor is None:
+                raise SoakError(
+                    f"no committed cursor to tear after batch {cell.batch}"
+                )
+            base = cursor.base_index
+            if cursor.commit_index == base:
+                target = checkpoint.state_dir(base) / "shard-0000.json"
+            else:
+                target = checkpoint.journal_path(base, cursor.commit_index)
+            torn = tear_file(target, keep_fraction=0.5)
         before_invalid = self.registry.counter_value(
             obs_metrics.SERVE_CURSOR_INVALID
         )

@@ -24,8 +24,9 @@ Two plans, both immutable and validated at construction:
                             worst-case crash point
   ``tear_cursor``           ``cursor.json`` is truncated mid-byte after the
                             batch commits (external corruption)
-  ``tear_state``            a committed shard state file is truncated after
-                            the batch commits
+  ``tear_state``            the newest committed state file (the batch's
+                            journal, or its base's first shard file) is
+                            truncated after the batch commits
   ``ckpt_io``               the batch's checkpoint state write raises a
                             transient ``OSError`` (ENOSPC/EACCES) cleared by
                             one retry

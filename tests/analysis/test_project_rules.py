@@ -74,13 +74,17 @@ def test_seq001_silent_on_write_then_seal():
 
 def test_seq001_catches_reordered_live_commit(tmp_path):
     """Mutation test: break the real serve loop's commit ordering and
-    verify SEQ001 catches exactly that edit."""
+    verify SEQ001 catches exactly that edit, above the base write and
+    above the journal write alike."""
     live = SRC / "repro" / "serve" / "loop.py"
     source = live.read_text()
-    seal = "checkpoint.commit(make_cursor(finished))"
+    seal = "checkpoint.commit(make_cursor(base, finished))"
     write_anchor = "checkpoint.write_state("
     assert seal in source, "serve loop commit-point anchor moved"
-    assert write_anchor in source, "serve loop write_state anchor moved"
+    lines = source.splitlines(keepends=True)
+    writes = [i for i, line in enumerate(lines) if write_anchor in line]
+    # commit_state() writes either a base or a journal.
+    assert len(writes) == 2, "serve loop write_state anchors moved"
 
     # The live source must prove clean first.
     rules = [get_rule("SEQ001")]
@@ -88,18 +92,21 @@ def test_seq001_catches_reordered_live_commit(tmp_path):
     clean.write_text(source)
     assert analyze_file(clean, module="repro.serve.loop", rules=rules) == []
 
-    # Hoist the seal above the state write inside commit_state().
-    write_line = next(
-        line for line in source.splitlines() if write_anchor in line
-    )
-    indent = write_line[: len(write_line) - len(write_line.lstrip())]
-    mutated = tmp_path / "loop_mutated.py"
-    mutated.write_text(
-        source.replace(write_line, f"{indent}{seal}\n{write_line}", 1)
-    )
-    findings = analyze_file(mutated, module="repro.serve.loop", rules=rules)
-    assert findings, "SEQ001 must catch a seal hoisted above write_state"
-    assert all(f.rule == "SEQ001" for f in findings)
+    # Hoist the seal above each state write inside commit_state().
+    for kind, index in zip(("base", "journal"), writes, strict=True):
+        write_line = lines[index]
+        indent = write_line[: len(write_line) - len(write_line.lstrip())]
+        mutated = tmp_path / f"loop_{kind}_mutated.py"
+        mutated.write_text(
+            "".join(lines[:index] + [f"{indent}{seal}\n"] + lines[index:])
+        )
+        findings = analyze_file(
+            mutated, module="repro.serve.loop", rules=rules
+        )
+        assert findings, f"SEQ001 must catch a seal hoisted above the {kind} write"
+        assert all(f.rule == "SEQ001" for f in findings)
+        # The witness is the write itself (1-based, one line lower now).
+        assert index + 2 in {f.line for f in findings}, kind
 
 
 # ----------------------------------------------------------------------

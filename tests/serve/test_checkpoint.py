@@ -1,8 +1,10 @@
-"""Tests for the serve checkpoint protocol (state dirs + atomic cursor)."""
+"""Tests for the serve checkpoint protocol (base + journal generations,
+sealed by an atomic cursor)."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -22,6 +24,7 @@ def _cursor(**overrides) -> ServeCursor:
         finished=False,
     )
     base.update(overrides)
+    base.setdefault("base_index", base["commit_index"])
     return ServeCursor(**base)
 
 
@@ -33,6 +36,50 @@ def _write_checkpoint(tmp_path, cursor: ServeCursor) -> ServeCheckpoint:
         {"customers": {}},
     )
     checkpoint.commit(cursor)
+    return checkpoint
+
+
+def _entry(day: int, **customers: set[int]) -> dict:
+    """One shard's journal entry, as ShardedMonitorPool.journal_shards
+    builds it (customer ids spelled ``c<id>`` for keyword use)."""
+    return {
+        "last_day_seen": day,
+        "customers": {int(key[1:]): items for key, items in customers.items()},
+    }
+
+
+def _record(customer_id: int, current_items: list[int], **fields) -> dict:
+    record = {
+        "customer_id": customer_id,
+        "presence": [],
+        "first_seen": [],
+        "n_windows_observed": 0,
+        "current_items": current_items,
+        "last_stability": None,
+    }
+    record.update(fields)
+    return record
+
+
+def _write_generation(tmp_path) -> ServeCheckpoint:
+    """A base at commit 3 and journals 4 and 5 on top, all committed."""
+    checkpoint = ServeCheckpoint(tmp_path / "ckpt")
+    base = [
+        {
+            "last_day_seen": 30,
+            "customers": [_record(2, [1], n_windows_observed=4)],
+        },
+        {"last_day_seen": 30, "customers": []},
+    ]
+    checkpoint.write_state(3, base, {"customers": {}})
+    checkpoint.commit(_cursor())
+    journals = {
+        4: [_entry(40, c2={5, 1}, c4={7, 3}), _entry(40, c1={9})],
+        5: [_entry(50, c4={1}), _entry(50)],
+    }
+    for commit, entries in journals.items():
+        checkpoint.write_state(commit, entries, base_index=3)
+        checkpoint.commit(_cursor(commit_index=commit, base_index=3))
     return checkpoint
 
 
@@ -65,6 +112,11 @@ class TestCursorCodec:
         payload = _cursor().to_payload()
         payload["schema"] = "something-else"
         with pytest.raises(CursorInvalid, match=CURSOR_SCHEMA):
+            ServeCursor.from_payload(payload)
+
+    def test_base_after_commit_rejected(self):
+        payload = _cursor(commit_index=3, base_index=4).to_payload()
+        with pytest.raises(CursorInvalid, match="base 4 is not in"):
             ServeCursor.from_payload(payload)
 
     def test_missing_field_rejected(self):
@@ -109,6 +161,61 @@ class TestCommitProtocol:
         assert loaded is not None
         assert loaded.orphaned_state
 
+    def test_load_folds_journals_in_commit_order(self, tmp_path):
+        loaded = _load(_write_generation(tmp_path))
+        assert loaded is not None
+        assert (loaded.cursor.base_index, loaded.cursor.commit_index) == (3, 5)
+        assert loaded.shard_payloads == [
+            {
+                "last_day_seen": 50,
+                "customers": [
+                    _record(2, [1, 5], n_windows_observed=4),
+                    # First seen mid-generation: only journal 4 has them.
+                    _record(4, [1, 3, 7]),
+                ],
+            },
+            {"last_day_seen": 50, "customers": [_record(1, [9])]},
+        ]
+        assert not loaded.orphaned_state
+
+    def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = json.loads(checkpoint.journal_path(3, 4).read_text())
+        assert journal == {
+            "commit_index": 4,
+            "shards": [
+                {"last_day_seen": 40, "customers": [[2, [1, 5]], [4, [3, 7]]]},
+                {"last_day_seen": 40, "customers": [[1, [9]]]},
+            ],
+        }
+        assert sorted(p.name for p in checkpoint.state_dir(3).iterdir()) == [
+            "journal-000004.json",
+            "journal-000005.json",
+            "scores.json",
+            "shard-0000.json",
+            "shard-0001.json",
+        ]
+
+    def test_orphaned_journal_is_reported(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        # A crash after a journal write but before its commit.
+        checkpoint.write_state(6, [_entry(60), _entry(60)], base_index=3)
+        loaded = _load(checkpoint)
+        assert loaded is not None
+        assert loaded.cursor.commit_index == 5
+        assert loaded.orphaned_state
+
+    def test_new_base_prunes_the_previous_generation(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        checkpoint.write_state(6, [{}, {}], {"customers": {}})
+        checkpoint.commit(_cursor(commit_index=6))
+        checkpoint.write_state(7, [_entry(70), _entry(70)], base_index=6)
+        checkpoint.commit(_cursor(commit_index=7, base_index=6))
+        assert [p.name for p in checkpoint.directory.glob("state-*")] == [
+            "state-000006"
+        ]
+        assert checkpoint.journal_path(6, 7).exists()
+
     def test_counters_ride_inside_the_cursor(self, tmp_path):
         cursor = _cursor()
         loaded = _load(_write_checkpoint(tmp_path, cursor))
@@ -149,6 +256,59 @@ class TestInvalidCursors:
         checkpoint = _write_checkpoint(tmp_path, _cursor())
         tear_file(checkpoint.state_dir(3) / "shard-0000.json", 0.3)
         with pytest.raises(CursorInvalid, match="torn"):
+            _load(checkpoint)
+
+    def test_version_1_cursor_is_version_drift(self, tmp_path):
+        checkpoint = _write_checkpoint(tmp_path, _cursor())
+        payload = json.loads(checkpoint.cursor_path.read_text())
+        payload["version"] = 1
+        del payload["base_index"]
+        checkpoint.cursor_path.write_text(json.dumps(payload))
+        with pytest.raises(
+            CursorInvalid, match="found version 1, expected version 2"
+        ):
+            _load(checkpoint)
+
+    def test_torn_journal(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 4)
+        tear_file(journal, keep_fraction=0.5)
+        with pytest.raises(CursorInvalid, match=f"{re.escape(str(journal))}: .*torn"):
+            _load(checkpoint)
+
+    def test_missing_journal(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 4)
+        journal.unlink()
+        with pytest.raises(
+            CursorInvalid,
+            match=f"{re.escape(str(journal))}: .*missing or unreadable",
+        ):
+            _load(checkpoint)
+
+    def test_journal_naming_another_commit(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 5)
+        payload = json.loads(journal.read_text())
+        payload["commit_index"] = 4
+        journal.write_text(json.dumps(payload))
+        with pytest.raises(
+            CursorInvalid,
+            match=f"{re.escape(str(journal))}: journal names commit 4, "
+            "expected 5",
+        ):
+            _load(checkpoint)
+
+    def test_journal_missing_a_shard(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 5)
+        payload = json.loads(journal.read_text())
+        del payload["shards"][1]
+        journal.write_text(json.dumps(payload))
+        with pytest.raises(
+            CursorInvalid,
+            match=f"{re.escape(str(journal))}: malformed journal",
+        ):
             _load(checkpoint)
 
     def test_non_object_cursor(self, tmp_path):

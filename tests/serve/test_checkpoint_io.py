@@ -24,6 +24,7 @@ from repro.serve.checkpoint import (
 def _cursor(commit_index: int) -> ServeCursor:
     return ServeCursor(
         commit_index=commit_index,
+        base_index=commit_index,
         day_batches_consumed=commit_index,
         counters={"ingested": 1, "scored": 1, "flagged": 0,
                   "checkpointed": commit_index},

@@ -10,14 +10,28 @@ without double-counting.
 
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, metrics as obs_metrics, use_metrics
 from repro.runtime.faults import FaultPlan, tear_file
-from repro.serve import serve_stream
+from repro.serve import (
+    ServeCheckpoint,
+    ShardedMonitorPool,
+    offline_sweep_stream,
+    serve_stream,
+)
+from repro.synth.scenarios import paper_scenario
+from repro.synth.stream import (
+    read_stream_header,
+    record_stream,
+    replay_stream,
+    stream_calendar,
+)
 
 BATCH = 200
 
@@ -209,7 +223,8 @@ class TestCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        state_dir = ckpt / f"state-{3:06d}"
+        base = json.loads((ckpt / "cursor.json").read_text())["base_index"]
+        state_dir = ckpt / f"state-{base:06d}"
         assert state_dir.exists(), partial
         tear_file(state_dir / "shard-0000.json", keep_fraction=0.3)
         with caplog.at_level(logging.WARNING, logger="repro.serve.loop"):
@@ -218,6 +233,69 @@ class TestCursorFallback:
             )
         assert not result.resumed
         assert result.fingerprint() == offline_reference.fingerprint()
+
+    def test_torn_journal_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path, caplog
+    ):
+        ckpt = tmp_path / "torn-journal"
+        serve_stream(
+            stream_path,
+            ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+            max_batches=3,
+        )
+        cursor = json.loads((ckpt / "cursor.json").read_text())
+        assert cursor["base_index"] < cursor["commit_index"] == 3
+        journal = (
+            ckpt / f"state-{cursor['base_index']:06d}" / f"journal-{3:06d}.json"
+        )
+        tear_file(journal, keep_fraction=0.3)
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH
+            )
+        assert not result.resumed
+        assert result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert any(journal.name in r.message for r in caplog.records)
+        assert (
+            registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        )
+
+    def test_version_1_cursor_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path, caplog
+    ):
+        ckpt = tmp_path / "v1"
+        serve_stream(
+            stream_path,
+            ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+            max_batches=3,
+        )
+        # A cursor from before base + journal generations.
+        cursor = json.loads((ckpt / "cursor.json").read_text())
+        cursor["version"] = 1
+        del cursor["base_index"]
+        (ckpt / "cursor.json").write_text(json.dumps(cursor))
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH
+            )
+        assert not result.resumed
+        assert result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert any("version drift" in r.message for r in caplog.records)
+        assert (
+            registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        )
 
     def test_changed_config_restarts_from_head(
         self, stream_path, serve_config, tmp_path, caplog
@@ -312,3 +390,108 @@ class TestValidation:
                 config=serve_config,
                 max_batches=0,
             )
+
+
+@pytest.fixture(scope="module")
+def paper_stream(tmp_path_factory):
+    """A seeded paper-scenario stream: 80 customers over 4 months, so
+    256-basket batches fall several to a 2-month window."""
+    dataset = paper_scenario(40, 40, seed=7, n_months=4, onset_month=3)
+    baskets = sorted(dataset.log, key=lambda b: (b.day, b.customer_id))
+    path = tmp_path_factory.mktemp("paper") / "stream.jsonl"
+    return record_stream(baskets, path, calendar=dataset.calendar)
+
+
+class TestResumeAtEveryCommit:
+    """A resume from any commit — base or journal — restores exactly the
+    state the uninterrupted run had there."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("batch_size", [256, 1], ids=["256", "one-day"])
+    def test_resumed_state_matches_uninterrupted_run(
+        self, paper_stream, tmp_path, batch_size, n_shards
+    ):
+        config = ExperimentConfig()
+        ckpt = ServeCheckpoint(tmp_path / "ckpt")
+        # commit -> (cursor, resumed pool's shard snapshots)
+        resumed: dict[int, tuple] = {}
+
+        def observe() -> None:
+            cursor = ckpt.read_cursor()
+            loaded = ckpt.load(
+                stream_fingerprint=cursor.stream_fingerprint,
+                serve_fingerprint=cursor.serve_fingerprint,
+                n_shards=n_shards,
+            )
+            pool = ShardedMonitorPool.from_snapshots(loaded.shard_payloads)
+            resumed[cursor.commit_index] = (cursor, pool.snapshot_shards())
+
+        # One leg per batch: each stops after its commit and the next
+        # resumes from it.  The hook sees the commit before its own, so
+        # the one a final leg commits before its finish seal is seen too.
+        def hook(commit_index: int) -> None:
+            if commit_index > 1:
+                observe()
+
+        result = None
+        while result is None or not result.finished:
+            result = serve_stream(
+                paper_stream,
+                ckpt.directory,
+                config=config,
+                batch_size=batch_size,
+                n_shards=n_shards,
+                max_batches=1,
+                on_state_written=hook,
+            )
+            assert result.batches_reworked == 0
+        observe()
+        assert result.fingerprint() == (
+            offline_sweep_stream(paper_stream, config=config).fingerprint()
+        )
+
+        # The uninterrupted run, batch for batch, through one pool.
+        calendar = stream_calendar(read_stream_header(paper_stream))
+        grid = config.grid(calendar)
+        days = list(replay_stream(paper_stream))
+        pool = ShardedMonitorPool.create(
+            grid,
+            n_shards=n_shards,
+            significance=config.significance(),
+            counting=config.counting,
+        )
+        assert sorted(resumed) == list(range(1, len(resumed) + 1))
+        consumed = 0
+        journal_commits = 0
+        straddles = False
+        seen: set[int] = set()
+        first_in_journal = False
+        for commit_index, (cursor, state) in sorted(resumed.items()):
+            group = days[consumed : cursor.day_batches_consumed]
+            consumed = cursor.day_batches_consumed
+            if cursor.finished:
+                assert not group
+                pool.finish()
+            else:
+                pool.process_batch(group)
+            assert json.dumps(state) == json.dumps(pool.snapshot_shards()), (
+                f"commit {commit_index} (base {cursor.base_index})"
+            )
+            if cursor.base_index < commit_index:
+                journal_commits += 1
+                first_in_journal |= any(
+                    basket.customer_id not in seen
+                    for day in group
+                    for basket in day.baskets
+                )
+            elif group:
+                straddles |= len(
+                    {grid.window_of_day(day.day) for day in group}
+                ) > 1
+            seen.update(b.customer_id for day in group for b in day.baskets)
+        assert journal_commits > 0
+        if batch_size == 1:
+            # A customer whose first basket only a journal records.
+            assert first_in_journal
+        else:
+            assert straddles, "no batch straddles a window boundary"
