@@ -615,15 +615,16 @@ def serve_stream(
             ],
         }
 
-    def commit_state(finished: bool, closed_window: bool) -> None:
+    def commit_state(finished: bool, new_base: bool) -> None:
         """State first, hook, then the cursor — the one commit point.
 
-        The state is a new base when the batch closed a window, the
-        directory has none yet or the run is being sealed; otherwise it
-        is the batch's journal on top of the current base.
+        The state is a new base when ``new_base`` is set (the batch
+        closed a window, or the run is being sealed) or the directory
+        has none yet; otherwise it is the batch's journal on top of the
+        current base.
         """
         nonlocal base_index
-        base = None if closed_window or finished else base_index
+        base = None if new_base else base_index
         with tracer.span(
             obs_metrics.SPAN_SERVE_CHECKPOINT,
             commit=commit_index,
@@ -680,7 +681,7 @@ def serve_stream(
         counters.checkpointed += 1
         if status is not None:
             status.set_phase("checkpointing")
-        commit_state(finished=False, closed_window=bool(reports))
+        commit_state(finished=False, new_base=bool(reports))
         registry.counter(obs_metrics.SERVE_CHECKPOINTED).inc()
         if status is not None:
             status.set_counters(counters.as_dict())
@@ -734,7 +735,7 @@ def serve_stream(
             final_reports = active_pool.finish()
             _apply_reports(table, final_reports, counters, status)
             commit_index += 1
-            commit_state(finished=True, closed_window=bool(final_reports))
+            commit_state(finished=True, new_base=True)
             if status is not None:
                 status.set_counters(counters.as_dict())
                 status.set_checkpoint(

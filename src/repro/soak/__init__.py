@@ -23,16 +23,13 @@ Layout
 :mod:`repro.soak.harness`
     :func:`run_soak` and the report dataclasses.
 :mod:`repro.soak.bench`
-    ``BENCH_serve.json`` writer, the human-readable renderer, and the
-    live-plane overhead and population-scaling measurements.
+    ``BENCH_serve.json`` writer and the human-readable renderer.
 """
 
 from repro.soak.bench import (
     BENCH_SERVE_NAME,
-    POPULATION_SCALING_BUDGET,
     TELEMETRY_OVERHEAD_BUDGET_PCT,
     live_plane_overhead,
-    population_scaling,
     render_soak,
     write_bench,
 )
@@ -59,10 +56,8 @@ from repro.soak.plan import (
 
 __all__ = [
     "BENCH_SERVE_NAME",
-    "POPULATION_SCALING_BUDGET",
     "TELEMETRY_OVERHEAD_BUDGET_PCT",
     "live_plane_overhead",
-    "population_scaling",
     "render_soak",
     "write_bench",
     "FaultOutcome",

@@ -12,11 +12,6 @@ live plane: one serve pass with the full publisher/window/flight stack
 attached must stay **bit-identical** in scores to a bare pass and cost
 less than the pinned overhead budget in hot-path time; the verdict
 lands in the artifact's ``telemetry_plane`` scenario.
-
-:func:`population_scaling` pins that serving cost follows the batch,
-not the population: the cost per basket of serving a larger population
-may grow at most :data:`POPULATION_SCALING_BUDGET` times over a smaller
-one; the verdict lands in the ``population_scaling`` scenario.
 """
 
 from __future__ import annotations
@@ -29,31 +24,21 @@ from pathlib import Path
 from repro.errors import SoakError
 from repro.eval.benchmarking import merge_scaling_json
 from repro.obs import FlightRecorder, MetricsPublisher, MetricsRegistry, use_metrics
-from repro.serve.loop import offline_sweep_stream, serve_stream
+from repro.serve.loop import serve_stream
 from repro.soak.harness import SoakReport
-from repro.synth.scenarios import paper_scenario
-from repro.synth.stream import record_stream
 
 __all__ = [
     "BENCH_SERVE_NAME",
     "write_bench",
     "render_soak",
     "live_plane_overhead",
-    "population_scaling",
     "TELEMETRY_OVERHEAD_BUDGET_PCT",
-    "POPULATION_SCALING_BUDGET",
 ]
 
 #: The pinned hot-path budget for the live plane, in percent of bare
 #: serve time — the same <3% contract PR 4 pinned for the base
 #: telemetry spine.
 TELEMETRY_OVERHEAD_BUDGET_PCT = 3.0
-
-#: Largest allowed ratio of per-basket serving cost between the largest
-#: and the smallest population of :func:`population_scaling`.
-POPULATION_SCALING_BUDGET = 2.0
-#: Passes per size in :func:`population_scaling`; the fastest counts.
-POPULATION_SCALING_REPEATS = 3
 
 #: Canonical artifact name (committed at the repo root, refreshed by
 #: ``make soak-smoke`` and uploaded by the CI ``soak-smoke`` job).
@@ -169,82 +154,6 @@ def live_plane_overhead(
         "budget_pct": budget_pct,
         "ok": overhead_pct < budget_pct,
         "fingerprint": next(iter(fingerprints)),
-    }
-
-
-def population_scaling(
-    sizes: tuple[int, ...] = (500, 2000),
-    *,
-    seed: int = 7,
-    batch_size: int = 256,
-    budget: float = POPULATION_SCALING_BUDGET,
-) -> dict[str, object]:
-    """Serve one paper-scenario stream per population size; compare the
-    cost per basket.
-
-    Each size is ``paper_scenario`` with that many customers, split
-    evenly between loyal and churners, recorded day-ordered and served
-    to completion :data:`POPULATION_SCALING_REPEATS` times at the daemon
-    default (``batch_size``, one shard, serial), each time into a fresh
-    checkpoint directory; the fastest pass is the size's cost, which
-    keeps a busy host from inflating one size.  Every pass must match
-    the offline sweep.
-
-    Returns the ``population_scaling`` scenario payload: per size the
-    customers, baskets, fastest serve seconds, microseconds per basket
-    and parity, then ``ratio`` (largest over smallest size's
-    microseconds per basket), ``budget`` and ``ok`` (every size at
-    parity and the ratio within the budget).
-    """
-    scratch = Path(tempfile.mkdtemp(prefix="repro-scaling-bench-"))
-    results: list[dict[str, object]] = []
-    costs: list[float] = []
-    parity: list[bool] = []
-    try:
-        for size in sizes:
-            n_loyal = size // 2
-            dataset = paper_scenario(n_loyal, size - n_loyal, seed=seed)
-            stream = record_stream(
-                sorted(dataset.log, key=lambda b: (b.day, b.customer_id)),
-                scratch / f"stream-{size}.jsonl",
-                calendar=dataset.calendar,
-            )
-            del dataset
-            reference = offline_sweep_stream(stream).fingerprint()
-            elapsed: list[float] = []
-            fingerprints: set[str] = set()
-            for repeat in range(POPULATION_SCALING_REPEATS):
-                directory = scratch / f"ckpt-{size}-{repeat}"
-                started = time.perf_counter()
-                result = serve_stream(stream, directory, batch_size=batch_size)
-                elapsed.append(time.perf_counter() - started)
-                fingerprints.add(result.fingerprint())
-                shutil.rmtree(directory, ignore_errors=True)
-            costs.append(min(elapsed) / result.counters.ingested * 1e6)
-            parity.append(fingerprints == {reference})
-            results.append(
-                {
-                    "customers": size,
-                    "baskets": result.counters.ingested,
-                    "serve_s": min(elapsed),
-                    "us_per_basket": costs[-1],
-                    "parity": parity[-1],
-                    "fingerprint": reference,
-                }
-            )
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    ratio = costs[-1] / costs[0]
-    return {
-        "seed": seed,
-        "batch_size": batch_size,
-        "n_shards": 1,
-        "parallel": False,
-        "repeats": POPULATION_SCALING_REPEATS,
-        "results": results,
-        "ratio": ratio,
-        "budget": budget,
-        "ok": ratio <= budget and all(parity),
     }
 
 
