@@ -25,9 +25,12 @@ typecheck:
 	mypy --config-file pyproject.toml
 
 # The resilience suite under -W error: injected worker crashes, torn
-# checkpoint/snapshot files, interrupted-sweep resume.
+# checkpoint/snapshot files, interrupted-sweep resume, and the serve
+# checkpoint's commit protocol, I/O retries and crash/corruption resume.
 test-faults:
-	PYTHONPATH=src python -m pytest tests/runtime -q -W error
+	PYTHONPATH=src python -m pytest tests/runtime \
+		tests/serve/test_checkpoint.py tests/serve/test_checkpoint_io.py \
+		tests/serve/test_resume.py -q -W error
 
 # End-to-end telemetry demo: a verbose, traced, checkpointed figure1
 # run (sharded fit + manifest), then the span-summary table.

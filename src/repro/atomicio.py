@@ -1,4 +1,4 @@
-"""The one atomic write-then-rename helper: :func:`atomic_write_text`.
+"""The one atomic write-then-rename helper: :func:`atomic_write_bytes`.
 
 Every artifact this stack persists — checkpoint cells, monitor
 snapshots, run manifests, trace JSONL, metrics JSON — must be readable
@@ -6,7 +6,8 @@ or absent, never torn: a kill or crash mid-write may cost the artifact,
 but a resume must never ingest half a file.  The idiom is always the
 same (write a same-directory temp file, then ``os.replace`` over the
 target, which POSIX guarantees atomic within a filesystem), so it lives
-here once instead of being re-inlined per module.
+here once instead of being re-inlined per module; text and JSON
+artifacts go through :func:`atomic_write_text`, its UTF-8 sibling.
 
 Rule ``IO001`` in :mod:`repro.analysis` rejects direct write-mode
 ``open`` / ``write_text`` / ``json.dump`` calls in the persistence
@@ -23,6 +24,7 @@ from types import TracebackType
 from typing import BinaryIO
 
 __all__ = [
+    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "append_jsonl_line",
@@ -30,8 +32,8 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp-then-rename).
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically (temp-then-rename, no fsync).
 
     Parent directories are created as needed.  The temp file carries the
     writing pid so concurrent writers in different processes cannot
@@ -42,7 +44,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError:
         # Never leave the temp file behind on a failed write/rename; the
@@ -50,6 +52,12 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically, UTF-8 encoded (see
+    :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(

@@ -296,44 +296,6 @@ class StabilityMonitor:
         return reports
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The monitor's complete state as a versioned JSON payload.
-
-        This is a thin delegation to the **one** snapshot codec,
-        :func:`repro.runtime.snapshot.snapshot_monitor` — the serving
-        layer, the checkpoint files and the tests all read and write
-        exactly this format (schema + version validated on restore, with
-        the found-vs-expected version named on drift).  See
-        :mod:`repro.runtime.snapshot` for the format and the round-trip
-        guarantee (a restored monitor emits identical
-        :class:`WindowCloseReport` objects thereafter).
-
-        Raises
-        ------
-        SnapshotError
-            If the monitor's configuration is not serialisable (custom
-            significance rules have no stable wire format).
-        """
-        from repro.runtime.snapshot import snapshot_monitor
-
-        return snapshot_monitor(self)
-
-    @classmethod
-    def from_snapshot(cls, payload: dict) -> StabilityMonitor:
-        """Rebuild a monitor from a :meth:`snapshot` payload.
-
-        Raises
-        ------
-        SnapshotError
-            If the payload is corrupt or from an incompatible version.
-        """
-        from repro.runtime.snapshot import restore_monitor
-
-        return restore_monitor(payload)
-
-    # ------------------------------------------------------------------
     # Explanation
     # ------------------------------------------------------------------
     def explain_alarm(self, customer_id: int, top_k: int = 5) -> list[tuple[int, float]]:

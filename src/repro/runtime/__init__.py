@@ -11,7 +11,7 @@
   :class:`~repro.runtime.checkpoint.CheckpointJournal`, atomic
   journaling of finished sweep cells so interrupted evaluations resume
   without recomputation;
-* :mod:`repro.runtime.snapshot` — versioned, schema-checked
+* :mod:`repro.runtime.snapshot` — versioned, columnar, checksummed
   serialisation of :class:`~repro.core.streaming.StabilityMonitor`
   state with an exact round-trip guarantee;
 * :mod:`repro.runtime.faults` — deterministic fault injection (worker

@@ -10,31 +10,36 @@ batch* — is carried entirely by the write ordering here:
    then prunes superseded generations.
 
 State is kept as one *generation* per ``state-<base>/`` directory: a
-**base** (one snapshot file per shard plus the score table, the full
-state as of commit ``base``) and the **journals** ``journal-<k>.json``
-of the commits after it.  The model's state only moves at window
-boundaries — between two closes a batch adds nothing but each
-customer's open-window items — so a commit whose batch closed no window
-writes only its journal: per shard, the batch's per-customer item
-unions and the shard clock.  A batch that closes a window, the first
+**base** (one snapshot file ``shard-<i>.snap`` per shard plus the score
+table ``scores.snap``, the full state as of commit ``base``) and the
+**journals** ``journal-<k>.snap`` of the commits after it.  The model's
+state only moves at window boundaries — between two closes a batch adds
+nothing but each customer's open-window items — so a commit whose batch
+closed no window writes only its journal: per shard, the batch's
+per-customer item unions and the shard clock.  A batch that closes a window, the first
 commit in a directory and the finish seal write a new base instead.
 :meth:`ServeCheckpoint.load` decodes the cursor's base and folds its
-journals in, in commit order.
+journals in, in commit order.  Every state file is one checksummed
+:func:`~repro.runtime.snapshot.encode_snapshot` container: a shard
+snapshot's columns become arrays, and every other payload (the score
+table, a journal, whatever a caller hands in) rides in its header, so
+this module never needs to know a payload's shape.
 
 A crash before the commit leaves the previous cursor (and its intact
 generation) authoritative: the resumed run replays exactly the one
 uncommitted batch.  The orphaned newer state — ``state-<commit+1>/`` or
-``journal-<commit+1>.json`` — doubles as the rework marker:
+``journal-<commit+1>.snap`` — doubles as the rework marker:
 :meth:`ServeCheckpoint.load` reports it so the loop can count the
 rework in telemetry.
 
 A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
-torn/corrupt cursor, a torn, missing or misnumbered state file or
-journal — raises :class:`CursorInvalid`, and the loop falls back to
-restarting from the stream head (Snippet-2 semantics: idempotent score
-upsert, warning logged) rather than resuming into the wrong data.
+torn/corrupt cursor, a torn, missing, altered (checksum mismatch) or
+misnumbered state file or journal — raises :class:`CursorInvalid`, and
+the loop falls back to restarting from the stream head (Snippet-2
+semantics: idempotent score upsert, warning logged) rather than
+resuming into the wrong data.
 """
 
 from __future__ import annotations
@@ -47,11 +52,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.atomicio import atomic_write_json
-from repro.errors import ConfigError, ServeError
+from repro.atomicio import atomic_write_bytes, atomic_write_json
+from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
-from repro.runtime.snapshot import fold_unions
+from repro.runtime.snapshot import decode_snapshot, encode_snapshot, fold_unions
 
 __all__ = [
     "CURSOR_NAME",
@@ -74,9 +79,9 @@ IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 2
+CURSOR_VERSION = 3
 #: Score-table file inside each base.
-SCORES_NAME = "scores.json"
+SCORES_NAME = "scores.snap"
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
 _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
@@ -84,9 +89,9 @@ _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
 
 class CursorInvalid(ServeError):
     """The checkpoint cannot be resumed from: torn cursor, foreign
-    schema/version, a stream/config/shard mismatch, or a torn, missing
-    or misnumbered state file or journal.  The serving loop treats this
-    as "restart from the stream head", never as fatal."""
+    schema/version, a stream/config/shard mismatch, or a torn, missing,
+    altered or misnumbered state file or journal.  The serving loop
+    treats this as "restart from the stream head", never as fatal."""
 
 
 class CheckpointIOExhausted(ServeError):
@@ -196,7 +201,7 @@ class LoadedCheckpoint:
     #: writes a base, so the base's table is current).
     scores: dict
     #: State newer than the cursor exists (``state-<commit+1>/`` or
-    #: ``journal-<commit+1>.json``): a previous run crashed between its
+    #: ``journal-<commit+1>.snap``): a previous run crashed between its
     #: state write and the cursor commit, so the resumed run will
     #: rework exactly that one batch.
     orphaned_state: bool
@@ -251,9 +256,13 @@ class ServeCheckpoint:
         """The generation directory whose base commit ``base_index`` wrote."""
         return self.directory / f"state-{base_index:06d}"
 
+    def shard_path(self, base_index: int, shard: int) -> Path:
+        """Shard ``shard``'s snapshot in the base commit ``base_index`` wrote."""
+        return self.state_dir(base_index) / f"shard-{shard:04d}.snap"
+
     def journal_path(self, base_index: int, commit_index: int) -> Path:
         """The journal commit ``commit_index`` wrote on top of ``base_index``."""
-        return self.state_dir(base_index) / f"journal-{commit_index:06d}.json"
+        return self.state_dir(base_index) / f"journal-{commit_index:06d}.snap"
 
     # ------------------------------------------------------------------
     # Write protocol: state first, cursor second (the commit point).
@@ -323,22 +332,28 @@ class ServeCheckpoint:
         with customers and items in sorted order, and no score table;
         returns the journal's path.
 
-        Transient :class:`OSError` is retried with backoff (see
-        :meth:`_with_io_retry`); a re-attempt rewrites the whole state,
-        which is safe because nothing references it yet.
+        Every file is an :func:`~repro.runtime.snapshot.encode_snapshot`
+        container.  Transient :class:`OSError` is retried with backoff
+        (see :meth:`_with_io_retry`); a re-attempt rewrites the whole
+        state, which is safe because nothing references it yet.
+
+        Raises
+        ------
+        SnapshotError
+            If a payload cannot be encoded (a column holding non-numbers).
         """
         if base_index is None:
             if scores is None:
                 raise ConfigError("a base needs its score table")
+            blobs = [encode_snapshot(payload) for payload in shard_payloads]
+            scores_blob = encode_snapshot(scores)
 
             def write() -> Path:
                 directory = self.state_dir(commit_index)
                 shutil.rmtree(directory, ignore_errors=True)
-                for shard, payload in enumerate(shard_payloads):
-                    atomic_write_json(
-                        directory / f"shard-{shard:04d}.json", payload
-                    )
-                atomic_write_json(directory / SCORES_NAME, scores)
+                for shard, blob in enumerate(blobs):
+                    atomic_write_bytes(self.shard_path(commit_index, shard), blob)
+                atomic_write_bytes(directory / SCORES_NAME, scores_blob)
                 return directory
 
         else:
@@ -357,10 +372,11 @@ class ServeCheckpoint:
                     for entry in shard_payloads
                 ],
             }
+            blob = encode_snapshot(journal)
             path = self.journal_path(base_index, commit_index)
 
             def write() -> Path:
-                return atomic_write_json(path, journal)
+                return atomic_write_bytes(path, blob)
 
         return self._with_io_retry("write_state", commit_index, write)
 
@@ -431,9 +447,10 @@ class ServeCheckpoint:
         ------
         CursorInvalid
             If the cursor or its referenced state cannot be trusted:
-            torn/corrupt files, a journal missing from the generation or
-            naming another commit, schema or version drift, or a
-            stream/config/shard mismatch with the run being resumed.
+            torn, altered or missing files, a journal missing from the
+            generation or naming another commit, schema or version
+            drift, or a stream/config/shard mismatch with the run being
+            resumed.
         """
         cursor = self.read_cursor()
         if cursor is None:
@@ -455,13 +472,12 @@ class ServeCheckpoint:
                 f"cursor has {cursor.n_shards} shard(s), resuming with "
                 f"{n_shards}"
             )
-        directory = self.state_dir(cursor.base_index)
         shard_payloads: list[dict] = []
         for shard in range(n_shards):
             shard_payloads.append(
-                self._read_json(directory / f"shard-{shard:04d}.json")
+                self._read_state(self.shard_path(cursor.base_index, shard))
             )
-        scores = self._read_json(directory / SCORES_NAME)
+        scores = self._read_state(self.state_dir(cursor.base_index) / SCORES_NAME)
         self._fold_journals(cursor, shard_payloads)
         after = cursor.commit_index + 1
         return LoadedCheckpoint(
@@ -485,7 +501,7 @@ class ServeCheckpoint:
             cursor.base_index + 1, cursor.commit_index + 1
         ):
             path = self.journal_path(cursor.base_index, commit_index)
-            journal = self._read_json(path)
+            journal = self._read_state(path)
             if journal.get("commit_index") != commit_index:
                 raise CursorInvalid(
                     f"{path}: journal names commit "
@@ -510,24 +526,23 @@ class ServeCheckpoint:
         try:
             for payload, merged, clock in zip(shard_payloads, unions, clocks):
                 fold_unions(payload, merged, clock)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise CursorInvalid(
                 f"{directory}: base does not take its journals: {exc!r}"
             ) from exc
 
     @staticmethod
-    def _read_json(path: Path) -> dict:
+    def _read_state(path: Path) -> dict:
         try:
-            payload = json.loads(path.read_text())
+            data = path.read_bytes()
         except OSError as exc:
             raise CursorInvalid(
                 f"{path}: committed state file is missing or unreadable: "
                 f"{exc}"
             ) from exc
-        except json.JSONDecodeError as exc:
+        try:
+            return decode_snapshot(data)
+        except SnapshotError as exc:
             raise CursorInvalid(
-                f"{path}: committed state file is torn (invalid JSON)"
+                f"{path}: committed state file is torn or altered: {exc}"
             ) from exc
-        if not isinstance(payload, dict):
-            raise CursorInvalid(f"{path}: state file is not a JSON object")
-        return payload

@@ -20,12 +20,13 @@ through three properties:
 * a customer's tracker state is content-determined (window item sets
   are folded in sorted order), so the basket interleaving *across*
   customers never affects any one customer's scores;
-* the parallel path round-trips each shard's state through the
-  versioned snapshot codec (:mod:`repro.runtime.snapshot`), whose
-  round-trip guarantee pins that a restored monitor emits identical
-  reports — the same slab-reference pattern the batch engine uses, so a
-  retried or degraded worker attempt recomputes from the exact same
-  state (``fn`` stays pure/idempotent as ``run_sharded`` requires).
+* the parallel path ships each shard's state to its worker and back
+  as one checksummed snapshot container (:mod:`repro.runtime.snapshot`),
+  whose round-trip guarantee pins that a restored monitor emits
+  identical reports — the same slab-reference pattern the batch engine
+  uses, so a retried or degraded worker attempt recomputes from the
+  exact same state (``fn`` stays pure/idempotent as ``run_sharded``
+  requires).
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from repro.data.basket import Basket
 from repro.data.streams import DayBatch
 from repro.errors import ConfigError
 from repro.runtime.executor import ExecutionReport, run_sharded
-from repro.runtime.snapshot import restore_monitor, snapshot_monitor
+from repro.runtime.snapshot import (
+    decode_snapshot,
+    encode_snapshot,
+    restore_monitor,
+    snapshot_monitor,
+)
 
 if TYPE_CHECKING:
     from repro.core.significance import SignificanceFunction
@@ -48,8 +54,9 @@ if TYPE_CHECKING:
 
 __all__ = ["ShardedMonitorPool", "shard_of", "merge_reports"]
 
-#: Wire shapes shipped to worker processes: plain nested tuples only, so
-#: pickling never depends on dataclass/slots details across versions.
+#: Wire shapes shipped to worker processes: plain nested tuples and
+#: encoded snapshots only, so pickling never depends on dataclass/slots
+#: details across versions.
 _WireBasket = tuple[int, tuple[int, ...], float]
 _WireDay = tuple[int, tuple[_WireBasket, ...]]
 _WireReport = tuple[
@@ -57,7 +64,7 @@ _WireReport = tuple[
     tuple[tuple[int, float], ...],
     tuple[tuple[int, int, float], ...],
 ]
-_ShardTask = tuple[dict, tuple[_WireDay, ...]]
+_ShardTask = tuple[bytes, tuple[_WireDay, ...]]
 
 
 def shard_of(customer_id: int, n_shards: int) -> int:
@@ -119,15 +126,15 @@ def _deserialize_report(wire: _WireReport) -> WindowCloseReport:
     )
 
 
-def _process_shard_batch(task: _ShardTask) -> tuple[dict, tuple[_WireReport, ...]]:
+def _process_shard_batch(task: _ShardTask) -> tuple[bytes, tuple[_WireReport, ...]]:
     """Worker: restore one shard, play one batch of days, snapshot back.
 
     Pure in the :func:`run_sharded` sense — state in, state out, no side
     effects — so a timed-out attempt recomputed elsewhere cannot corrupt
     anything.
     """
-    payload, days = task
-    monitor = restore_monitor(payload)
+    blob, days = task
+    monitor = restore_monitor(decode_snapshot(blob))
     reports: list[WindowCloseReport] = []
     for day, baskets in days:
         for customer_id, items, monetary in baskets:
@@ -143,7 +150,7 @@ def _process_shard_batch(task: _ShardTask) -> tuple[dict, tuple[_WireReport, ...
             )
         reports.extend(monitor.advance_to_day(day))
     return (
-        snapshot_monitor(monitor),
+        encode_snapshot(snapshot_monitor(monitor)),
         tuple(_serialize_report(r) for r in reports),
     )
 
@@ -359,7 +366,7 @@ class ShardedMonitorPool:
                 )
                 for batch in batches
             )
-            tasks.append((snapshot_monitor(monitor), days))
+            tasks.append((encode_snapshot(snapshot_monitor(monitor)), days))
         results, report = run_sharded(
             _process_shard_batch,
             tasks,
@@ -370,8 +377,8 @@ class ShardedMonitorPool:
         )
         self.last_report = report
         per_shard: list[list[WindowCloseReport]] = []
-        for shard, (payload, serialized) in enumerate(results):
-            self.monitors[shard] = restore_monitor(payload)
+        for shard, (blob, serialized) in enumerate(results):
+            self.monitors[shard] = restore_monitor(decode_snapshot(blob))
             per_shard.append([_deserialize_report(r) for r in serialized])
         return merge_reports(per_shard)
 

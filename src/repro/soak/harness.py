@@ -532,7 +532,7 @@ class _LoopRunner:
                 )
             base = cursor.base_index
             if cursor.commit_index == base:
-                target = checkpoint.state_dir(base) / "shard-0000.json"
+                target = checkpoint.shard_path(base, 0)
             else:
                 target = checkpoint.journal_path(base, cursor.commit_index)
             torn = tear_file(target, keep_fraction=0.5)

@@ -1,25 +1,37 @@
-"""Tests for StabilityMonitor snapshot/restore.
+"""Tests for StabilityMonitor snapshot/restore and its container.
 
 The contract under test is the round-trip guarantee: interrupting a
-stream at any point, snapshotting, restoring (even through a JSON
-serialisation cycle) and feeding the rest of the stream must produce
-exactly the reports an uninterrupted monitor produces.
+stream at any point, snapshotting, restoring (even through the binary
+container a file holds) and feeding the rest of the stream must produce
+exactly the reports an uninterrupted monitor produces.  A truncated,
+torn or altered container must raise, never restore.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
+import re
+import struct
+from collections.abc import Callable
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+from repro.atomicio import atomic_write_json
 from repro.config import ExperimentConfig
 from repro.core.significance import LinearSignificance
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
+from repro.core.windowing import WindowGrid
+from repro.data.basket import Basket
 from repro.errors import SnapshotError
 from repro.runtime.faults import tear_file
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
+    decode_snapshot,
+    encode_snapshot,
     load_snapshot,
     restore_monitor,
     save_snapshot,
@@ -62,9 +74,9 @@ def test_round_trip_mid_stream(tiny_dataset):
 
     interrupted = _monitor(tiny_dataset)
     head_reports = interrupted.ingest_many(baskets[:cut])
-    # Snapshot through a full JSON cycle — what a file sees.
-    payload = json.loads(json.dumps(interrupted.snapshot()))
-    restored = StabilityMonitor.from_snapshot(payload)
+    # Snapshot through the container — what a file sees.
+    payload = decode_snapshot(encode_snapshot(snapshot_monitor(interrupted)))
+    restored = restore_monitor(payload)
     tail_reports = restored.ingest_many(baskets[cut:])
     tail_reports += restored.finish()
 
@@ -120,13 +132,96 @@ def test_version_and_schema_validation(tiny_dataset):
         restore_monitor(payload)
 
 
-def test_malformed_pairs_rejected(tiny_dataset):
+def _first_with_rows(payload: dict, offsets: str, least: int) -> int:
+    """Start row of the first customer owning at least ``least`` rows."""
+    spans = payload[offsets]
+    return next(
+        lo for lo, hi in zip(spans, spans[1:], strict=False) if hi - lo >= least
+    )
+
+
+def _set(column: str, index: int, value) -> Callable[[dict], None]:
+    def corrupt(payload: dict) -> None:
+        payload[column][index] = value
+
+    return corrupt
+
+
+def _repeat(offsets: str, column: str) -> Callable[[dict], None]:
+    """Give the first customer with two rows in ``column`` one row twice."""
+
+    def corrupt(payload: dict) -> None:
+        lo = _first_with_rows(payload, offsets, 2)
+        payload[column][lo + 1] = payload[column][lo]
+
+    return corrupt
+
+
+def _swap_customers(payload: dict) -> None:
+    ids = payload["customers"]
+    ids[0], ids[1] = ids[1], ids[0]
+
+
+#: (corruption, the error it must raise) per malformed-column class.
+_MALFORMED = {
+    "item offsets overrun their column": (_set("item_offsets", -1, 10**6), "span"),
+    "current offsets one short": (lambda p: p["current_offsets"].pop(), "span"),
+    "missing offsets decrease": (_set("missing_offsets", 1, -1), "span"),
+    "presence one short": (lambda p: p["presence"].pop(), "differ in length"),
+    "significance one short": (
+        lambda p: p["missing_significance"].pop(),
+        "differ in length",
+    ),
+    "stability one short": (lambda p: p["last_stability"].pop(), "differ in length"),
+    "duplicate item": (_repeat("item_offsets", "items"), "repeats an item"),
+    "duplicate open-window item": (
+        _repeat("current_offsets", "current_items"),
+        "repeats an item",
+    ),
+    "unsorted customers": (_swap_customers, "'customers' is not strictly ascending"),
+    "missing column": (lambda p: p.pop("first_seen"), "first_seen"),
+}
+
+
+def test_malformed_columns_rejected(tiny_dataset):
     monitor = _monitor(tiny_dataset)
-    monitor.ingest_many(_stream(tiny_dataset)[:10])
-    payload = snapshot_monitor(monitor)
-    payload["customers"][0]["presence"] = [[1, 2, 3]]
-    with pytest.raises(SnapshotError, match="presence"):
-        restore_monitor(payload)
+    baskets = _stream(tiny_dataset)
+    monitor.ingest_many(baskets[: len(baskets) // 2])
+    for case, (corrupt, message) in _MALFORMED.items():
+        payload = snapshot_monitor(monitor)
+        corrupt(payload)
+        try:
+            restore_monitor(payload)
+        except SnapshotError as exc:
+            assert re.search(message, str(exc)), (case, str(exc))
+        else:
+            pytest.fail(f"{case}: restored without error")
+
+
+def test_mismatched_tracker_orders_refused(tiny_dataset):
+    monitor = _monitor(tiny_dataset)
+    baskets = _stream(tiny_dataset)
+    monitor.ingest_many(baskets[: len(baskets) // 2])
+    tracker = next(
+        state.tracker
+        for state in monitor._states.values()
+        if len(state.tracker._first_seen) >= 2
+    )
+    tracker._first_seen = dict(reversed(tracker._first_seen.items()))
+    with pytest.raises(SnapshotError, match="item orders differ"):
+        snapshot_monitor(monitor)
+
+
+def test_version_1_json_snapshot_names_both_versions(tmp_path):
+    path = atomic_write_json(
+        tmp_path / "old.json",
+        {"schema": "repro.stability-monitor", "version": 1, "customers": []},
+    )
+    with pytest.raises(
+        SnapshotError,
+        match=f"found version 1, expected version {SNAPSHOT_VERSION}",
+    ):
+        load_snapshot(path)
 
 
 def test_custom_significance_refused(tiny_dataset):
@@ -134,4 +229,118 @@ def test_custom_significance_refused(tiny_dataset):
     grid = config.grid(tiny_dataset.calendar)
     monitor = StabilityMonitor(grid, significance=LinearSignificance())
     with pytest.raises(SnapshotError, match="LinearSignificance"):
-        monitor.snapshot()
+        snapshot_monitor(monitor)
+
+
+# ----------------------------------------------------------------------
+# The container
+# ----------------------------------------------------------------------
+#: Small ids and items, and ids and items past 2**31 (the ``<i8`` path).
+_IDS = st.one_of(st.integers(0, 40), st.integers(2**31, 2**40))
+_ITEMS = st.one_of(st.integers(0, 12), st.integers(2**31, 2**31 + 12))
+_GRID = WindowGrid.daily(40, 10)
+
+
+@st.composite
+def _monitors(draw) -> StabilityMonitor:
+    """A monitor fed random baskets up to a random day, plus one
+    registered customer who never buys (no items, ``nan`` stability)."""
+    monitor = StabilityMonitor(_GRID, beta=0.5)
+    baskets = draw(
+        st.lists(
+            st.tuples(_IDS, st.integers(0, 39), st.frozensets(_ITEMS, max_size=5)),
+            max_size=40,
+        )
+    )
+    for customer_id, day, items in sorted(baskets, key=lambda b: b[1]):
+        monitor.ingest(Basket.of(customer_id=customer_id, day=day, items=items))
+    monitor.register(draw(_IDS))
+    monitor.advance_to_day(draw(st.integers(max(monitor.last_day_seen, 0), 39)))
+    return monitor
+
+
+def _dict_orders(monitor: StabilityMonitor) -> dict:
+    """Every per-customer dict of the monitor, items in insertion order."""
+    return {
+        customer_id: (
+            list(state.tracker._presence.items()),
+            list(state.tracker._first_seen.items()),
+            list(monitor._last_missing.get(customer_id, {}).items()),
+        )
+        for customer_id, state in monitor._states.items()
+    }
+
+
+@seed(20161017)
+@settings(max_examples=150, deadline=None)
+@given(_monitors())
+@example(StabilityMonitor(_GRID))
+def test_container_round_trip_is_exact(monitor):
+    blob = encode_snapshot(snapshot_monitor(monitor))
+    restored = restore_monitor(decode_snapshot(blob))
+    assert encode_snapshot(snapshot_monitor(restored)) == blob
+    assert _dict_orders(restored) == _dict_orders(monitor)
+    for customer_id, state in monitor._states.items():
+        other = restored._states[customer_id]
+        assert other.current_items == state.current_items
+        assert math.isnan(other.last_stability) == math.isnan(state.last_stability)
+        if not math.isnan(state.last_stability):
+            assert other.last_stability == state.last_stability
+
+
+def test_integer_width_follows_the_data():
+    def size(values: list[int]) -> int:
+        return len(encode_snapshot({"items": values}))
+
+    # Same header length either way: only the element width differs.
+    assert size([2**31 - 1, -(2**31)]) - size([1, 2]) == 0
+    assert size([2**31, 0]) - size([1, 2]) == 8
+    wide = [2**63 - 1, -(2**63), 2**31]
+    assert decode_snapshot(encode_snapshot({"items": wide})) == {"items": wide}
+    with pytest.raises(SnapshotError, match="items"):
+        encode_snapshot({"items": [2**63]})
+    with pytest.raises(SnapshotError, match="items"):
+        encode_snapshot({"items": [1.5]})
+
+
+def test_other_keys_ride_in_the_header():
+    payload = {"customers": {"7": [1, None]}, "shards": [{"a": 1}], "n": 2}
+    assert decode_snapshot(encode_snapshot(payload)) == payload
+
+
+def _section_ends(blob: bytes) -> list[int]:
+    """Byte offsets where the container's sections end: magic, header
+    length, header, checksum, then each column but the last."""
+    (header_length,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_length])
+    data_start = 12 + header_length + 4
+    ends = [0, 8, 12, 12 + header_length, data_start]
+    for _name, dtype, offset, count in header["columns"]:
+        ends.append(data_start + offset + count * int(dtype[-1]))
+    return sorted(set(ends) - {len(blob)})
+
+
+def _snapshot_blob(tiny_dataset) -> bytes:
+    monitor = _monitor(tiny_dataset)
+    baskets = _stream(tiny_dataset)
+    monitor.ingest_many(baskets[: len(baskets) // 2])
+    return encode_snapshot(snapshot_monitor(monitor))
+
+
+def test_truncation_raises(tiny_dataset):
+    blob = _snapshot_blob(tiny_dataset)
+    ends = _section_ends(blob)
+    assert len(ends) > 10
+    cuts = ends + random.Random(7).sample(range(len(blob)), 200)
+    for cut in cuts:
+        with pytest.raises(SnapshotError, match="corrupt or truncated"):
+            decode_snapshot(blob[:cut])
+
+
+def test_every_altered_byte_raises(tiny_dataset):
+    blob = _snapshot_blob(tiny_dataset)
+    for index in range(len(blob)):
+        altered = bytearray(blob)
+        altered[index] ^= 0x20
+        with pytest.raises(SnapshotError):
+            decode_snapshot(bytes(altered))

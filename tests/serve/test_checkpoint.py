@@ -3,12 +3,14 @@ sealed by an atomic cursor)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
 import pytest
 
 from repro.runtime.faults import tear_file
+from repro.runtime.snapshot import decode_snapshot, encode_snapshot
 from repro.serve import CursorInvalid, ServeCheckpoint, ServeCursor
 from repro.serve.checkpoint import CURSOR_SCHEMA, CURSOR_VERSION
 
@@ -48,29 +50,32 @@ def _entry(day: int, **customers: set[int]) -> dict:
     }
 
 
-def _record(customer_id: int, current_items: list[int], **fields) -> dict:
-    record = {
-        "customer_id": customer_id,
-        "presence": [],
-        "first_seen": [],
-        "n_windows_observed": 0,
-        "current_items": current_items,
-        "last_stability": None,
+def _shard(day: int, *rows: tuple[int, list[int], int, float]) -> dict:
+    """One shard's columnar base payload: a ``(customer, current items,
+    windows observed, last stability)`` row per customer, none of them
+    with tracked items."""
+    current = [items for _, items, _, _ in rows]
+    return {
+        "last_day_seen": day,
+        "customers": [row[0] for row in rows],
+        "item_offsets": [0] * (len(rows) + 1),
+        "n_windows_observed": [row[2] for row in rows],
+        "last_stability": [row[3] for row in rows],
+        "current_offsets": list(
+            itertools.accumulate(map(len, current), initial=0)
+        ),
+        "current_items": [item for items in current for item in items],
     }
-    record.update(fields)
-    return record
+
+
+#: A customer first seen mid-generation: registered by the fold.
+_FRESH = 0, float("nan")
 
 
 def _write_generation(tmp_path) -> ServeCheckpoint:
     """A base at commit 3 and journals 4 and 5 on top, all committed."""
     checkpoint = ServeCheckpoint(tmp_path / "ckpt")
-    base = [
-        {
-            "last_day_seen": 30,
-            "customers": [_record(2, [1], n_windows_observed=4)],
-        },
-        {"last_day_seen": 30, "customers": []},
-    ]
+    base = [_shard(30, (2, [1], 4, 0.25)), _shard(30)]
     checkpoint.write_state(3, base, {"customers": {}})
     checkpoint.commit(_cursor())
     journals = {
@@ -165,22 +170,21 @@ class TestCommitProtocol:
         loaded = _load(_write_generation(tmp_path))
         assert loaded is not None
         assert (loaded.cursor.base_index, loaded.cursor.commit_index) == (3, 5)
-        assert loaded.shard_payloads == [
-            {
-                "last_day_seen": 50,
-                "customers": [
-                    _record(2, [1, 5], n_windows_observed=4),
-                    # First seen mid-generation: only journal 4 has them.
-                    _record(4, [1, 3, 7]),
-                ],
-            },
-            {"last_day_seen": 50, "customers": [_record(1, [9])]},
-        ]
+        # Compared as JSON text, where a fresh customer's nan equals nan.
+        assert json.dumps(loaded.shard_payloads, sort_keys=True) == json.dumps(
+            [
+                # Customer 4 is first seen mid-generation: only journal
+                # 4 has them.
+                _shard(50, (2, [1, 5], 4, 0.25), (4, [1, 3, 7], *_FRESH)),
+                _shard(50, (1, [9], *_FRESH)),
+            ],
+            sort_keys=True,
+        )
         assert not loaded.orphaned_state
 
     def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
-        journal = json.loads(checkpoint.journal_path(3, 4).read_text())
+        journal = decode_snapshot(checkpoint.journal_path(3, 4).read_bytes())
         assert journal == {
             "commit_index": 4,
             "shards": [
@@ -189,11 +193,11 @@ class TestCommitProtocol:
             ],
         }
         assert sorted(p.name for p in checkpoint.state_dir(3).iterdir()) == [
-            "journal-000004.json",
-            "journal-000005.json",
-            "scores.json",
-            "shard-0000.json",
-            "shard-0001.json",
+            "journal-000004.snap",
+            "journal-000005.snap",
+            "scores.snap",
+            "shard-0000.snap",
+            "shard-0001.snap",
         ]
 
     def test_orphaned_journal_is_reported(self, tmp_path):
@@ -248,26 +252,30 @@ class TestInvalidCursors:
 
     def test_missing_state_file(self, tmp_path):
         checkpoint = _write_checkpoint(tmp_path, _cursor())
-        (checkpoint.state_dir(3) / "shard-0001.json").unlink()
+        checkpoint.shard_path(3, 1).unlink()
         with pytest.raises(CursorInvalid, match="missing or unreadable"):
             _load(checkpoint)
 
     def test_torn_state_file(self, tmp_path):
         checkpoint = _write_checkpoint(tmp_path, _cursor())
-        tear_file(checkpoint.state_dir(3) / "shard-0000.json", 0.3)
+        tear_file(checkpoint.shard_path(3, 0), 0.3)
         with pytest.raises(CursorInvalid, match="torn"):
             _load(checkpoint)
 
     def test_version_1_cursor_is_version_drift(self, tmp_path):
         checkpoint = _write_checkpoint(tmp_path, _cursor())
-        payload = json.loads(checkpoint.cursor_path.read_text())
-        payload["version"] = 1
-        del payload["base_index"]
-        checkpoint.cursor_path.write_text(json.dumps(payload))
-        with pytest.raises(
-            CursorInvalid, match="found version 1, expected version 2"
-        ):
-            _load(checkpoint)
+        current = json.loads(checkpoint.cursor_path.read_text())
+        # Version 1 had no base; version 2 named a base of JSON files.
+        for version in (1, 2):
+            payload = dict(current, version=version)
+            if version == 1:
+                del payload["base_index"]
+            checkpoint.cursor_path.write_text(json.dumps(payload))
+            with pytest.raises(
+                CursorInvalid,
+                match=f"found version {version}, expected version {CURSOR_VERSION}",
+            ):
+                _load(checkpoint)
 
     def test_torn_journal(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
@@ -289,9 +297,9 @@ class TestInvalidCursors:
     def test_journal_naming_another_commit(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
         journal = checkpoint.journal_path(3, 5)
-        payload = json.loads(journal.read_text())
+        payload = decode_snapshot(journal.read_bytes())
         payload["commit_index"] = 4
-        journal.write_text(json.dumps(payload))
+        journal.write_bytes(encode_snapshot(payload))
         with pytest.raises(
             CursorInvalid,
             match=f"{re.escape(str(journal))}: journal names commit 4, "
@@ -302,9 +310,9 @@ class TestInvalidCursors:
     def test_journal_missing_a_shard(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
         journal = checkpoint.journal_path(3, 5)
-        payload = json.loads(journal.read_text())
+        payload = decode_snapshot(journal.read_bytes())
         del payload["shards"][1]
-        journal.write_text(json.dumps(payload))
+        journal.write_bytes(encode_snapshot(payload))
         with pytest.raises(
             CursorInvalid,
             match=f"{re.escape(str(journal))}: malformed journal",

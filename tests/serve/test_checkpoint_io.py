@@ -57,7 +57,7 @@ class TestRetryBudget:
         )
         with use_metrics(registry):
             directory = checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
-        assert (directory / "shard-0000.json").exists()
+        assert (directory / checkpoint.shard_path(1, 0).name).exists()
         assert registry.counter_value(
             obs_metrics.SERVE_CHECKPOINT_IO_RETRIES
         ) == 1

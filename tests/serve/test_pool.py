@@ -11,7 +11,7 @@ from repro.data.streams import iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
 from repro.serve.pool import _process_shard_batch  # noqa: PLC2701
-from repro.runtime.snapshot import snapshot_monitor
+from repro.runtime.snapshot import encode_snapshot, snapshot_monitor
 
 
 def _reference_reports(serve_dataset, day_ordered_baskets, serve_config):
@@ -184,7 +184,7 @@ class TestWorkerPurity:
             )
             for batch in iter_day_batches(day_ordered_baskets[:200])
         )
-        task = (snapshot_monitor(monitor), days)
+        task = (encode_snapshot(snapshot_monitor(monitor)), days)
         first = _process_shard_batch(task)
         second = _process_shard_batch(task)
         assert first == second

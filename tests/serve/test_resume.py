@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.serve import (
     offline_sweep_stream,
     serve_stream,
 )
+from repro.serve.checkpoint import SCORES_NAME
 from repro.synth.scenarios import paper_scenario
 from repro.synth.stream import (
     read_stream_header,
@@ -226,7 +228,7 @@ class TestCursorFallback:
         base = json.loads((ckpt / "cursor.json").read_text())["base_index"]
         state_dir = ckpt / f"state-{base:06d}"
         assert state_dir.exists(), partial
-        tear_file(state_dir / "shard-0000.json", keep_fraction=0.3)
+        tear_file(ServeCheckpoint(ckpt).shard_path(base, 0), keep_fraction=0.3)
         with caplog.at_level(logging.WARNING, logger="repro.serve.loop"):
             result = serve_stream(
                 stream_path, ckpt, config=serve_config, batch_size=BATCH
@@ -247,9 +249,7 @@ class TestCursorFallback:
         )
         cursor = json.loads((ckpt / "cursor.json").read_text())
         assert cursor["base_index"] < cursor["commit_index"] == 3
-        journal = (
-            ckpt / f"state-{cursor['base_index']:06d}" / f"journal-{3:06d}.json"
-        )
+        journal = ServeCheckpoint(ckpt).journal_path(cursor["base_index"], 3)
         tear_file(journal, keep_fraction=0.3)
         registry = MetricsRegistry()
         with use_metrics(registry), caplog.at_level(
@@ -262,6 +262,52 @@ class TestCursorFallback:
         assert result.finished
         assert result.fingerprint() == offline_reference.fingerprint()
         assert any(journal.name in r.message for r in caplog.records)
+        assert (
+            registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        )
+
+    @pytest.mark.parametrize("kind", ["shard", "scores", "journal"])
+    def test_altered_state_file_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path, kind
+    ):
+        ckpt = tmp_path / "altered"
+        serve_stream(
+            stream_path,
+            ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+            max_batches=3,
+        )
+        checkpoint = ServeCheckpoint(ckpt)
+        cursor = checkpoint.read_cursor()
+        assert cursor.base_index < cursor.commit_index
+        target = {
+            "shard": checkpoint.shard_path(cursor.base_index, 0),
+            "scores": checkpoint.state_dir(cursor.base_index) / SCORES_NAME,
+            "journal": checkpoint.journal_path(
+                cursor.base_index, cursor.commit_index
+            ),
+        }[kind]
+        # Change one byte inside the data, the file still complete.
+        data = bytearray(target.read_bytes())
+        if kind == "shard":
+            index = len(data) // 2  # inside the arrays
+        else:
+            # Score tables and journals ride in the JSON header: change
+            # the second of two adjacent digits, so that it still parses
+            # and only the checksum can tell.
+            digits = re.compile(rb"[0-9]([0-9])")
+            index = digits.search(data, len(data) // 2).start(1)
+        data[index] ^= 0x01
+        target.write_bytes(bytes(data))
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH
+            )
+        assert not result.resumed
+        assert result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
         assert (
             registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
         )
