@@ -211,15 +211,6 @@ class SignificanceTracker:
         """
         return frozenset(self._presence)
 
-    def presence_counts(self) -> dict[int, int]:
-        """Per-item presence counts ``c``, in first-seen order.
-
-        Exposed so vectorised consumers (the streaming monitor's batched
-        window close) can lift the counts into arrays without one
-        :meth:`counts_of` call per item.  Treat as read-only.
-        """
-        return self._presence
-
     def counts_of(self, item: int) -> ItemCounts:
         """Current ``(c, l)`` counts for an item (zeros if never seen)."""
         c = self._presence.get(item, 0)

@@ -2,15 +2,36 @@
 
 The batch :class:`~repro.core.model.StabilityModel` recomputes trajectories
 from a full log; a deployed system instead sees receipts arrive one by one
-and must re-score customers at every window close.  This module provides
-that deployment shape:
+and must re-score customers at every window close.
+:class:`StabilityMonitor` provides that deployment shape: it ingests
+baskets in timestamp order, closes windows as the clock advances, emits
+:class:`~repro.core.detector.Alarm` objects for customers whose stability
+fell to the threshold, and keeps the evidence needed to explain each
+alarm.
 
-* :class:`CustomerState` — the per-customer incremental state: the
-  significance tracker plus the current window's accumulating item set;
-* :class:`StabilityMonitor` — ingests baskets in timestamp order, closes
-  windows as the clock advances, emits :class:`~repro.core.detector.Alarm`
-  objects for customers whose stability fell to the threshold, and keeps
-  the evidence needed to explain each alarm.
+The paper's per-customer state is two integers per (customer, item) —
+the presence count ``c`` behind ``S(p, k) = alpha ** (c - l)`` and the
+window the item was first seen in — plus the open window's item union
+``u_k``.  The monitor holds the integers as flat columns, one row per
+customer in ascending id order: exactly the columns a snapshot stores
+(:mod:`repro.runtime.snapshot`), so a snapshot hands them out and a
+restore adopts them.
+
+* ``customers``, ``n_windows_observed`` (windows since the customer was
+  registered) and ``last_stability`` (``nan`` while undefined);
+* ``items``, ``presence`` and ``first_seen`` (a window index counted
+  from registration): customer ``i`` owns rows
+  ``item_offsets[i]:item_offsets[i + 1]``, in first-seen order, items
+  first seen in the same window in ascending order;
+* ``missing_customers`` / ``missing_offsets`` / ``missing_items`` /
+  ``missing_significance``: the items each customer missed in the last
+  closed window, with their significance — the evidence
+  :meth:`StabilityMonitor.explain_alarm` ranks.
+
+Next to the columns the monitor keeps one dict of open-window item sets
+for the customers seen since the last close, so ingesting a basket is a
+set update.  A window close scores every row with one vectorised
+significance pass, then appends each customer's new items to its row.
 
 Memory is O(customers x items-ever-bought), independent of history length —
 the property that makes the 6M-customer deployment of the paper's retailer
@@ -23,16 +44,16 @@ the monitor produces exactly the same stability values as
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.batch import _segment_sum, significance_from_counts
 from repro.core.detector import Alarm
-from repro.core.significance import ExponentialSignificance, SignificanceFunction, SignificanceTracker
+from repro.core.significance import COUNTING_SCHEMES, ExponentialSignificance, SignificanceFunction
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.errors import ConfigError, DataError
@@ -41,21 +62,111 @@ if TYPE_CHECKING:
     from repro.config import ExperimentConfig
     from repro.data.calendar import StudyCalendar
 
-__all__ = ["CustomerState", "WindowCloseReport", "StabilityMonitor"]
+__all__ = ["STATE_COLUMNS", "WindowCloseReport", "StabilityMonitor"]
+
+#: The monitor's significance state: column name -> dtype (see the
+#: module docstring).
+STATE_COLUMNS: dict[str, type] = {
+    "customers": np.int64,
+    "n_windows_observed": np.int64,
+    "last_stability": np.float64,
+    "item_offsets": np.int64,
+    "items": np.int64,
+    "presence": np.int64,
+    "first_seen": np.int64,
+    "missing_customers": np.int64,
+    "missing_offsets": np.int64,
+    "missing_items": np.int64,
+    "missing_significance": np.float64,
+}
 
 
-@dataclass
-class CustomerState:
-    """Incremental per-customer state held by the monitor."""
+def row_offsets(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Offsets slicing values grouped by ascending ``rows`` into
+    ``n_rows`` rows (row ``i`` owns ``offsets[i]:offsets[i + 1]``)."""
+    counts = np.bincount(rows, minlength=n_rows)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-    customer_id: int
-    tracker: SignificanceTracker
-    current_items: set[int] = field(default_factory=set)
-    last_stability: float = math.nan
 
-    def significance_snapshot(self) -> dict[int, float]:
-        """``S(p, k)`` for the window currently being accumulated."""
-        return self.tracker.significance_snapshot()
+def pair_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One int64 key per ``(row, value)`` pair, ordered as the pairs are
+    (by row, then value): equal pairs get equal keys.
+
+    Sorting these keys is several times faster than a two-key
+    ``np.lexsort``.  Values are ranked densely first when their spread
+    times the row count would not fit.
+    """
+    if values.size == 0:
+        return np.zeros(0, np.int64)
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span * (int(rows.max()) + 1) >= 2**62:
+        universe, values = np.unique(values, return_inverse=True)
+        low, span = 0, len(universe)
+    return rows.astype(np.int64) * span + (values - low)
+
+
+def insert_customers(columns: dict[str, np.ndarray], ids: np.ndarray) -> None:
+    """Give each customer in ``ids`` (none of them a row yet) an empty
+    row, in place: no items (in ``item_offsets`` and, when present,
+    ``current_offsets``), no windows observed, undefined stability — the
+    state of a customer registered in the open window."""
+    old = columns["customers"]
+    merged = np.union1d(old, ids)
+    rows = np.searchsorted(merged, old)
+    n_windows = np.zeros(len(merged), np.int64)
+    n_windows[rows] = columns["n_windows_observed"]
+    last_stability = np.full(len(merged), np.nan)
+    last_stability[rows] = columns["last_stability"]
+    columns.update(
+        customers=merged,
+        n_windows_observed=n_windows,
+        last_stability=last_stability,
+    )
+    for name in ("item_offsets", "current_offsets"):
+        if name in columns:
+            counts = np.zeros(len(merged), np.int64)
+            counts[rows] = np.diff(columns[name])
+            columns[name] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+
+
+def customer_rows(columns: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
+    """The row of each customer in ``ids``, after giving each customer
+    without a row an empty one (:func:`insert_customers`)."""
+    customers = columns["customers"]
+    rows = np.searchsorted(customers, ids)
+    known = rows < len(customers)
+    known[known] = customers[rows[known]] == ids[known]
+    if not known.all():
+        insert_customers(columns, np.unique(ids[~known]))
+        rows = np.searchsorted(columns["customers"], ids)
+    return rows
+
+
+def _empty_columns() -> dict[str, np.ndarray]:
+    columns = {name: np.zeros(0, dtype) for name, dtype in STATE_COLUMNS.items()}
+    columns["item_offsets"] = np.zeros(1, np.int64)
+    columns["missing_offsets"] = np.zeros(1, np.int64)
+    return columns
+
+
+def _row_of(ids: np.ndarray, customer_id: int) -> int | None:
+    """The row of ``customer_id`` in the ascending ``ids``, if any."""
+    row = int(np.searchsorted(ids, customer_id))
+    return row if row < len(ids) and ids[row] == customer_id else None
+
+
+def _match_pairs(
+    rows: np.ndarray, items: np.ndarray, open_rows: np.ndarray, open_items: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``(row, item)`` pairs are also open, and which open pairs
+    are new; pairs are unique on each side."""
+    keys = pair_keys(np.concatenate((rows, open_rows)), np.concatenate((items, open_items)))
+    known, opened = keys[: len(items)], keys[len(items) :]
+    return (
+        np.isin(known, opened, assume_unique=True),
+        np.isin(opened, known, assume_unique=True, invert=True),
+    )
 
 
 @dataclass(frozen=True)
@@ -117,6 +228,10 @@ class StabilityMonitor:
             raise ConfigError(
                 f"first_alarm_window must be >= 0, got {first_alarm_window}"
             )
+        if counting not in COUNTING_SCHEMES:
+            raise ConfigError(
+                f"unknown counting scheme {counting!r}; expected one of {COUNTING_SCHEMES}"
+            )
         self.grid = grid
         self.beta = float(beta)
         self.significance = (
@@ -124,13 +239,15 @@ class StabilityMonitor:
         )
         self.counting = counting
         self.first_alarm_window = int(first_alarm_window)
-        self._states: dict[int, CustomerState] = {}
         self._current_window = 0
         self._last_day_seen = -1
         self._finished = False
-        # Evidence from the most recently closed window, per customer:
-        # {item: significance} of items that were missing in it.
-        self._last_missing: dict[int, dict[int, float]] = {}
+        #: The significance state, by :data:`STATE_COLUMNS` name.  Arrays
+        #: are replaced, never written in place, so a snapshot may share
+        #: them.
+        self._columns = _empty_columns()
+        #: Open-window item sets of the customers seen since the last close.
+        self._open: dict[int, set[int]] = {}
 
     @classmethod
     def from_config(
@@ -171,20 +288,7 @@ class StabilityMonitor:
 
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far."""
-        return sorted(self._states)
-
-    def state_of(self, customer_id: int) -> CustomerState:
-        """The incremental state of one customer.
-
-        Raises
-        ------
-        DataError
-            If the customer has never appeared in the stream.
-        """
-        try:
-            return self._states[customer_id]
-        except KeyError:
-            raise DataError(f"customer {customer_id} not in the stream") from None
+        return sorted(self._open.keys() | set(self._columns["customers"].tolist()))
 
     def register(self, customer_id: int) -> None:
         """Pre-register a customer so silent ones are scored from window 0.
@@ -194,11 +298,7 @@ class StabilityMonitor:
         fully silent customer produce empty windows (and eventually
         alarms) instead of being invisible.
         """
-        if customer_id not in self._states:
-            self._states[customer_id] = CustomerState(
-                customer_id=customer_id,
-                tracker=SignificanceTracker(self.significance, counting=self.counting),
-            )
+        self._open.setdefault(customer_id, set())
 
     # ------------------------------------------------------------------
     # Streaming
@@ -241,8 +341,11 @@ class StabilityMonitor:
         reports = []
         while self._current_window < window:
             reports.append(self._close_current_window())
-        self.register(basket.customer_id)
-        self._states[basket.customer_id].current_items |= basket.items
+        items = self._open.get(basket.customer_id)
+        if items is None:
+            self._open[basket.customer_id] = set(basket.items)
+        else:
+            items |= basket.items
         return reports
 
     def ingest_many(self, baskets: Iterable[Basket]) -> list[WindowCloseReport]:
@@ -304,10 +407,28 @@ class StabilityMonitor:
 
         The monitor keeps one window of evidence, so this explains the most
         recent :class:`WindowCloseReport` (where the alarm fired).
+
+        Raises
+        ------
+        DataError
+            If the customer has never appeared in the stream.
         """
-        self.state_of(customer_id)  # validate the id
+        columns = self._columns
+        if (
+            customer_id not in self._open
+            and _row_of(columns["customers"], customer_id) is None
+        ):
+            raise DataError(f"customer {customer_id} not in the stream")
+        row = _row_of(columns["missing_customers"], customer_id)
+        if row is None:
+            return []
+        lo, hi = columns["missing_offsets"][row : row + 2].tolist()
         ranked = sorted(
-            self._last_missing.get(customer_id, {}).items(),
+            zip(
+                columns["missing_items"][lo:hi].tolist(),
+                columns["missing_significance"][lo:hi].tolist(),
+                strict=True,
+            ),
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:top_k]
@@ -315,132 +436,127 @@ class StabilityMonitor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _close_current_window(self) -> WindowCloseReport:
+    def _open_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The open window as ``(row, item)`` pairs sorted by row, then
+        item, after giving each customer first seen in it a row."""
+        ids = np.fromiter(self._open, np.int64, len(self._open))
+        sizes = np.fromiter(map(len, self._open.values()), np.int64, len(ids))
+        items = np.fromiter(
+            chain.from_iterable(self._open.values()), np.int64, int(sizes.sum())
+        )
+        rows = np.repeat(customer_rows(self._columns, ids), sizes)
+        order = np.argsort(pair_keys(rows, items), kind="stable")
+        return rows[order], items[order]
+
+    def _state_columns(self) -> dict[str, np.ndarray]:
+        """Every state column plus the open window as ``current_offsets``
+        / ``current_items`` (each customer's items ascending), as
+        read-only views: the columns a snapshot stores."""
+        rows, items = self._open_pairs()
+        columns = {
+            **self._columns,
+            "current_offsets": row_offsets(rows, len(self._columns["customers"])),
+            "current_items": items,
+        }
+        views = {}
+        for name, column in columns.items():
+            views[name] = column.view()
+            views[name].flags.writeable = False
+        return views
+
+    def _significance(self, item_rows: np.ndarray) -> np.ndarray:
+        """``S(p, k)`` of every ``items`` row for the window being closed."""
+        columns = self._columns
+        presence = columns["presence"]
+        n_windows = columns["n_windows_observed"][item_rows]
         if (
             isinstance(self.significance, ExponentialSignificance)
             and self.counting == "paper"
         ):
-            return self._close_batched()
-        return self._close_python()
-
-    def _close_python(self) -> WindowCloseReport:
-        """Flexible close path: one significance snapshot per customer."""
-        window_index = self._current_window
-        stabilities: dict[int, float] = {}
-        alarms: list[Alarm] = []
-        for customer_id in sorted(self._states):
-            state = self._states[customer_id]
-            snapshot = state.tracker.significance_snapshot()
-            total = sum(snapshot.values())
-            kept = sum(snapshot.get(item, 0.0) for item in state.current_items)
-            stability = kept / total if total > 0 else math.nan
-            self._record_close(
-                state, window_index, stability, stabilities, alarms,
-                missing={
-                    item: sig
-                    for item, sig in snapshot.items()
-                    if item not in state.current_items and sig > 0.0
-                },
-            )
-        self._current_window += 1
-        return WindowCloseReport(
-            window_index=window_index,
-            stabilities=stabilities,
-            alarms=tuple(alarms),
+            # Each customer counts windows since their own registration,
+            # so the prior-window count k is per customer, per item.
+            return significance_from_counts(presence, n_windows, self.significance.alpha)
+        # Any other rule or counting scheme: the scalar rule, per item.
+        absent = n_windows - presence
+        if self.counting == "since-first-seen":
+            absent = absent - columns["first_seen"]
+        return np.fromiter(
+            map(self.significance, presence.tolist(), absent.tolist()),
+            np.float64,
+            len(presence),
         )
 
-    def _close_batched(self) -> WindowCloseReport:
-        """Default-config close path reusing the batch significance kernel.
+    def _close_current_window(self) -> WindowCloseReport:
+        """Score every customer on the window being closed, then fold its
+        item sets into the columns.
 
-        All customers' per-item presence counts are flattened into one
-        array and scored with a single vectorised
-        :func:`~repro.core.batch.significance_from_counts` call plus
-        segment sums — instead of one ``math.exp`` per (customer, item).
-        The flattening preserves each tracker's dict order, so the sums
-        (and therefore the stabilities) are bit-identical to
-        :meth:`_close_python`.
+        Stability is kept over total significance mass, both summed per
+        customer in first-seen order with
+        :func:`~repro.core.batch._segment_sum`.  Items the customer missed
+        with positive significance become the alarm evidence; items first
+        seen in this window are appended to the customer's row in
+        ascending order, with presence 1.
         """
         window_index = self._current_window
-        customer_ids = sorted(self._states)
-        flat_items: list[int] = []
-        flat_counts: list[int] = []
-        flat_kept: list[bool] = []
-        n_observed: list[int] = []
-        offsets = [0]
-        for customer_id in customer_ids:
-            state = self._states[customer_id]
-            current = state.current_items
-            for item, count in state.tracker.presence_counts().items():
-                flat_items.append(item)
-                flat_counts.append(count)
-                flat_kept.append(item in current)
-            n_observed.append(state.tracker.n_windows_observed)
-            offsets.append(len(flat_counts))
-        offsets_arr = np.asarray(offsets, dtype=np.int64)
-        counts = np.asarray(flat_counts, dtype=np.float64)
-        kept_mask = np.asarray(flat_kept, dtype=np.float64)
-        # Each tracker counts windows since its own registration, so the
-        # prior-window count k is per customer, broadcast over its items.
-        k_per_item = np.repeat(
-            np.asarray(n_observed, dtype=np.float64), np.diff(offsets_arr)
-        )
-        significance = significance_from_counts(
-            counts, k_per_item, self.significance.alpha
-        )
-        total = _segment_sum(significance, offsets_arr)
-        kept = _segment_sum(significance * kept_mask, offsets_arr)
+        open_rows, open_items = self._open_pairs()
+        columns = self._columns
+        customers = columns["customers"]
+        offsets = columns["item_offsets"]
+        items = columns["items"]
+        n_windows = columns["n_windows_observed"]
+        n_customers = len(customers)
+        item_rows = np.repeat(np.arange(n_customers), np.diff(offsets))
+        kept, fresh = _match_pairs(item_rows, items, open_rows, open_items)
 
-        stabilities: dict[int, float] = {}
-        alarms: list[Alarm] = []
-        for i, customer_id in enumerate(customer_ids):
-            state = self._states[customer_id]
-            stability = kept[i] / total[i] if total[i] > 0 else math.nan
-            lo, hi = offsets[i], offsets[i + 1]
-            self._record_close(
-                state, window_index, stability, stabilities, alarms,
-                missing={
-                    item: float(sig)
-                    for item, sig, was_kept in zip(
-                        flat_items[lo:hi],
-                        significance[lo:hi],
-                        flat_kept[lo:hi],
-                        strict=True,
-                    )
-                    if not was_kept and sig > 0.0
-                },
+        significance = self._significance(item_rows)
+        total = _segment_sum(significance, offsets)
+        kept_mass = _segment_sum(significance * kept, offsets)
+        stability = np.full(n_customers, np.nan)
+        np.divide(kept_mass, total, out=stability, where=total > 0)
+        ids = customers.tolist()
+        stabilities = stability.tolist()
+        alarms: tuple[Alarm, ...] = ()
+        if window_index >= self.first_alarm_window:
+            alarms = tuple(
+                Alarm(
+                    customer_id=ids[row],
+                    window_index=window_index,
+                    stability=stabilities[row],
+                )
+                for row in np.flatnonzero(stability <= self.beta).tolist()
             )
+
+        # Observe the window: kept items count once more, new items go
+        # to the end of their customer's row.
+        missing = ~kept & (significance > 0.0)
+        fresh_rows, fresh_items = open_rows[fresh], open_items[fresh]
+        shift = row_offsets(fresh_rows, n_customers)
+        size = len(items) + len(fresh_items)
+        old_at = np.arange(len(items)) + shift[item_rows]
+        fresh_at = offsets[fresh_rows + 1] + np.arange(len(fresh_items))
+
+        def placed(old: np.ndarray, new: np.ndarray | int) -> np.ndarray:
+            out = np.empty(size, np.int64)
+            out[old_at] = old
+            out[fresh_at] = new
+            return out
+
+        columns.update(
+            n_windows_observed=n_windows + 1,
+            last_stability=stability,
+            item_offsets=offsets + shift,
+            items=placed(items, fresh_items),
+            presence=placed(columns["presence"] + kept, 1),
+            first_seen=placed(columns["first_seen"], n_windows[fresh_rows]),
+            missing_customers=customers,
+            missing_offsets=row_offsets(item_rows[missing], n_customers),
+            missing_items=items[missing],
+            missing_significance=significance[missing],
+        )
+        self._open = {}
         self._current_window += 1
         return WindowCloseReport(
             window_index=window_index,
-            stabilities=stabilities,
-            alarms=tuple(alarms),
+            stabilities=dict(zip(ids, stabilities, strict=True)),
+            alarms=alarms,
         )
-
-    def _record_close(
-        self,
-        state: CustomerState,
-        window_index: int,
-        stability: float,
-        stabilities: dict[int, float],
-        alarms: list[Alarm],
-        missing: dict[int, float],
-    ) -> None:
-        """Shared bookkeeping for one customer at window close."""
-        stability = float(stability)
-        stabilities[state.customer_id] = stability
-        state.last_stability = stability
-        self._last_missing[state.customer_id] = missing
-        if (
-            window_index >= self.first_alarm_window
-            and not math.isnan(stability)
-            and stability <= self.beta
-        ):
-            alarms.append(
-                Alarm(
-                    customer_id=state.customer_id,
-                    window_index=window_index,
-                    stability=stability,
-                )
-            )
-        state.tracker.observe_window(state.current_items)
-        state.current_items = set()

@@ -9,20 +9,27 @@ produces byte-for-byte identical
 the stream.
 
 A snapshot payload (:func:`snapshot_monitor`) is a ``dict`` of scalars
-plus flat columns, one row per customer in ascending id order:
+plus the monitor's own state columns
+(:data:`~repro.core.streaming.STATE_COLUMNS`), one row per customer in
+ascending id order:
 
 * ``customers``, ``n_windows_observed``, ``last_stability`` (``nan``
   while undefined);
-* ``items``, ``presence`` and ``first_seen`` — each tracker's items with
-  their presence counts ``c`` and first-seen windows, **in first-seen
-  order** (the batched window close flattens dicts in insertion order,
+* ``items``, ``presence`` and ``first_seen`` — each customer's items
+  with their presence counts ``c`` and first-seen windows, **in
+  first-seen order** (the window close sums significance in this order,
   so ordering is part of bit-identical equality); customer ``i`` owns
   rows ``item_offsets[i]:item_offsets[i + 1]``;
 * ``current_items`` (sorted, sliced by ``current_offsets``) — the
-  open window's item union ``u_k``;
+  open window's item union ``u_k``, flattened from the monitor's
+  open-window sets;
 * ``missing_customers`` / ``missing_offsets`` / ``missing_items`` /
   ``missing_significance`` — the last closed window's missing-item
   evidence, so ``explain_alarm`` keeps working across a restart.
+
+:func:`restore_monitor` checks the columns with whole-array operations
+and hands them to the new monitor as they are; only the open-window
+sets are rebuilt, one per customer with an open-window item.
 
 The scalars pin the window grid, the scoring configuration (``beta``,
 ``alpha``, counting scheme, burn-in) and the stream position (current
@@ -50,10 +57,9 @@ serialisable — a custom significance rule has no stable wire format, so
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -71,6 +77,8 @@ __all__ = [
     "snapshot_monitor",
     "restore_monitor",
     "fold_unions",
+    "payload_columns",
+    "check_columns",
     "encode_snapshot",
     "decode_snapshot",
     "save_snapshot",
@@ -84,9 +92,10 @@ _MAGIC = b"REPRSNAP"
 #: Magic plus the JSON header's length.
 _PREFIX = struct.Struct("<8sI")
 _CRC = struct.Struct("<I")
-#: The columns the container stores as arrays, by element kind.  Any
-#: other key — or one of these names holding anything but a list —
-#: rides in the header.
+#: The columns the container stores as arrays, by element kind: a
+#: monitor's (see :data:`~repro.core.streaming.STATE_COLUMNS`) and the
+#: serve score table's.  Any other key — or one of these names holding
+#: anything but an array or a list — rides in the header.
 _COLUMNS = {
     "customers": "i",
     "n_windows_observed": "i",
@@ -101,6 +110,10 @@ _COLUMNS = {
     "missing_offsets": "i",
     "missing_items": "i",
     "missing_significance": "f",
+    "stability": "f",
+    "alarm_offsets": "i",
+    "alarm_windows": "i",
+    "alarm_stability": "f",
 }
 _ITEMSIZE = {"<i4": 4, "<i8": 8, "<f8": 8}
 _I4_MIN, _I4_MAX = -(2**31), 2**31 - 1
@@ -108,14 +121,14 @@ _I4_MIN, _I4_MAX = -(2**31), 2**31 - 1
 
 def snapshot_monitor(monitor: StabilityMonitor) -> dict:
     """The monitor's complete state as a columnar payload (see module
-    docstring).
+    docstring).  The columns are the monitor's own arrays, shared as
+    read-only views.
 
     Raises
     ------
     SnapshotError
         If the monitor uses a non-exponential significance rule (no
-        stable wire format exists for arbitrary callables), or a
-        tracker's presence and first-seen dicts disagree on item order.
+        stable wire format exists for arbitrary callables).
     """
     from repro.core.significance import ExponentialSignificance
 
@@ -124,43 +137,6 @@ def snapshot_monitor(monitor: StabilityMonitor) -> dict:
             "only the paper's ExponentialSignificance is snapshot-"
             f"serialisable, got {type(monitor.significance).__name__}"
         )
-    customers = sorted(monitor._states)
-    n_windows: list[int] = []
-    last_stability: list[float] = []
-    item_offsets = [0]
-    items: list[int] = []
-    presence: list[int] = []
-    first_seen: list[int] = []
-    current_offsets = [0]
-    current_items: list[int] = []
-    for customer_id in customers:
-        state = monitor._states[customer_id]
-        tracker = state.tracker
-        keys = list(tracker._presence)
-        # The tracker inserts into both dicts together; one shared item
-        # column is only sound while that holds.
-        if keys != list(tracker._first_seen):
-            raise SnapshotError(
-                f"customer {customer_id}: presence and first-seen item "
-                "orders differ"
-            )
-        items += keys
-        presence += tracker._presence.values()
-        first_seen += tracker._first_seen.values()
-        item_offsets.append(len(items))
-        n_windows.append(tracker.n_windows_observed)
-        last_stability.append(float(state.last_stability))
-        current_items += sorted(state.current_items)
-        current_offsets.append(len(current_items))
-    missing_customers = sorted(monitor._last_missing)
-    missing_offsets = [0]
-    missing_items: list[int] = []
-    missing_significance: list[float] = []
-    for customer_id in missing_customers:
-        missing = monitor._last_missing[customer_id]
-        missing_items += missing
-        missing_significance += missing.values()
-        missing_offsets.append(len(missing_items))
     return {
         "schema": SNAPSHOT_SCHEMA,
         "version": SNAPSHOT_VERSION,
@@ -175,23 +151,11 @@ def snapshot_monitor(monitor: StabilityMonitor) -> dict:
         "current_window": monitor._current_window,
         "last_day_seen": monitor._last_day_seen,
         "finished": monitor._finished,
-        "customers": customers,
-        "n_windows_observed": n_windows,
-        "last_stability": last_stability,
-        "item_offsets": item_offsets,
-        "items": items,
-        "presence": presence,
-        "first_seen": first_seen,
-        "current_offsets": current_offsets,
-        "current_items": current_items,
-        "missing_customers": missing_customers,
-        "missing_offsets": missing_offsets,
-        "missing_items": missing_items,
-        "missing_significance": missing_significance,
+        **monitor._state_columns(),
     }
 
 
-def _require(payload: dict, field: str, kind: type | tuple[type, ...]) -> Any:
+def _require(payload: Mapping[str, object], field: str, kind: type | tuple[type, ...]) -> Any:
     if field not in payload:
         raise SnapshotError(f"snapshot missing field {field!r}")
     value = payload[field]
@@ -203,36 +167,102 @@ def _require(payload: dict, field: str, kind: type | tuple[type, ...]) -> Any:
     return value
 
 
-def _ascending(ids: list, field: str) -> None:
-    if any(b <= a for a, b in zip(ids, ids[1:], strict=False)):
-        raise SnapshotError(f"snapshot column {field!r} is not strictly ascending")
+def payload_columns(
+    payload: Mapping[str, object], dtypes: Mapping[str, type]
+) -> dict[str, np.ndarray]:
+    """The columns ``dtypes`` names, read from a payload as 1-d arrays of
+    those dtypes (a column may be an array or a list).
+
+    Raises
+    ------
+    SnapshotError
+        If a column is missing, or is not a flat column of numbers
+        (of integers, for an integer dtype).
+    """
+    columns = {}
+    for name, dtype in dtypes.items():
+        values = _require(payload, name, (list, np.ndarray))
+        integral = np.issubdtype(dtype, np.integer)
+        try:
+            array = np.asarray(values)
+        except (OverflowError, TypeError, ValueError):
+            array = None
+        if (
+            array is None
+            or array.ndim != 1
+            or (array.size and array.dtype.kind not in ("i" if integral else "if"))
+        ):
+            raise SnapshotError(
+                f"snapshot column {name!r} must hold "
+                f"{'integers' if integral else 'numbers'}"
+            )
+        columns[name] = array.astype(dtype, copy=False)
+    return columns
 
 
-def _spans(payload: dict, offsets_field: str, n_rows: int, *fields: str) -> list:
-    """The offsets column ``offsets_field`` after checking that it slices
-    ``n_rows`` rows out of the equally long columns ``fields``."""
-    offsets = _require(payload, offsets_field, list)
-    columns = [_require(payload, field, list) for field in fields]
-    length = len(columns[0])
-    if any(len(column) != length for column in columns):
+def check_columns(
+    columns: Mapping[str, np.ndarray],
+    ids: str,
+    rows: Sequence[str] = (),
+    spans: Mapping[str, Sequence[str]] | None = None,
+) -> None:
+    """Check one table of columns: ``ids`` strictly ascending, each of
+    ``rows`` one value per id, and each offsets column of ``spans``
+    slicing its (equally long) value columns into one range per id.
+
+    Raises
+    ------
+    SnapshotError
+        Naming the first column that breaks this.
+    """
+    keys = columns[ids]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise SnapshotError(f"snapshot column {ids!r} is not strictly ascending")
+    n_rows = len(keys)
+    if any(len(columns[name]) != n_rows for name in rows):
         raise SnapshotError(
-            f"snapshot columns {', '.join(map(repr, fields))} differ in length"
+            f"snapshot columns {', '.join(map(repr, (ids, *rows)))} differ in length"
         )
-    if (
-        len(offsets) != n_rows + 1
-        or offsets[0] != 0
-        or offsets[-1] != length
-        or any(b < a for a, b in zip(offsets, offsets[1:], strict=False))
-    ):
-        raise SnapshotError(
-            f"snapshot column {offsets_field!r} does not span "
-            f"{fields[0]!r} ({n_rows} rows, {length} values)"
-        )
-    return offsets
+    for offsets_name, fields in (spans or {}).items():
+        offsets = columns[offsets_name]
+        length = len(columns[fields[0]])
+        if any(len(columns[field]) != length for field in fields):
+            raise SnapshotError(
+                f"snapshot columns {', '.join(map(repr, fields))} differ in length"
+            )
+        if (
+            len(offsets) != n_rows + 1
+            or offsets[0] != 0
+            or offsets[-1] != length
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise SnapshotError(
+                f"snapshot column {offsets_name!r} does not span "
+                f"{fields[0]!r} ({n_rows} rows, {length} values)"
+            )
+
+
+def _first_repeat(offsets: np.ndarray, values: np.ndarray) -> int | None:
+    """The first row whose range of ``values`` holds a value twice."""
+    from repro.core.streaming import pair_keys
+
+    rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    keys = pair_keys(rows, values)
+    ordered = np.sort(keys)
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if not repeated.size:
+        return None
+    return int(rows[np.flatnonzero(keys == ordered[repeated[0]])[0]])
+
+
+#: The open window's columns: each customer's items, ascending.
+_OPEN_COLUMNS = {"current_offsets": np.int64, "current_items": np.int64}
 
 
 def restore_monitor(payload: dict) -> StabilityMonitor:
-    """Rebuild a monitor from a :func:`snapshot_monitor` payload.
+    """Rebuild a monitor from a :func:`snapshot_monitor` payload: the
+    monitor adopts the state columns as they are and builds one item set
+    per customer with an open-window item.
 
     Raises
     ------
@@ -242,8 +272,8 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
         columns of unequal length, customers out of ascending order, or
         an item repeated within one customer.
     """
-    from repro.core.significance import ExponentialSignificance, SignificanceTracker
-    from repro.core.streaming import CustomerState, StabilityMonitor
+    from repro.core.significance import ExponentialSignificance
+    from repro.core.streaming import STATE_COLUMNS, StabilityMonitor
     from repro.core.windowing import WindowGrid
 
     if not isinstance(payload, dict):
@@ -279,128 +309,90 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
     monitor._last_day_seen = _require(payload, "last_day_seen", int)
     monitor._finished = _require(payload, "finished", bool)
 
-    customers = _require(payload, "customers", list)
-    _ascending(customers, "customers")
-    n_windows = _require(payload, "n_windows_observed", list)
-    last_stability = _require(payload, "last_stability", list)
-    if len(n_windows) != len(customers) or len(last_stability) != len(customers):
-        raise SnapshotError(
-            "snapshot columns 'customers', 'n_windows_observed' and "
-            "'last_stability' differ in length"
-        )
-    item_offsets = _spans(
-        payload, "item_offsets", len(customers), "items", "presence", "first_seen"
+    columns = payload_columns(payload, {**STATE_COLUMNS, **_OPEN_COLUMNS})
+    check_columns(
+        columns,
+        "customers",
+        ("n_windows_observed", "last_stability"),
+        {
+            "item_offsets": ("items", "presence", "first_seen"),
+            "current_offsets": ("current_items",),
+        },
     )
-    current_offsets = _spans(
-        payload, "current_offsets", len(customers), "current_items"
+    check_columns(
+        columns,
+        "missing_customers",
+        spans={"missing_offsets": ("missing_items", "missing_significance")},
     )
-    items, presence = payload["items"], payload["presence"]
-    first_seen, current_items = payload["first_seen"], payload["current_items"]
-    states = monitor._states
-    significance, counting = monitor.significance, monitor.counting
-    for i, customer_id in enumerate(customers):
-        lo, hi = item_offsets[i], item_offsets[i + 1]
-        own = items[lo:hi]
-        tracker = SignificanceTracker(significance, counting=counting)
-        tracker._presence = dict(zip(own, presence[lo:hi], strict=True))
-        tracker._first_seen = dict(zip(own, first_seen[lo:hi], strict=True))
-        tracker._n_windows = n_windows[i]
-        current = set(current_items[current_offsets[i] : current_offsets[i + 1]])
-        if (
-            len(tracker._presence) != hi - lo
-            or len(current) != current_offsets[i + 1] - current_offsets[i]
-        ):
+    for owners, offsets, values, what in (
+        ("customers", "item_offsets", "items", "an item"),
+        ("customers", "current_offsets", "current_items", "an item"),
+        ("missing_customers", "missing_offsets", "missing_items", "a missing item"),
+    ):
+        row = _first_repeat(columns[offsets], columns[values])
+        if row is not None:
             raise SnapshotError(
-                f"snapshot customer {customer_id} repeats an item"
+                f"snapshot customer {columns[owners][row]} repeats {what}"
             )
-        states[customer_id] = CustomerState(
-            customer_id=customer_id,
-            tracker=tracker,
-            current_items=current,
-            last_stability=last_stability[i],
+    monitor._columns = {name: columns[name] for name in STATE_COLUMNS}
+    offsets = columns["current_offsets"]
+    touched = offsets[1:] > offsets[:-1]
+    current = columns["current_items"].tolist()
+    slices = map(slice, offsets[:-1][touched].tolist(), offsets[1:][touched].tolist())
+    monitor._open = dict(
+        zip(
+            columns["customers"][touched].tolist(),
+            map(set, map(current.__getitem__, slices)),
+            strict=True,
         )
-
-    missing_customers = _require(payload, "missing_customers", list)
-    _ascending(missing_customers, "missing_customers")
-    missing_offsets = _spans(
-        payload,
-        "missing_offsets",
-        len(missing_customers),
-        "missing_items",
-        "missing_significance",
     )
-    missing_items = payload["missing_items"]
-    missing_significance = payload["missing_significance"]
-    for i, customer_id in enumerate(missing_customers):
-        lo, hi = missing_offsets[i], missing_offsets[i + 1]
-        missing = dict(
-            zip(missing_items[lo:hi], missing_significance[lo:hi], strict=True)
-        )
-        if len(missing) != hi - lo:
-            raise SnapshotError(
-                f"snapshot customer {customer_id} repeats a missing item"
-            )
-        monitor._last_missing[customer_id] = missing
     return monitor
 
 
 def fold_unions(
     payload: dict,
-    unions: Mapping[int, Iterable[int]],
+    owners: np.ndarray,
+    items: np.ndarray,
     last_day_seen: int,
 ) -> None:
-    """Fold per-customer item unions into a snapshot payload, in place.
+    """Fold ``(owners[i], items[i])`` open-window pairs into a snapshot
+    payload, in place.
 
-    The payload becomes the snapshot of the monitor after the baskets
-    the unions summarise, provided those closed no window: such baskets
-    only register customers, add to their open-window item sets and
-    move the clock to ``last_day_seen``, so nothing else changes.
+    The pairs are the per-customer item unions of some baskets, and the
+    payload becomes the snapshot of the monitor after those baskets,
+    provided they closed no window: such baskets only register
+    customers, add to their open-window item sets and move the clock to
+    ``last_day_seen``.  So only the open window's columns change, plus a
+    fresh row for each customer first seen in the pairs.  A pair may
+    repeat, or repeat one the payload holds.
 
     Raises
     ------
-    KeyError, TypeError, ValueError, IndexError
-        If the payload or the unions are malformed.
+    SnapshotError, ValueError
+        If the payload's columns are malformed.
     """
-    customers = payload["customers"]
-    item_offsets = payload["item_offsets"]
-    n_windows = payload["n_windows_observed"]
-    last_stability = payload["last_stability"]
-    current_offsets = payload["current_offsets"]
-    current_items = payload["current_items"]
-    row_of = {customer_id: row for row, customer_id in enumerate(customers)}
-    merged = sorted(row_of.keys() | unions.keys())
-    out_item_offsets = [0]
-    out_n_windows: list[int] = []
-    out_last: list[float] = []
-    out_current_offsets = [0]
-    out_current: list[int] = []
-    for customer_id in merged:
-        row = row_of.get(customer_id)
-        if row is None:
-            # First seen in these baskets: a freshly registered customer.
-            out_item_offsets.append(out_item_offsets[-1])
-            out_n_windows.append(0)
-            out_last.append(math.nan)
-            current = sorted(set(unions[customer_id]))
-        else:
-            out_item_offsets.append(
-                out_item_offsets[-1] + item_offsets[row + 1] - item_offsets[row]
-            )
-            out_n_windows.append(n_windows[row])
-            out_last.append(last_stability[row])
-            current = current_items[current_offsets[row] : current_offsets[row + 1]]
-            added = unions.get(customer_id)
-            if added:
-                current = sorted(set(current).union(added))
-        out_current += current
-        out_current_offsets.append(len(out_current))
+    from repro.core.streaming import STATE_COLUMNS, customer_rows, pair_keys, row_offsets
+
+    per_customer = ("customers", "n_windows_observed", "last_stability", "item_offsets")
+    columns = payload_columns(
+        payload, {**{name: STATE_COLUMNS[name] for name in per_customer}, **_OPEN_COLUMNS}
+    )
+    added = customer_rows(columns, owners)
+    n_customers = len(columns["customers"])
+    rows = np.concatenate(
+        (np.repeat(np.arange(n_customers), np.diff(columns["current_offsets"])), added)
+    )
+    items = np.concatenate((columns["current_items"], items))
+    keys = pair_keys(rows, items)
+    # Stable: the payload's own pairs come sorted, so this is mostly a merge.
+    order = np.argsort(keys, kind="stable")
+    keys, rows, items = keys[order], rows[order], items[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     payload.update(
-        customers=merged,
-        item_offsets=out_item_offsets,
-        n_windows_observed=out_n_windows,
-        last_stability=out_last,
-        current_offsets=out_current_offsets,
-        current_items=out_current,
+        columns,
+        current_offsets=row_offsets(rows[first], n_customers),
+        current_items=items[first],
         last_day_seen=int(last_day_seen),
     )
 
@@ -408,7 +400,9 @@ def fold_unions(
 # ----------------------------------------------------------------------
 # The container: file and wire form
 # ----------------------------------------------------------------------
-def _column_bytes(name: str, kind: str, values: list) -> tuple[str, bytes]:
+def _column_bytes(
+    name: str, kind: str, values: list | np.ndarray
+) -> tuple[str, bytes]:
     """One column's dtype and little-endian bytes."""
     try:
         array = np.asarray(values)
@@ -432,8 +426,8 @@ def _column_bytes(name: str, kind: str, values: list) -> tuple[str, bytes]:
 def encode_snapshot(payload: Mapping[str, object]) -> bytes:
     """``payload`` in the checksummed container (see module docstring).
 
-    The declared columns present as lists become arrays; every other key
-    goes into the JSON header.  The output depends only on the payload's
+    The declared columns present as arrays or lists are stored as
+    arrays; every other key goes into the JSON header.  The output depends only on the payload's
     contents, never on its key order.
 
     Raises
@@ -447,7 +441,7 @@ def encode_snapshot(payload: Mapping[str, object]) -> bytes:
     offset = 0
     for name, kind in _COLUMNS.items():
         values = payload.get(name)
-        if not isinstance(values, list):
+        if not isinstance(values, (list, np.ndarray)):
             continue
         dtype, blob = _column_bytes(name, kind, values)
         table.append([name, dtype, offset, len(values)])
@@ -482,7 +476,8 @@ def _foreign(data: bytes) -> str:
 
 def decode_snapshot(data: bytes) -> dict:
     """The payload :func:`encode_snapshot` wrote: header fields first,
-    then the columns as lists.
+    then the columns as read-only arrays over ``data`` (``int32`` or
+    ``int64`` as stored, ``float64``).
 
     Raises
     ------
@@ -522,7 +517,7 @@ def decode_snapshot(data: bytes) -> dict:
                 raise ValueError(
                     f"column {name!r} is misplaced or of unknown dtype {dtype!r}"
                 )
-            payload[name] = np.frombuffer(data, dtype, count, start).tolist()
+            payload[name] = np.frombuffer(data, dtype, count, start)
             expected = start + count * _ITEMSIZE[dtype]
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"corrupt snapshot header: {exc}") from exc

@@ -19,11 +19,14 @@ closed no window writes only its journal: per shard, the batch's
 per-customer item unions and the shard clock.  A batch that closes a window, the first
 commit in a directory and the finish seal write a new base instead.
 :meth:`ServeCheckpoint.load` decodes the cursor's base and folds its
-journals in, in commit order.  Every state file is one checksummed
+journals in, in commit order: a journal only adds to the open window,
+so the fold touches the open-window columns and the shard clock, and
+a resume costs the base's bytes plus the customers the journals
+name.  Every state file is one checksummed
 :func:`~repro.runtime.snapshot.encode_snapshot` container: a shard
-snapshot's columns become arrays, and every other payload (the score
-table, a journal, whatever a caller hands in) rides in its header, so
-this module never needs to know a payload's shape.
+snapshot's and the score table's columns are stored as arrays, and any
+other payload (a journal, whatever a caller hands in) rides in its
+header, so this module never needs to know a payload's shape.
 
 A crash before the commit leaves the previous cursor (and its intact
 generation) authoritative: the resumed run replays exactly the one
@@ -52,6 +55,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.atomicio import atomic_write_bytes, atomic_write_json
 from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
@@ -79,7 +84,7 @@ IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 3
+CURSOR_VERSION = 4
 #: Score-table file inside each base.
 SCORES_NAME = "scores.snap"
 
@@ -492,10 +497,14 @@ class ServeCheckpoint:
         self, cursor: ServeCursor, shard_payloads: list[dict]
     ) -> None:
         """Fold journals ``base_index + 1 … commit_index`` into the
-        base's shard payloads: each customer's unions are merged across
-        journals first, so a customer costs one fold however many
-        journals touched them."""
-        unions: list[dict[int, set[int]]] = [{} for _ in shard_payloads]
+        base's shard payloads: each shard's ``(customer, item)`` pairs
+        from every journal, and its last clock, fold into its
+        open-window columns in one
+        :func:`~repro.runtime.snapshot.fold_unions` pass."""
+        # Per shard: customer ids, their item counts and the items.
+        pairs: list[tuple[list[int], list[int], list[int]]] = [
+            ([], [], []) for _ in shard_payloads
+        ]
         clocks: list[int] = []
         for commit_index in range(
             cursor.base_index + 1, cursor.commit_index + 1
@@ -511,22 +520,23 @@ class ServeCheckpoint:
                 shards = journal["shards"]
                 clocks = [int(entry["last_day_seen"]) for entry in shards]
                 # strict: a journal holds exactly one entry per shard.
-                for merged, entry in zip(unions, shards, strict=True):
-                    for customer_id, items in entry["customers"]:
-                        known = merged.get(customer_id)
-                        if known is None:
-                            merged[customer_id] = set(items)
-                        else:
-                            known.update(items)
+                for (ids, sizes, items), entry in zip(pairs, shards, strict=True):
+                    for customer_id, customer_items in entry["customers"]:
+                        ids.append(customer_id)
+                        sizes.append(len(customer_items))
+                        items += customer_items
             except (KeyError, TypeError, ValueError) as exc:
                 raise CursorInvalid(
                     f"{path}: malformed journal: {exc!r}"
                 ) from exc
         directory = self.state_dir(cursor.base_index)
         try:
-            for payload, merged, clock in zip(shard_payloads, unions, clocks):
-                fold_unions(payload, merged, clock)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            for payload, (ids, sizes, items), clock in zip(
+                shard_payloads, pairs, clocks
+            ):
+                owners = np.repeat(np.asarray(ids, dtype=np.int64), sizes)
+                fold_unions(payload, owners, np.asarray(items, dtype=np.int64), clock)
+        except (KeyError, TypeError, ValueError, IndexError, SnapshotError) as exc:
             raise CursorInvalid(
                 f"{directory}: base does not take its journals: {exc!r}"
             ) from exc

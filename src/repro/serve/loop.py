@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -44,12 +45,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.config import ExperimentConfig
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
 from repro.errors import ConfigError, SnapshotError
 from repro.obs import build_manifest, get_metrics, get_tracer, timed_stage, write_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import config_fingerprint
+from repro.runtime.snapshot import check_columns, payload_columns
 from repro.serve.checkpoint import (
     CursorInvalid,
     ServeCheckpoint,
@@ -115,8 +119,12 @@ class _CustomerRecord:
     """Mutable score-table entry; frozen into the result at the end."""
 
     stability: float = math.nan
-    flagged: bool = False
     alarm_windows: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def flagged(self) -> bool:
+        """Whether the customer ever alarmed."""
+        return bool(self.alarm_windows)
 
 
 _ScoreTable = dict[int, _CustomerRecord]
@@ -213,7 +221,6 @@ def _apply_reports(
             touched.add(customer_id)
         for alarm in report.alarms:
             record = table[alarm.customer_id]
-            record.flagged = True
             if alarm.window_index not in record.alarm_windows:
                 record.alarm_windows[alarm.window_index] = alarm.stability
                 counters.flagged += 1
@@ -248,41 +255,62 @@ def _freeze_table(
     return scores, flags, alarm_windows
 
 
+#: The score table's columns: one row per customer in ascending id
+#: order, alarms as ``(window, stability)`` rows sliced by
+#: ``alarm_offsets``.  A customer is flagged iff they have an alarm.
+_TABLE_COLUMNS = {
+    "customers": np.int64,
+    "stability": np.float64,
+    "alarm_offsets": np.int64,
+    "alarm_windows": np.int64,
+    "alarm_stability": np.float64,
+}
+
+
 def _table_to_payload(table: _ScoreTable) -> dict:
+    customers = sorted(table)
+    records = [table[customer_id] for customer_id in customers]
+    alarms = [sorted(record.alarm_windows.items()) for record in records]
     return {
-        "customers": {
-            str(customer_id): {
-                "stability": None
-                if math.isnan(record.stability)
-                else record.stability,
-                "flagged": record.flagged,
-                "alarm_windows": [
-                    [w, s] for w, s in sorted(record.alarm_windows.items())
-                ],
-            }
-            for customer_id, record in sorted(table.items())
-        }
+        "customers": customers,
+        "stability": [record.stability for record in records],
+        "alarm_offsets": list(itertools.accumulate(map(len, alarms), initial=0)),
+        "alarm_windows": [w for rows in alarms for w, _ in rows],
+        "alarm_stability": [s for rows in alarms for _, s in rows],
     }
 
 
 def _table_from_payload(payload: dict) -> _ScoreTable:
-    table: _ScoreTable = {}
-    customers = payload.get("customers", {})
-    if not isinstance(customers, dict):
-        raise CursorInvalid("score table payload is malformed")
-    for key, record in customers.items():
-        if not isinstance(record, dict):
-            raise CursorInvalid(f"score record for customer {key} malformed")
-        stability = record.get("stability")
-        table[int(key)] = _CustomerRecord(
-            stability=math.nan if stability is None else float(stability),
-            flagged=bool(record.get("flagged", False)),
-            alarm_windows={
-                int(w): float(s)
-                for w, s in record.get("alarm_windows", [])
-            },
+    """Rebuild the score table from its columns.
+
+    Raises
+    ------
+    CursorInvalid
+        If a column is missing or malformed, the ids do not ascend, or
+        the alarm offsets do not span the alarm columns.
+    """
+    try:
+        columns = payload_columns(payload, _TABLE_COLUMNS)
+        check_columns(
+            columns,
+            "customers",
+            ("stability",),
+            {"alarm_offsets": ("alarm_windows", "alarm_stability")},
         )
-    return table
+    except SnapshotError as exc:
+        raise CursorInvalid(f"score table is malformed: {exc}") from exc
+    bounds = columns["alarm_offsets"].tolist()
+    slices = list(map(slice, bounds, bounds[1:]))
+    windows = map(columns["alarm_windows"].tolist().__getitem__, slices)
+    stabilities = map(columns["alarm_stability"].tolist().__getitem__, slices)
+    alarm_windows = map(dict, map(zip, windows, stabilities))
+    return dict(
+        zip(
+            columns["customers"].tolist(),
+            map(_CustomerRecord, columns["stability"].tolist(), alarm_windows),
+            strict=True,
+        )
+    )
 
 
 # ----------------------------------------------------------------------

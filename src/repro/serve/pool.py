@@ -17,9 +17,9 @@ through three properties:
   (:meth:`StabilityMonitor.advance_to_day`), so all shards close the
   same windows at the same stream positions even on days none of their
   customers shopped;
-* a customer's tracker state is content-determined (window item sets
-  are folded in sorted order), so the basket interleaving *across*
-  customers never affects any one customer's scores;
+* a customer's state is content-determined (new items join their row
+  in sorted order), so the basket interleaving *across* customers never
+  affects any one customer's scores;
 * the parallel path ships each shard's state to its worker and back
   as one checksummed snapshot container (:mod:`repro.runtime.snapshot`),
   whose round-trip guarantee pins that a restored monitor emits

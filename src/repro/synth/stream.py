@@ -247,12 +247,15 @@ def replay_stream(
         raise ConfigError(f"skip_days must be >= 0, got {skip_days}")
     read_stream_header(path)  # validate before yielding anything
     last_day = -1
+    skipped = 0
     with path.open() as handle:
         handle.readline()  # header, validated above
         for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            if line_no - 2 < skip_days:
+            # Counted in day batches, not lines: blank lines are no days.
+            if skipped < skip_days:
+                skipped += 1
                 continue
             try:
                 payload = json.loads(line)

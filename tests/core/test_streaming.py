@@ -72,7 +72,7 @@ class TestValidation:
 
     def test_unknown_customer_state_rejected(self, grid):
         with pytest.raises(DataError, match="not in the stream"):
-            StabilityMonitor(grid).state_of(9)
+            StabilityMonitor(grid).explain_alarm(9)
 
 
 class TestWindowClosing:

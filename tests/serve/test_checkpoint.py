@@ -170,16 +170,17 @@ class TestCommitProtocol:
         loaded = _load(_write_generation(tmp_path))
         assert loaded is not None
         assert (loaded.cursor.base_index, loaded.cursor.commit_index) == (3, 5)
-        # Compared as JSON text, where a fresh customer's nan equals nan.
-        assert json.dumps(loaded.shard_payloads, sort_keys=True) == json.dumps(
-            [
+        # Compared as encoded bytes, where a fresh customer's nan equals
+        # nan and a folded array equals the list it holds.
+        assert [encode_snapshot(p) for p in loaded.shard_payloads] == [
+            encode_snapshot(p)
+            for p in (
                 # Customer 4 is first seen mid-generation: only journal
                 # 4 has them.
                 _shard(50, (2, [1, 5], 4, 0.25), (4, [1, 3, 7], *_FRESH)),
                 _shard(50, (1, [9], *_FRESH)),
-            ],
-            sort_keys=True,
-        )
+            )
+        ]
         assert not loaded.orphaned_state
 
     def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
@@ -265,8 +266,9 @@ class TestInvalidCursors:
     def test_version_1_cursor_is_version_drift(self, tmp_path):
         checkpoint = _write_checkpoint(tmp_path, _cursor())
         current = json.loads(checkpoint.cursor_path.read_text())
-        # Version 1 had no base; version 2 named a base of JSON files.
-        for version in (1, 2):
+        # Version 1 had no base; version 2 named a base of JSON files;
+        # version 3 kept the score table as JSON in its header.
+        for version in (1, 2, 3):
             payload = dict(current, version=version)
             if version == 1:
                 del payload["base_index"]

@@ -41,10 +41,16 @@ class TestRecordReplay:
         calendar = stream_calendar(read_stream_header(stream_path))
         assert calendar == serve_dataset.calendar
 
-    def test_skip_days_resumes_mid_stream(self, stream_path):
+    def test_skip_days_resumes_mid_stream(self, stream_path, tmp_path):
         full = list(replay_stream(stream_path))
-        tail = list(replay_stream(stream_path, skip_days=3))
-        assert [b.day for b in tail] == [b.day for b in full[3:]]
+        # The same stream with a blank line after its first day batch:
+        # skipping counts day batches, not lines.
+        header, first, *rest = stream_path.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("".join([header, first, "\n", *rest]))
+        for path in (stream_path, spaced):
+            tail = list(replay_stream(path, skip_days=3))
+            assert [b.day for b in tail] == [b.day for b in full[3:]], path
 
     def test_skip_all_days_yields_nothing(self, stream_path):
         n_days = sum(1 for _ in replay_stream(stream_path))
