@@ -41,12 +41,14 @@ checkpoint commits.  A file is::
 
     magic (8 bytes) | header length (<u4) | JSON header | CRC32 (<u4) | arrays
 
-The header holds the payload's other keys and one ``[name, dtype,
-offset, count]`` entry per column; the arrays follow back to back.  An
-integer column is ``<i4`` when every value fits and ``<i8`` otherwise —
-the encoder decides from the data and records its choice — and a float
-column is ``<f8``.  The CRC32 covers every other byte of the file, so a
-truncated, torn or altered file raises
+Every array in the payload is a column, and so is a list under one of
+the monitor's column names.  The header holds the payload's other keys
+and one ``[name, dtype, offset, count]`` entry per column; the arrays
+follow back to back, the monitor's in a fixed order, then any others
+by name.  An integer column is ``<i4`` when every value fits and
+``<i8`` otherwise — the encoder decides from the data and records its
+choice — and a float column is ``<f8``.  The CRC32 covers every other
+byte of the file, so a truncated, torn or altered file raises
 :class:`~repro.errors.SnapshotError` instead of being ingested.
 
 Only the paper configuration (exponential significance) is
@@ -92,10 +94,11 @@ _MAGIC = b"REPRSNAP"
 #: Magic plus the JSON header's length.
 _PREFIX = struct.Struct("<8sI")
 _CRC = struct.Struct("<I")
-#: The columns the container stores as arrays, by element kind: a
-#: monitor's (see :data:`~repro.core.streaming.STATE_COLUMNS`) and the
-#: serve score table's.  Any other key — or one of these names holding
-#: anything but an array or a list — rides in the header.
+#: A monitor's columns (see :data:`~repro.core.streaming.STATE_COLUMNS`)
+#: by element kind, in the order a file stores them.  Under these names
+#: a list is a column too; any other array is stored after them, in
+#: name order, its kind taken from its dtype.  Every other key rides in
+#: the header.
 _COLUMNS = {
     "customers": "i",
     "n_windows_observed": "i",
@@ -110,10 +113,6 @@ _COLUMNS = {
     "missing_offsets": "i",
     "missing_items": "i",
     "missing_significance": "f",
-    "stability": "f",
-    "alarm_offsets": "i",
-    "alarm_windows": "i",
-    "alarm_stability": "f",
 }
 _ITEMSIZE = {"<i4": 4, "<i8": 8, "<f8": 8}
 _I4_MIN, _I4_MAX = -(2**31), 2**31 - 1
@@ -351,20 +350,22 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
 
 def fold_unions(
     payload: dict,
-    owners: np.ndarray,
+    ids: np.ndarray,
+    sizes: np.ndarray,
     items: np.ndarray,
     last_day_seen: int,
 ) -> None:
-    """Fold ``(owners[i], items[i])`` open-window pairs into a snapshot
-    payload, in place.
+    """Fold open-window item unions into a snapshot payload, in place:
+    customer ``ids[i]`` bought the next ``sizes[i]`` of ``items``.
 
-    The pairs are the per-customer item unions of some baskets, and the
-    payload becomes the snapshot of the monitor after those baskets,
-    provided they closed no window: such baskets only register
-    customers, add to their open-window item sets and move the clock to
-    ``last_day_seen``.  So only the open window's columns change, plus a
-    fresh row for each customer first seen in the pairs.  A pair may
-    repeat, or repeat one the payload holds.
+    The unions are those of some baskets, and the payload becomes the
+    snapshot of the monitor after those baskets, provided they closed
+    no window: such baskets only register customers, add to their
+    open-window item sets and move the clock to ``last_day_seen``.  So
+    only the open window's columns change, plus a fresh row for each
+    customer first seen in ``ids`` — also one whose union is empty, as
+    a customer's empty first basket registers them.  A customer or an
+    item may repeat, or repeat one the payload holds.
 
     Raises
     ------
@@ -377,7 +378,7 @@ def fold_unions(
     columns = payload_columns(
         payload, {**{name: STATE_COLUMNS[name] for name in per_customer}, **_OPEN_COLUMNS}
     )
-    added = customer_rows(columns, owners)
+    added = np.repeat(customer_rows(columns, ids), sizes)
     n_customers = len(columns["customers"])
     rows = np.concatenate(
         (np.repeat(np.arange(n_customers), np.diff(columns["current_offsets"])), added)
@@ -423,12 +424,33 @@ def _column_bytes(
     return dtype, array.astype(dtype, copy=False).tobytes()
 
 
+def _column_kinds(payload: Mapping[str, object]) -> dict[str, str]:
+    """The payload's columns, in file order, by element kind: a
+    monitor's names holding an array or a list, then every other array
+    by name (a float array is a float column, any other an integer
+    one)."""
+    kinds = {
+        name: kind
+        for name, kind in _COLUMNS.items()
+        if isinstance(payload.get(name), (list, np.ndarray))
+    }
+    arrays = {
+        name: values
+        for name, values in payload.items()
+        if name not in _COLUMNS and isinstance(values, np.ndarray)
+    }
+    for name in sorted(arrays):
+        kinds[name] = "f" if arrays[name].dtype.kind == "f" else "i"
+    return kinds
+
+
 def encode_snapshot(payload: Mapping[str, object]) -> bytes:
     """``payload`` in the checksummed container (see module docstring).
 
-    The declared columns present as arrays or lists are stored as
-    arrays; every other key goes into the JSON header.  The output depends only on the payload's
-    contents, never on its key order.
+    Every array, and every list under a monitor column's name, is
+    stored as a column; every other key goes into the JSON header.  The
+    output depends only on the payload's contents, never on its key
+    order.
 
     Raises
     ------
@@ -439,10 +461,8 @@ def encode_snapshot(payload: Mapping[str, object]) -> bytes:
     table: list[list[object]] = []
     blobs: list[bytes] = []
     offset = 0
-    for name, kind in _COLUMNS.items():
-        values = payload.get(name)
-        if not isinstance(values, (list, np.ndarray)):
-            continue
+    for name, kind in _column_kinds(payload).items():
+        values = payload[name]
         dtype, blob = _column_bytes(name, kind, values)
         table.append([name, dtype, offset, len(values)])
         blobs.append(blob)

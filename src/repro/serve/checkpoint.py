@@ -497,12 +497,11 @@ class ServeCheckpoint:
         self, cursor: ServeCursor, shard_payloads: list[dict]
     ) -> None:
         """Fold journals ``base_index + 1 … commit_index`` into the
-        base's shard payloads: each shard's ``(customer, item)`` pairs
-        from every journal, and its last clock, fold into its
-        open-window columns in one
-        :func:`~repro.runtime.snapshot.fold_unions` pass."""
-        # Per shard: customer ids, their item counts and the items.
-        pairs: list[tuple[list[int], list[int], list[int]]] = [
+        base's shard payloads: each shard's customer unions from every
+        journal, and its last clock, fold into its open-window columns
+        in one :func:`~repro.runtime.snapshot.fold_unions` pass."""
+        # Per shard: customer ids, their union sizes and the items.
+        unions: list[tuple[list[int], list[int], list[int]]] = [
             ([], [], []) for _ in shard_payloads
         ]
         clocks: list[int] = []
@@ -520,7 +519,7 @@ class ServeCheckpoint:
                 shards = journal["shards"]
                 clocks = [int(entry["last_day_seen"]) for entry in shards]
                 # strict: a journal holds exactly one entry per shard.
-                for (ids, sizes, items), entry in zip(pairs, shards, strict=True):
+                for (ids, sizes, items), entry in zip(unions, shards, strict=True):
                     for customer_id, customer_items in entry["customers"]:
                         ids.append(customer_id)
                         sizes.append(len(customer_items))
@@ -532,10 +531,15 @@ class ServeCheckpoint:
         directory = self.state_dir(cursor.base_index)
         try:
             for payload, (ids, sizes, items), clock in zip(
-                shard_payloads, pairs, clocks
+                shard_payloads, unions, clocks
             ):
-                owners = np.repeat(np.asarray(ids, dtype=np.int64), sizes)
-                fold_unions(payload, owners, np.asarray(items, dtype=np.int64), clock)
+                fold_unions(
+                    payload,
+                    np.asarray(ids, dtype=np.int64),
+                    np.asarray(sizes, dtype=np.int64),
+                    np.asarray(items, dtype=np.int64),
+                    clock,
+                )
         except (KeyError, TypeError, ValueError, IndexError, SnapshotError) as exc:
             raise CursorInvalid(
                 f"{directory}: base does not take its journals: {exc!r}"

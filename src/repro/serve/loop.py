@@ -267,16 +267,20 @@ _TABLE_COLUMNS = {
 }
 
 
-def _table_to_payload(table: _ScoreTable) -> dict:
+def _table_to_payload(table: _ScoreTable) -> dict[str, np.ndarray]:
     customers = sorted(table)
     records = [table[customer_id] for customer_id in customers]
     alarms = [sorted(record.alarm_windows.items()) for record in records]
-    return {
+    columns = {
         "customers": customers,
         "stability": [record.stability for record in records],
         "alarm_offsets": list(itertools.accumulate(map(len, alarms), initial=0)),
         "alarm_windows": [w for rows in alarms for w, _ in rows],
         "alarm_stability": [s for rows in alarms for _, s in rows],
+    }
+    return {
+        name: np.asarray(columns[name], dtype)
+        for name, dtype in _TABLE_COLUMNS.items()
     }
 
 

@@ -232,8 +232,12 @@ def test_custom_significance_refused(tiny_dataset):
 # The container
 # ----------------------------------------------------------------------
 #: Small ids and items, and ids and items past 2**31 (the ``<i8`` path).
+#: Items near 2**62 next to small ones overflow a pair key's spread, so
+#: ``pair_keys`` ranks them first.
 _IDS = st.one_of(st.integers(0, 40), st.integers(2**31, 2**40))
-_ITEMS = st.one_of(st.integers(0, 12), st.integers(2**31, 2**31 + 12))
+_ITEMS = st.one_of(
+    st.integers(0, 12), st.integers(2**31, 2**31 + 12), st.integers(2**62, 2**62 + 12)
+)
 _GRID = WindowGrid.daily(40, 10)
 
 
@@ -292,6 +296,18 @@ def test_integer_width_follows_the_data():
 def test_other_keys_ride_in_the_header():
     payload = {"customers": {"7": [1, None]}, "shards": [{"a": 1}], "n": 2}
     assert decode_snapshot(encode_snapshot(payload)) == payload
+
+
+def test_every_array_is_a_column():
+    payload = {"b": np.array([0.5, np.nan]), "a": np.array([3, 2**40]), "n": [1]}
+    decoded = decode_snapshot(encode_snapshot(payload))
+    assert decoded["a"].dtype == np.int64 and decoded["a"].tolist() == [3, 2**40]
+    assert np.array_equal(decoded["b"], payload["b"], equal_nan=True)
+    assert decoded["n"] == [1]
+    with pytest.raises(SnapshotError, match="flags"):
+        encode_snapshot({"flags": np.array([True])})
+    with pytest.raises(SnapshotError, match="grid"):
+        encode_snapshot({"grid": np.zeros((2, 2))})
 
 
 def _section_ends(blob: bytes) -> list[int]:

@@ -9,9 +9,12 @@ import re
 
 import pytest
 
+from repro.core.windowing import WindowGrid
+from repro.data.basket import Basket
+from repro.data.streams import DayBatch
 from repro.runtime.faults import tear_file
 from repro.runtime.snapshot import decode_snapshot, encode_snapshot
-from repro.serve import CursorInvalid, ServeCheckpoint, ServeCursor
+from repro.serve import CursorInvalid, ServeCheckpoint, ServeCursor, ShardedMonitorPool
 from repro.serve.checkpoint import CURSOR_SCHEMA, CURSOR_VERSION
 
 
@@ -80,7 +83,7 @@ def _write_generation(tmp_path) -> ServeCheckpoint:
     checkpoint.commit(_cursor())
     journals = {
         4: [_entry(40, c2={5, 1}, c4={7, 3}), _entry(40, c1={9})],
-        5: [_entry(50, c4={1}), _entry(50)],
+        5: [_entry(50, c4={1}), _entry(50, c6=set())],
     }
     for commit, entries in journals.items():
         checkpoint.write_state(commit, entries, base_index=3)
@@ -176,12 +179,32 @@ class TestCommitProtocol:
             encode_snapshot(p)
             for p in (
                 # Customer 4 is first seen mid-generation: only journal
-                # 4 has them.
+                # 4 has them.  Customer 6's only basket was empty, and
+                # registered them all the same.
                 _shard(50, (2, [1, 5], 4, 0.25), (4, [1, 3, 7], *_FRESH)),
-                _shard(50, (1, [9], *_FRESH)),
+                _shard(50, (1, [9], *_FRESH), (6, [], *_FRESH)),
             )
         ]
         assert not loaded.orphaned_state
+
+    def test_live_journal_folds_to_the_live_state(self, tmp_path):
+        # A pool's base plus its next batch's journal is the pool's
+        # state after that batch, customers whose first basket is empty
+        # included.
+        pool = ShardedMonitorPool.create(WindowGrid.daily(30, 10), n_shards=2)
+        pool.process_batch([DayBatch(0, (Basket.of(1, 0, [1, 2]),))])
+        checkpoint = ServeCheckpoint(tmp_path / "ckpt")
+        checkpoint.write_state(3, pool.snapshot_shards(), {})
+        checkpoint.commit(_cursor())
+        batch = (Basket.of(6, 1, []), Basket.of(7, 1, [4]), Basket.of(8, 1, []))
+        pool.process_batch([DayBatch(1, (*batch, Basket.of(1, 1, [])))])
+        checkpoint.write_state(4, pool.journal_shards(), base_index=3)
+        checkpoint.commit(_cursor(commit_index=4, base_index=3))
+        loaded = _load(checkpoint)
+        assert loaded is not None
+        assert [encode_snapshot(p) for p in loaded.shard_payloads] == [
+            encode_snapshot(p) for p in pool.snapshot_shards()
+        ]
 
     def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
