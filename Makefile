@@ -25,12 +25,14 @@ typecheck:
 	mypy --config-file pyproject.toml
 
 # The resilience suite under -W error: injected worker crashes, torn
-# checkpoint/snapshot files, interrupted-sweep resume, and the serve
-# checkpoint's commit protocol, I/O retries and crash/corruption resume.
+# checkpoint/snapshot files, interrupted-sweep resume, the serve
+# checkpoint's commit protocol, I/O retries and crash/corruption resume,
+# and hostile recorded-stream input.
 test-faults:
 	PYTHONPATH=src python -m pytest tests/runtime \
 		tests/serve/test_checkpoint.py tests/serve/test_checkpoint_io.py \
-		tests/serve/test_resume.py -q -W error
+		tests/serve/test_resume.py tests/serve/test_record_replay.py \
+		-q -W error
 
 # End-to-end telemetry demo: a verbose, traced, checkpointed figure1
 # run (sharded fit + manifest), then the span-summary table.
@@ -105,7 +107,7 @@ bench-serve-scaling:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		python $$script > /dev/null || exit 1; \
+		PYTHONPATH=src python $$script > /dev/null || exit 1; \
 	done
 	@echo "all examples ran cleanly"
 

@@ -1,14 +1,16 @@
-"""Out-of-core workflow: sharded storage + streaming scoring.
+"""Out-of-core workflow: slab store + sharded serving.
 
 The paper's dataset is 6M customers; a deployment cannot hold it as Python
-objects.  This example runs the constant-memory path end to end:
+objects.  This example runs the two constant-memory paths end to end:
 
 1. profile the incoming export with the data-quality report;
-2. write it into customer-hashed CSV shards (`PartitionedLogWriter`);
-3. score one shard in isolation with the batch model (the unit of
-   parallelism a cluster would fan out over);
-4. stream the day-merged union of all shards through the online
-   `StabilityMonitor` without ever materialising the full log.
+2. stream the receipt CSV (`iter_log_csv`) into an on-disk slab store
+   (`build_slab_store`), one bounded chunk at a time, and fit the batch
+   model on the store's memory-mapped frame;
+3. record the receipts as a day-ordered stream (`record_stream`) and
+   serve it through four customer shards (`serve_stream`; a customer's
+   shard is ``customer_id % 4``), checking that the served scores are
+   bit-identical to the offline sweep.
 
     python examples/big_data_workflow.py
 """
@@ -19,58 +21,63 @@ import tempfile
 from pathlib import Path
 
 from repro import StabilityModel, paper_scenario
-from repro.core.streaming import StabilityMonitor
-from repro.core.windowing import WindowGrid
-from repro.data import TransactionLog
+from repro.data.io import iter_log_csv, write_log_csv
 from repro.data.quality import profile_log, render_quality_report
-from repro.data.streams import PartitionedLogWriter, iter_partitioned_log
+from repro.data.slabs import build_slab_store, chunks_from_baskets
+from repro.serve import offline_sweep_stream, serve_stream
+from repro.synth.stream import record_stream
 
 N_SHARDS = 4
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bigdata-"))
     dataset = paper_scenario(n_loyal=30, n_churners=30, seed=23)
 
     # --- 1. quality gate ---------------------------------------------------
     print("incoming export quality:")
     print(render_quality_report(profile_log(dataset.log, dataset.calendar)))
 
-    # --- 2. shard to disk --------------------------------------------------
-    shards_dir = workdir / "shards"
-    baskets = sorted(dataset.log, key=lambda b: b.day)  # day-ordered shards
-    with PartitionedLogWriter(shards_dir, n_shards=N_SHARDS) as writer:
-        written = writer.write_all(baskets)
-    print(f"\nsharded {written} receipts into {N_SHARDS} files under {shards_dir}")
+    with tempfile.TemporaryDirectory(prefix="repro-bigdata-") as tmp:
+        workdir = Path(tmp)
 
-    # --- 3. per-shard batch scoring (the parallel unit) ---------------------
-    shard0 = TransactionLog(iter_partitioned_log(shards_dir, shards=[0]))
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
-    model.fit(shard0)
-    window = model.n_windows - 1
-    flagged = sum(
-        1 for score in model.churn_scores(window).values() if score > 0.5
-    )
-    print(
-        f"shard 0: {shard0.n_customers} customers scored in isolation, "
-        f"{flagged} above churn score 0.5 at the final window"
-    )
+        # --- 2. receipt CSV -> slab store -> batch fit ----------------------
+        export = workdir / "receipts.csv"
+        write_log_csv(dataset.log, export)
+        model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+        store = build_slab_store(
+            chunks_from_baskets(iter_log_csv(export), chunk_baskets=1024),
+            model.config.grid(dataset.calendar),
+            workdir / "slabs",
+            fingerprint=dataset.bundle.fingerprint(),
+            customers_per_shard=16,
+        )
+        model.fit(store.frame())
+        window = model.n_windows - 1
+        flagged = sum(
+            1 for score in model.churn_scores(window).values() if score > 0.5
+        )
+        print(
+            f"\nslab store: {store.n_customers} customers in "
+            f"{len(store.shard_bounds())} shards, fitted from the memory "
+            f"map; {flagged} above churn score 0.5 at the final window"
+        )
 
-    # --- 4. streaming over the merged shards --------------------------------
-    grid = WindowGrid.monthly(dataset.calendar, 2)
-    monitor = StabilityMonitor(grid, beta=0.5, first_alarm_window=5)
-    for customer in dataset.log.customers():
-        monitor.register(customer)
-    reports = monitor.ingest_many(
-        iter_partitioned_log(shards_dir, merge_by_day=True)
-    )
-    reports += monitor.finish()
-    total_alarms = sum(len(r.alarms) for r in reports)
-    print(
-        f"streamed the merged shards through the monitor: "
-        f"{len(reports)} windows closed, {total_alarms} alarms "
-        f"(constant memory — the full log never lives in RAM)"
-    )
+        # --- 3. recorded stream -> sharded serving --------------------------
+        stream = record_stream(
+            sorted(dataset.log, key=lambda b: (b.day, b.customer_id)),
+            workdir / "stream.jsonl",
+            calendar=dataset.calendar,
+        )
+        served = serve_stream(stream, workdir / "checkpoint", n_shards=N_SHARDS)
+        parity = served.fingerprint() == offline_sweep_stream(stream).fingerprint()
+        print(
+            f"served {served.counters.ingested} receipts through {N_SHARDS} "
+            f"customer shards in {served.counters.checkpointed} checkpointed "
+            f"batches: {sum(served.flags.values())} customers flagged"
+        )
+        print(f"parity with the offline sweep: {parity}")
+    if not parity:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ Two formats are supported:
 * **CSV** for transaction logs — one row per receipt with a
   space-separated item list, the common interchange shape for retail
   basket datasets (and the shape public datasets like Instacart or
-  dunnhumby reduce to).
+  dunnhumby reduce to).  :func:`read_log_csv` loads a whole file;
+  :func:`iter_log_csv` streams it in constant memory.
 * **JSONL** for catalogs and cohort labels — one JSON object per line.
 
 All writers produce deterministic output (sorted ids) so files can be
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.atomicio import atomic_write_json
@@ -29,6 +31,7 @@ from repro.errors import ConfigError, DataError, SchemaError
 __all__ = [
     "write_log_csv",
     "read_log_csv",
+    "iter_log_csv",
     "write_catalog_jsonl",
     "read_catalog_jsonl",
     "write_cohorts_json",
@@ -120,6 +123,8 @@ def read_log_csv(
         )
     if max_errors < 0:
         raise ConfigError(f"max_errors must be >= 0, got {max_errors}")
+    if on_error == "raise":
+        return TransactionLog(iter_log_csv(path))
     path = Path(path)
     log = TransactionLog()
     quarantined: list[QuarantinedRow] = []
@@ -134,8 +139,6 @@ def read_log_csv(
             try:
                 basket = _parse_log_row(row)
             except (ValueError, DataError) as exc:
-                if on_error == "raise":
-                    raise SchemaError(f"{path}:{line_no}: {exc}") from exc
                 if len(quarantined) >= max_errors:
                     raise SchemaError(
                         f"{path}: more than {max_errors} malformed rows "
@@ -145,12 +148,31 @@ def read_log_csv(
                 quarantined.append(QuarantinedRow(line=line_no, reason=str(exc)))
                 continue
             log.add(basket)
-    if on_error == "raise":
-        return log
     report = QuarantineReport(
         path=str(path), rows=tuple(quarantined), n_rows_total=n_rows
     )
     return log, report
+
+
+def iter_log_csv(path: str | Path) -> Iterator[Basket]:
+    """Stream baskets from a receipt CSV without loading it whole.
+
+    Yields baskets in file order; validation failures raise
+    :class:`~repro.errors.SchemaError` with the offending line number,
+    as :func:`read_log_csv` does.
+    """
+    path = Path(path)
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != _LOG_HEADER:
+            raise SchemaError(f"unexpected CSV header in {path}: {header}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                basket = _parse_log_row(row)
+            except (ValueError, DataError) as exc:
+                raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+            yield basket
 
 
 # ----------------------------------------------------------------------

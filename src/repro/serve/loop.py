@@ -68,9 +68,8 @@ from repro.synth.stream import (
 )
 
 if TYPE_CHECKING:
-    from repro.data.basket import Basket
+    from repro.data.basket import Basket, DayBatch
     from repro.data.calendar import StudyCalendar
-    from repro.data.streams import DayBatch
     from repro.obs.export import MetricsPublisher
     from repro.runtime.faults import FaultPlan
     from repro.serve.api import StatusBoard
@@ -115,19 +114,27 @@ class ServeCounters:
 
 
 @dataclass
-class _CustomerRecord:
-    """Mutable score-table entry; frozen into the result at the end."""
+class _ScoreTable:
+    """The idempotent score table; frozen into the result at the end.
 
-    stability: float = math.nan
-    alarm_windows: dict[int, float] = field(default_factory=dict)
+    A customer is flagged exactly when they have an entry in ``alarms``.
+    """
 
-    @property
-    def flagged(self) -> bool:
-        """Whether the customer ever alarmed."""
-        return bool(self.alarm_windows)
+    #: Latest stability of every scored customer.
+    stability: dict[int, float] = field(default_factory=dict)
+    #: Window -> stability of every alarm, for the customers who alarmed.
+    alarms: dict[int, dict[int, float]] = field(default_factory=dict)
 
-
-_ScoreTable = dict[int, _CustomerRecord]
+    def row(
+        self, customer_id: int
+    ) -> tuple[float, bool, tuple[tuple[int, float], ...]]:
+        """``(stability, flagged, window-ordered alarms)`` of a customer."""
+        alarms = self.alarms.get(customer_id)
+        return (
+            self.stability[customer_id],
+            alarms is not None,
+            tuple(sorted(alarms.items())) if alarms else (),
+        )
 
 
 @dataclass(frozen=True)
@@ -214,25 +221,17 @@ def _apply_reports(
     counters were not committed) re-counts it exactly once overall."""
     touched: set[int] = set()
     for report in reports:
-        for customer_id, stability in report.stabilities.items():
-            record = table.setdefault(customer_id, _CustomerRecord())
-            record.stability = stability
-            counters.scored += 1
-            touched.add(customer_id)
+        table.stability.update(report.stabilities)
+        counters.scored += len(report.stabilities)
+        touched.update(report.stabilities)
         for alarm in report.alarms:
-            record = table[alarm.customer_id]
-            if alarm.window_index not in record.alarm_windows:
-                record.alarm_windows[alarm.window_index] = alarm.stability
+            windows = table.alarms.setdefault(alarm.customer_id, {})
+            if alarm.window_index not in windows:
+                windows[alarm.window_index] = alarm.stability
                 counters.flagged += 1
     if status is not None:
         for customer_id in sorted(touched):
-            record = table[customer_id]
-            status.upsert_customer(
-                customer_id,
-                record.stability,
-                record.flagged,
-                tuple(sorted(record.alarm_windows.items())),
-            )
+            status.upsert_customer(customer_id, *table.row(customer_id))
 
 
 def _freeze_table(
@@ -242,17 +241,16 @@ def _freeze_table(
     dict[int, bool],
     dict[int, tuple[tuple[int, float], ...]],
 ]:
-    scores: dict[int, float] = {}
-    flags: dict[int, bool] = {}
-    alarm_windows: dict[int, tuple[tuple[int, float], ...]] = {}
-    for customer_id in sorted(table):
-        record = table[customer_id]
-        scores[customer_id] = record.stability
-        flags[customer_id] = record.flagged
-        alarm_windows[customer_id] = tuple(
-            sorted(record.alarm_windows.items())
-        )
-    return scores, flags, alarm_windows
+    customers = sorted(table.stability)
+    alarm_windows: dict[int, tuple[tuple[int, float], ...]]
+    alarm_windows = dict.fromkeys(customers, ())
+    for customer_id, windows in table.alarms.items():
+        alarm_windows[customer_id] = tuple(sorted(windows.items()))
+    return (
+        {customer_id: table.stability[customer_id] for customer_id in customers},
+        {customer_id: customer_id in table.alarms for customer_id in customers},
+        alarm_windows,
+    )
 
 
 #: The score table's columns: one row per customer in ascending id
@@ -268,15 +266,19 @@ _TABLE_COLUMNS = {
 
 
 def _table_to_payload(table: _ScoreTable) -> dict[str, np.ndarray]:
-    customers = sorted(table)
-    records = [table[customer_id] for customer_id in customers]
-    alarms = [sorted(record.alarm_windows.items()) for record in records]
+    customers = sorted(table.stability)
+    counts = [len(table.alarms.get(c, ())) for c in customers]
+    rows = [
+        row
+        for customer_id in sorted(table.alarms)
+        for row in sorted(table.alarms[customer_id].items())
+    ]
     columns = {
         "customers": customers,
-        "stability": [record.stability for record in records],
-        "alarm_offsets": list(itertools.accumulate(map(len, alarms), initial=0)),
-        "alarm_windows": [w for rows in alarms for w, _ in rows],
-        "alarm_stability": [s for rows in alarms for _, s in rows],
+        "stability": list(map(table.stability.__getitem__, customers)),
+        "alarm_offsets": list(itertools.accumulate(counts, initial=0)),
+        "alarm_windows": [w for w, _ in rows],
+        "alarm_stability": [s for _, s in rows],
     }
     return {
         name: np.asarray(columns[name], dtype)
@@ -303,18 +305,17 @@ def _table_from_payload(payload: dict) -> _ScoreTable:
         )
     except SnapshotError as exc:
         raise CursorInvalid(f"score table is malformed: {exc}") from exc
+    customers = columns["customers"].tolist()
     bounds = columns["alarm_offsets"].tolist()
-    slices = list(map(slice, bounds, bounds[1:]))
-    windows = map(columns["alarm_windows"].tolist().__getitem__, slices)
-    stabilities = map(columns["alarm_stability"].tolist().__getitem__, slices)
-    alarm_windows = map(dict, map(zip, windows, stabilities))
-    return dict(
-        zip(
-            columns["customers"].tolist(),
-            map(_CustomerRecord, columns["stability"].tolist(), alarm_windows),
-            strict=True,
-        )
-    )
+    windows = columns["alarm_windows"].tolist()
+    stabilities = columns["alarm_stability"].tolist()
+    alarms = {
+        customer_id: dict(zip(windows[lo:hi], stabilities[lo:hi]))
+        for customer_id, lo, hi in zip(customers, bounds, bounds[1:])
+        if lo < hi
+    }
+    stability = dict(zip(customers, columns["stability"].tolist(), strict=True))
+    return _ScoreTable(stability, alarms)
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +341,7 @@ def offline_sweep(
     )
     reports = monitor.ingest_many(baskets)
     reports.extend(monitor.finish())
-    table: _ScoreTable = {}
+    table = _ScoreTable()
     _apply_reports(table, reports, ServeCounters(), None)
     scores, flags, alarm_windows = _freeze_table(table)
     return OfflineSweep(
@@ -490,7 +491,7 @@ def serve_stream(
     tracer = get_tracer()
 
     counters = ServeCounters()
-    table: _ScoreTable = {}
+    table = _ScoreTable()
     pool: ShardedMonitorPool | None = None
     resumed = False
     reworked = 0
@@ -533,7 +534,7 @@ def serve_stream(
             publisher.trigger_flight("cursor_invalid", commit_index=0)
         loaded = None
         pool = None
-        table = {}
+        table = _ScoreTable()
     if loaded is not None and pool is not None:
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)
@@ -582,14 +583,8 @@ def serve_stream(
             day_batches_consumed=day_batches_consumed,
             finished=already_finished,
         )
-        for customer_id in sorted(table):
-            record = table[customer_id]
-            status.upsert_customer(
-                customer_id,
-                record.stability,
-                record.flagged,
-                tuple(sorted(record.alarm_windows.items())),
-            )
+        for customer_id in sorted(table.stability):
+            status.upsert_customer(customer_id, *table.row(customer_id))
 
     def make_cursor(base: int, finished: bool) -> ServeCursor:
         return ServeCursor(

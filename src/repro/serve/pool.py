@@ -3,11 +3,11 @@
 A serving deployment cannot hold 6M customers' incremental state behind
 one GIL: :class:`ShardedMonitorPool` partitions customers across
 ``n_shards`` independent :class:`~repro.core.streaming.StabilityMonitor`
-instances (``customer_id % n_shards``, the same partition the on-disk
-:class:`~repro.data.streams.PartitionedLogWriter` uses) and processes
-each checkpoint batch per shard — serially in-process, or fanned out to
-worker processes through :func:`~repro.runtime.executor.run_sharded`
-with its full retry/degrade protocol.
+instances (``customer_id % n_shards``, so all of a customer's baskets
+land in one shard) and processes each checkpoint batch per shard —
+serially in-process, or fanned out to worker processes through
+:func:`~repro.runtime.executor.run_sharded` with its full
+retry/degrade protocol.
 
 The pool preserves the serving layer's headline invariant — sharded
 scoring is **bit-identical** to a single monitor over the same stream —
@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.detector import Alarm
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
-from repro.data.basket import Basket
-from repro.data.streams import DayBatch
+from repro.data.basket import Basket, DayBatch
 from repro.errors import ConfigError
 from repro.runtime.executor import ExecutionReport, run_sharded
 from repro.runtime.snapshot import (

@@ -20,17 +20,17 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import operator
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from repro.atomicio import AtomicBinaryWriter
-from repro.data.basket import Basket
+from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.data.calendar import StudyCalendar
 from repro.data.slabs import SlabChunk
-from repro.data.streams import DayBatch, iter_day_batches
-from repro.errors import ConfigError, SchemaError
+from repro.errors import ConfigError, DataError, SchemaError
 
 __all__ = [
     "synthetic_slab_stream",
@@ -137,7 +137,7 @@ def record_stream(
     so a killed recording never leaves a truncated fixture under the
     final name.  Line 1 is the header (schema, version, the calendar the
     day offsets refer to, optional metadata); every further line is one
-    :class:`~repro.data.streams.DayBatch` as
+    :class:`~repro.data.basket.DayBatch` as
     ``{"day": d, "baskets": [[customer_id, [items...], monetary], ...]}``.
     Monetary values serialise at ``repr`` precision, so a record/replay
     round trip is bit-exact.
@@ -146,7 +146,7 @@ def record_stream(
     ------
     DataError
         If the basket stream is not day-ordered (via
-        :func:`~repro.data.streams.iter_day_batches`).
+        :func:`~repro.data.basket.iter_day_batches`).
     """
     path = Path(path)
     header = {
@@ -274,30 +274,42 @@ def replay_stream(
 
 
 def _parse_day_batch(path: Path, line_no: int, payload: object) -> DayBatch:
-    if (
-        not isinstance(payload, dict)
-        or not isinstance(payload.get("day"), int)
-        or not isinstance(payload.get("baskets"), list)
+    """One day line as a batch; anything malformed is a
+    :class:`~repro.errors.SchemaError` naming ``path:line_no``.
+
+    Ids and items go through :func:`operator.index`, which refuses the
+    floats and strings that ``int()`` would silently truncate or parse.
+    """
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("baskets"), list
     ):
         raise SchemaError(f"{path}:{line_no}: malformed day batch")
-    day = payload["day"]
+    day = payload.get("day")
+    if type(day) is not int or day < 0:  # a bool is no day
+        raise SchemaError(
+            f"{path}:{line_no}: day must be an integer >= 0, got {day!r}"
+        )
     baskets = []
     for record in payload["baskets"]:
-        if not isinstance(record, list) or len(record) != 3:
+        if (
+            not isinstance(record, list)
+            or len(record) != 3
+            or not isinstance(record[2], (int, float))
+        ):
             raise SchemaError(
                 f"{path}:{line_no}: malformed basket record {record!r}"
             )
         customer_id, items, monetary = record
         try:
             baskets.append(
-                Basket.of(
-                    customer_id=int(customer_id),
-                    day=day,
-                    items=[int(item) for item in items],
-                    monetary=float(monetary),
+                Basket(
+                    operator.index(customer_id),
+                    day,
+                    frozenset(map(operator.index, items)),
+                    float(monetary),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, OverflowError, DataError) as exc:
             raise SchemaError(f"{path}:{line_no}: {exc}") from exc
     return DayBatch(day=day, baskets=tuple(baskets))
 

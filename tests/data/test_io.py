@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.data.basket import Basket
 from repro.data.cohorts import CohortLabels
 from repro.data.io import (
+    iter_log_csv,
     read_catalog_jsonl,
     read_cohorts_json,
     read_log_csv,
@@ -156,6 +159,33 @@ class TestLenientIngest:
         assert "3 quarantined" in text
         assert "line " in text
         assert "... and 1 more" in text
+
+
+class TestIterLogCsv:
+    def test_streams_same_content_as_batch_reader(self, log, tmp_path):
+        path = tmp_path / "log.csv"
+        write_log_csv(log, path)
+        streamed = list(iter_log_csv(path))
+        assert len(streamed) == log.n_baskets
+        assert TransactionLog(streamed).item_universe() == log.item_universe()
+
+    def test_is_lazy(self, tmp_path):
+        path = tmp_path / "log.csv"
+        for bad_row in ("BROKEN", "2,-4,1,1.0"):
+            path.write_text(
+                f"customer_id,day,items,monetary\n1,0,1,1.0\n{bad_row}\n"
+            )
+            stream = iter_log_csv(path)
+            first = next(stream)
+            assert first.customer_id == 1
+            with pytest.raises(SchemaError, match=re.escape(f"{path}:3: ")):
+                next(stream)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(SchemaError, match="header"):
+            next(iter_log_csv(path))
 
 
 class TestCatalogJsonl:

@@ -26,7 +26,7 @@ EXPECTED_OUTPUT = {
     "loss_characterization.py": "department rollup",
     "unlabeled_pipeline.py": "label audit",
     "early_warning.py": "call list",
-    "big_data_workflow.py": "constant memory",
+    "big_data_workflow.py": "parity with the offline sweep: True",
     "calibrated_probabilities.py": "reliability after calibration",
 }
 

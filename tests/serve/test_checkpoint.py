@@ -10,8 +10,7 @@ import re
 import pytest
 
 from repro.core.windowing import WindowGrid
-from repro.data.basket import Basket
-from repro.data.streams import DayBatch
+from repro.data.basket import Basket, DayBatch
 from repro.runtime.faults import tear_file
 from repro.runtime.snapshot import decode_snapshot, encode_snapshot
 from repro.serve import CursorInvalid, ServeCheckpoint, ServeCursor, ShardedMonitorPool

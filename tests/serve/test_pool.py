@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.streaming import StabilityMonitor
-from repro.data.streams import iter_day_batches
+from repro.data.basket import iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
 from repro.serve.pool import _process_shard_batch  # noqa: PLC2701

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.data import Basket
-from repro.errors import ConfigError, SchemaError
+from repro.errors import ConfigError, DataError, SchemaError
 from repro.synth.stream import (
     RECORDED_STREAM_VERSION,
     read_stream_header,
@@ -148,6 +149,56 @@ class TestRejection:
             sink.write('{"day": 6, "baskets": [[1,')
         with pytest.raises(SchemaError, match=":3: corrupt or truncated"):
             list(replay_stream(path))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"day": 6, "baskets": [[12.7, [3.9], 1.0]]},
+            {"day": 6, "baskets": [[12, [3.9], 1.0]]},
+            {"day": 6, "baskets": [["12", ["3"], "1.5"]]},
+            {"day": 6, "baskets": [["12", [3], 1.5]]},
+            {"day": 6, "baskets": [[12, ["3"], 1.5]]},
+            {"day": True, "baskets": []},
+            {"day": -1, "baskets": []},
+            {"day": -1, "baskets": [[1, [1], 1.0]]},
+            {"day": 6, "baskets": [[1, [1], -1.0]]},
+            {"day": 6, "baskets": [[1, [1], 10**400]]},
+        ],
+        ids=[
+            "float-ids",
+            "float-item",
+            "string-fields",
+            "string-id",
+            "string-item",
+            "bool-day",
+            "negative-day",
+            "negative-day-with-basket",
+            "negative-monetary",
+            "monetary-past-float-range",
+        ],
+    )
+    def test_malformed_day_line_names_line_number(
+        self, serve_dataset, tmp_path, line
+    ):
+        """A hostile first day line is refused where it stands, never
+        coerced into a basket or yielded for serving to trip over."""
+        path = record_stream(
+            [], tmp_path / "hostile.jsonl", calendar=serve_dataset.calendar
+        )
+        with path.open("a") as sink:
+            sink.write(json.dumps(line) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
+            list(replay_stream(path))
+
+    def test_record_refuses_day_regression(self, serve_dataset, tmp_path):
+        baskets = [
+            Basket.of(customer_id=1, day=9, items=[1], monetary=1.0),
+            Basket.of(customer_id=4, day=5, items=[1], monetary=1.0),
+        ]
+        path = tmp_path / "backwards.jsonl"
+        with pytest.raises(DataError, match="customer 4: basket day 5"):
+            record_stream(baskets, path, calendar=serve_dataset.calendar)
+        assert not path.exists()
 
 
 class TestSkipDaysEdges:

@@ -8,15 +8,19 @@ import pytest
 
 from repro.runtime.snapshot import decode_snapshot, encode_snapshot
 from repro.serve import CursorInvalid
-from repro.serve.loop import _CustomerRecord, _table_from_payload, _table_to_payload
+from repro.serve.loop import (
+    _ScoreTable,
+    _freeze_table,
+    _table_from_payload,
+    _table_to_payload,
+)
 
 
-def _table() -> dict[int, _CustomerRecord]:
-    return {
-        9: _CustomerRecord(stability=0.25, alarm_windows={3: 0.4, 1: 0.5}),
-        2: _CustomerRecord(),
-        5: _CustomerRecord(stability=1.0),
-    }
+def _table() -> _ScoreTable:
+    return _ScoreTable(
+        stability={9: 0.25, 2: math.nan, 5: 1.0},
+        alarms={9: {3: 0.4, 1: 0.5}},
+    )
 
 
 def test_round_trip_through_the_container():
@@ -25,10 +29,13 @@ def test_round_trip_through_the_container():
     assert payload["alarm_offsets"].tolist() == [0, 0, 0, 2]
     assert payload["alarm_windows"].tolist() == [1, 3]
     table = _table_from_payload(payload)
-    assert sorted(table) == [2, 5, 9]
-    assert math.isnan(table[2].stability)
-    assert table[9].alarm_windows == {1: 0.5, 3: 0.4}
-    assert [table[c].flagged for c in (2, 5, 9)] == [False, False, True]
+    assert sorted(table.stability) == [2, 5, 9]
+    assert math.isnan(table.stability[2])
+    assert table.alarms == {9: {1: 0.5, 3: 0.4}}
+    scores, flags, alarm_windows = _freeze_table(table)
+    assert list(scores) == [2, 5, 9]
+    assert flags == {2: False, 5: False, 9: True}
+    assert alarm_windows == {2: (), 5: (), 9: ((1, 0.5), (3, 0.4))}
 
 
 def _drop(column: str):
