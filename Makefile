@@ -119,5 +119,5 @@ figures:
 all: test bench
 
 clean:
-	rm -rf build repro.egg-info benchmarks/output trace-demo serve-demo .pytest_cache .hypothesis
+	rm -rf build src/repro.egg-info benchmarks/output trace-demo serve-demo .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -14,7 +14,7 @@ recorded stream (:mod:`repro.synth.stream`) stores and serving
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import DataError
 
@@ -94,11 +94,17 @@ class DayBatch:
 
     The unit of ingestion for the serving layer
     (:mod:`repro.serve`): a day is atomic — a checkpoint batch never
-    splits one, so the resume cursor can count whole days.
+    splits one, so the resume cursor can point just past a whole day.
+
+    ``end`` is the byte offset just past the day's line in the recorded
+    stream it was read from (:func:`~repro.synth.stream.replay_stream`
+    resumes there), ``-1`` for a batch not read from a file.  It takes
+    no part in equality.
     """
 
     day: int
     baskets: tuple[Basket, ...]
+    end: int = field(default=-1, compare=False)
 
     @property
     def n_baskets(self) -> int:

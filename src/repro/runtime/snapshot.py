@@ -45,11 +45,12 @@ Every array in the payload is a column, and so is a list under one of
 the monitor's column names.  The header holds the payload's other keys
 and one ``[name, dtype, offset, count]`` entry per column; the arrays
 follow back to back, the monitor's in a fixed order, then any others
-by name.  An integer column is ``<i4`` when every value fits and
-``<i8`` otherwise — the encoder decides from the data and records its
-choice — and a float column is ``<f8``.  The CRC32 covers every other
-byte of the file, so a truncated, torn or altered file raises
-:class:`~repro.errors.SnapshotError` instead of being ingested.
+by name.  An integer column is ``<i2`` when every value fits, else
+``<i4`` when every value fits, else ``<i8`` — the encoder decides from
+the data and records its choice — and a float column is ``<f8``.  The
+CRC32 covers every other byte of the file, so a truncated, torn or
+altered file raises :class:`~repro.errors.SnapshotError` instead of
+being ingested.
 
 Only the paper configuration (exponential significance) is
 serialisable — a custom significance rule has no stable wire format, so
@@ -81,6 +82,7 @@ __all__ = [
     "fold_unions",
     "payload_columns",
     "check_columns",
+    "check_span",
     "encode_snapshot",
     "decode_snapshot",
     "save_snapshot",
@@ -114,8 +116,10 @@ _COLUMNS = {
     "missing_items": "i",
     "missing_significance": "f",
 }
-_ITEMSIZE = {"<i4": 4, "<i8": 8, "<f8": 8}
-_I4_MIN, _I4_MAX = -(2**31), 2**31 - 1
+_ITEMSIZE = {"<i2": 2, "<i4": 4, "<i8": 8, "<f8": 8}
+#: Integer column widths, narrowest first: a column takes the first
+#: that holds every one of its values.
+_INT_WIDTHS = ("<i2", "<i4", "<i8")
 
 
 def snapshot_monitor(monitor: StabilityMonitor) -> dict:
@@ -223,22 +227,40 @@ def check_columns(
             f"snapshot columns {', '.join(map(repr, (ids, *rows)))} differ in length"
         )
     for offsets_name, fields in (spans or {}).items():
-        offsets = columns[offsets_name]
-        length = len(columns[fields[0]])
-        if any(len(columns[field]) != length for field in fields):
-            raise SnapshotError(
-                f"snapshot columns {', '.join(map(repr, fields))} differ in length"
-            )
-        if (
-            len(offsets) != n_rows + 1
-            or offsets[0] != 0
-            or offsets[-1] != length
-            or np.any(offsets[1:] < offsets[:-1])
-        ):
-            raise SnapshotError(
-                f"snapshot column {offsets_name!r} does not span "
-                f"{fields[0]!r} ({n_rows} rows, {length} values)"
-            )
+        check_span(columns, offsets_name, fields, n_rows)
+
+
+def check_span(
+    columns: Mapping[str, np.ndarray],
+    offsets_name: str,
+    fields: Sequence[str],
+    n_rows: int,
+) -> None:
+    """Check that the offsets column ``offsets_name`` slices its equally
+    long value columns ``fields`` into ``n_rows`` ranges, in order.
+
+    Raises
+    ------
+    SnapshotError
+        If the value columns differ in length or the offsets do not
+        span them.
+    """
+    offsets = columns[offsets_name]
+    length = len(columns[fields[0]])
+    if any(len(columns[field]) != length for field in fields):
+        raise SnapshotError(
+            f"snapshot columns {', '.join(map(repr, fields))} differ in length"
+        )
+    if (
+        len(offsets) != n_rows + 1
+        or offsets[0] != 0
+        or offsets[-1] != length
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise SnapshotError(
+            f"snapshot column {offsets_name!r} does not span "
+            f"{fields[0]!r} ({n_rows} rows, {length} values)"
+        )
 
 
 def _first_repeat(offsets: np.ndarray, values: np.ndarray) -> int | None:
@@ -417,10 +439,13 @@ def _column_bytes(
         )
     if kind == "f":
         dtype = "<f8"
-    elif array.size == 0 or (_I4_MIN <= array.min() and array.max() <= _I4_MAX):
-        dtype = "<i4"
     else:
-        dtype = "<i8"
+        low, high = (array.min(), array.max()) if array.size else (0, 0)
+        dtype = next(
+            width
+            for width in _INT_WIDTHS
+            if np.iinfo(width).min <= low and high <= np.iinfo(width).max
+        )
     return dtype, array.astype(dtype, copy=False).tobytes()
 
 
@@ -496,8 +521,8 @@ def _foreign(data: bytes) -> str:
 
 def decode_snapshot(data: bytes) -> dict:
     """The payload :func:`encode_snapshot` wrote: header fields first,
-    then the columns as read-only arrays over ``data`` (``int32`` or
-    ``int64`` as stored, ``float64``).
+    then the columns as read-only arrays over ``data`` (``int16``,
+    ``int32`` or ``int64`` as stored, ``float64``).
 
     Raises
     ------

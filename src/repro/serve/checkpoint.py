@@ -16,17 +16,15 @@ table ``scores.snap``, the full state as of commit ``base``) and the
 state only moves at window boundaries — between two closes a batch adds
 nothing but each customer's open-window items — so a commit whose batch
 closed no window writes only its journal: per shard, the batch's
-per-customer item unions and the shard clock.  A batch that closes a window, the first
-commit in a directory and the finish seal write a new base instead.
-:meth:`ServeCheckpoint.load` decodes the cursor's base and folds its
-journals in, in commit order: a journal only adds to the open window,
-so the fold touches the open-window columns and the shard clock, and
-a resume costs the base's bytes plus the customers the journals
-name.  Every state file is one checksummed
-:func:`~repro.runtime.snapshot.encode_snapshot` container: a shard
-snapshot's and the score table's columns are stored as arrays, and any
-other payload (a journal, whatever a caller hands in) rides in its
-header, so this module never needs to know a payload's shape.
+per-customer item unions and the shard clock.  A batch that closes a
+window, the first commit in a directory and the finish seal write a
+new base instead.  :meth:`ServeCheckpoint.load` decodes the cursor's
+base and folds its journals in, in commit order: a journal only adds
+to the open window, so the fold touches the open-window columns and
+the shard clock, all in numpy.  Every state file is one checksummed
+:func:`~repro.runtime.snapshot.encode_snapshot` container whose arrays
+are columns: a shard snapshot's, the score table's, and a journal's
+unions (its header holds only its commit and the shard clocks).
 
 A crash before the commit leaves the previous cursor (and its intact
 generation) authoritative: the resumed run replays exactly the one
@@ -39,7 +37,8 @@ A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
 torn/corrupt cursor, a torn, missing, altered (checksum mismatch) or
-misnumbered state file or journal — raises :class:`CursorInvalid`, and
+misnumbered state file, or a malformed journal — raises
+:class:`CursorInvalid`, and
 the loop falls back to restarting from the stream head (Snippet-2
 semantics: idempotent score upsert, warning logged) rather than
 resuming into the wrong data.
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import shutil
 import time
 from collections.abc import Callable
@@ -58,10 +58,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.atomicio import atomic_write_bytes, atomic_write_json
+from repro.core.streaming import pair_keys
 from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
-from repro.runtime.snapshot import decode_snapshot, encode_snapshot, fold_unions
+from repro.runtime.snapshot import (
+    check_span,
+    decode_snapshot,
+    encode_snapshot,
+    fold_unions,
+    payload_columns,
+)
 
 __all__ = [
     "CURSOR_NAME",
@@ -84,7 +91,7 @@ IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 4
+CURSOR_VERSION = 5
 #: Score-table file inside each base.
 SCORES_NAME = "scores.snap"
 
@@ -114,14 +121,17 @@ class ServeCursor:
     ``commit_index`` is the last committed batch; ``base_index`` names
     the generation holding its state — the base ``state-<base_index>/``
     plus journals ``base_index + 1 … commit_index`` (equal indices: the
-    commit wrote the base itself).  ``day_batches_consumed`` is the
-    replay skip count (whole days — a checkpoint batch never splits a
-    day).  Counters ride inside the cursor so a resume restores them
-    atomically with the position.
+    commit wrote the base itself).  ``stream_offset`` is the byte offset
+    in the recorded stream just past the last consumed day line, where
+    a resume starts replaying (``0``: nothing consumed), and
+    ``day_batches_consumed`` counts those days, for reporting (whole
+    days — a checkpoint batch never splits one).  Counters ride inside
+    the cursor so a resume restores them atomically with the position.
     """
 
     commit_index: int
     base_index: int
+    stream_offset: int
     day_batches_consumed: int
     counters: dict[str, int]
     stream_fingerprint: str
@@ -135,6 +145,7 @@ class ServeCursor:
             "version": CURSOR_VERSION,
             "commit_index": self.commit_index,
             "base_index": self.base_index,
+            "stream_offset": self.stream_offset,
             "day_batches_consumed": self.day_batches_consumed,
             "counters": {
                 key: int(self.counters.get(key, 0)) for key in _COUNTER_KEYS
@@ -175,6 +186,7 @@ class ServeCursor:
             cursor = cls(
                 commit_index=int(payload["commit_index"]),
                 base_index=int(payload["base_index"]),
+                stream_offset=int(payload["stream_offset"]),
                 day_batches_consumed=int(payload["day_batches_consumed"]),
                 counters={
                     key: int(counters.get(key, 0)) for key in _COUNTER_KEYS
@@ -332,10 +344,11 @@ class ServeCheckpoint:
         that name is dropped first); returns the directory.  With
         ``base_index`` it writes a **journal** into that base's
         generation: ``shard_payloads`` are the pool's journal entries
-        (:meth:`~repro.serve.pool.ShardedMonitorPool.journal_shards`,
-        ``{"last_day_seen": day, "customers": {id: items}}``), stored
-        with customers and items in sorted order, and no score table;
-        returns the journal's path.
+        (:meth:`~repro.serve.pool.ShardedMonitorPool.journal_shards`:
+        per shard ``last_day_seen`` plus ``customers``,
+        ``item_offsets`` and ``items`` arrays), stored as one column
+        each, shard after shard, and no score table; returns the
+        journal's path.
 
         Every file is an :func:`~repro.runtime.snapshot.encode_snapshot`
         container.  Transient :class:`OSError` is retried with backoff
@@ -362,22 +375,7 @@ class ServeCheckpoint:
                 return directory
 
         else:
-            journal = {
-                "commit_index": commit_index,
-                "shards": [
-                    {
-                        "last_day_seen": entry["last_day_seen"],
-                        "customers": [
-                            [customer_id, sorted(items)]
-                            for customer_id, items in sorted(
-                                entry["customers"].items()
-                            )
-                        ],
-                    }
-                    for entry in shard_payloads
-                ],
-            }
-            blob = encode_snapshot(journal)
+            blob = encode_snapshot(_journal_payload(commit_index, shard_payloads))
             path = self.journal_path(base_index, commit_index)
 
             def write() -> Path:
@@ -497,13 +495,12 @@ class ServeCheckpoint:
         self, cursor: ServeCursor, shard_payloads: list[dict]
     ) -> None:
         """Fold journals ``base_index + 1 … commit_index`` into the
-        base's shard payloads: each shard's customer unions from every
-        journal, and its last clock, fold into its open-window columns
+        base's shard payloads: each shard's slices of every journal's
+        columns, and its last clock, fold into its open-window columns
         in one :func:`~repro.runtime.snapshot.fold_unions` pass."""
-        # Per shard: customer ids, their union sizes and the items.
-        unions: list[tuple[list[int], list[int], list[int]]] = [
-            ([], [], []) for _ in shard_payloads
-        ]
+        n_shards = len(shard_payloads)
+        # Per shard: every journal's customers, union sizes and items.
+        unions: list[tuple[list, list, list]] = [([], [], []) for _ in range(n_shards)]
         clocks: list[int] = []
         for commit_index in range(
             cursor.base_index + 1, cursor.commit_index + 1
@@ -516,18 +513,17 @@ class ServeCheckpoint:
                     f"{journal.get('commit_index')!r}, expected {commit_index}"
                 )
             try:
-                shards = journal["shards"]
-                clocks = [int(entry["last_day_seen"]) for entry in shards]
-                # strict: a journal holds exactly one entry per shard.
-                for (ids, sizes, items), entry in zip(unions, shards, strict=True):
-                    for customer_id, customer_items in entry["customers"]:
-                        ids.append(customer_id)
-                        sizes.append(len(customer_items))
-                        items += customer_items
-            except (KeyError, TypeError, ValueError) as exc:
+                clocks, columns = _journal_columns(journal, n_shards)
+            except (KeyError, TypeError, ValueError, SnapshotError) as exc:
                 raise CursorInvalid(
                     f"{path}: malformed journal: {exc!r}"
                 ) from exc
+            shards = columns["shard_offsets"].tolist()
+            offsets = columns["item_offsets"]
+            for (ids, sizes, items), lo, hi in zip(unions, shards, shards[1:]):
+                ids.append(columns["customers"][lo:hi])
+                sizes.append(np.diff(offsets[lo : hi + 1]))
+                items.append(columns["items"][offsets[lo] : offsets[hi]])
         directory = self.state_dir(cursor.base_index)
         try:
             for payload, (ids, sizes, items), clock in zip(
@@ -535,9 +531,9 @@ class ServeCheckpoint:
             ):
                 fold_unions(
                     payload,
-                    np.asarray(ids, dtype=np.int64),
-                    np.asarray(sizes, dtype=np.int64),
-                    np.asarray(items, dtype=np.int64),
+                    np.concatenate(ids),
+                    np.concatenate(sizes),
+                    np.concatenate(items),
                     clock,
                 )
         except (KeyError, TypeError, ValueError, IndexError, SnapshotError) as exc:
@@ -560,3 +556,61 @@ class ServeCheckpoint:
             raise CursorInvalid(
                 f"{path}: committed state file is torn or altered: {exc}"
             ) from exc
+
+
+#: A journal's columns: each shard's customers (ascending within the
+#: shard, the shards back to back, sliced by ``shard_offsets``) and each
+#: customer's item union (sliced by ``item_offsets``).
+_JOURNAL_COLUMNS = {
+    "shard_offsets": np.int64,
+    "customers": np.int64,
+    "item_offsets": np.int64,
+    "items": np.int64,
+}
+
+
+def _journal_payload(commit_index: int, entries: list[dict]) -> dict:
+    """One commit's journal entries as a container payload: the commit
+    and the shard clocks in the header, the unions as columns."""
+    customers = [np.asarray(entry["customers"], np.int64) for entry in entries]
+    sizes = np.concatenate([np.diff(entry["item_offsets"]) for entry in entries])
+    return {
+        "commit_index": commit_index,
+        "clocks": [int(entry["last_day_seen"]) for entry in entries],
+        "shard_offsets": _offsets(list(map(len, customers))),
+        "customers": np.concatenate(customers),
+        "item_offsets": _offsets(sizes),
+        "items": np.concatenate(
+            [np.asarray(entry["items"], np.int64) for entry in entries]
+        ),
+    }
+
+
+def _offsets(sizes: list[int] | np.ndarray) -> np.ndarray:
+    """Offsets slicing consecutive ranges of the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _journal_columns(
+    journal: dict, n_shards: int
+) -> tuple[list[int], dict[str, np.ndarray]]:
+    """A decoded journal's shard clocks and int64 columns, checked: one
+    clock per shard, offsets that span their columns, and customers
+    strictly ascending within each shard.
+
+    Raises
+    ------
+    ValueError, TypeError, KeyError, SnapshotError
+        Naming what is malformed.
+    """
+    clocks = [operator.index(clock) for clock in journal["clocks"]]
+    if len(clocks) != n_shards:
+        raise ValueError(f"{len(clocks)} shard clock(s) for {n_shards} shard(s)")
+    columns = payload_columns(journal, _JOURNAL_COLUMNS)
+    check_span(columns, "shard_offsets", ("customers",), n_shards)
+    check_span(columns, "item_offsets", ("items",), len(columns["customers"]))
+    shards = np.repeat(np.arange(n_shards), np.diff(columns["shard_offsets"]))
+    keys = pair_keys(shards, columns["customers"])
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("customers do not ascend within their shard")
+    return clocks, columns

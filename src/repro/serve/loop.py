@@ -20,7 +20,8 @@ not the population.  The FeedForward streaming-batch runbook
   cursor commit is the only point of no return, and everything written
   before it is re-derived identically on replay;
 * an unusable cursor (torn file, version drift, stream or config
-  fingerprint mismatch) is not fatal: the loop logs a warning, counts
+  fingerprint mismatch, a ``stream_offset`` that does not begin a day
+  line) is not fatal: the loop logs a warning, counts
   ``serve.cursor_invalid`` and restarts from the stream head, relying
   on the score table's idempotent upsert semantics.
 
@@ -61,6 +62,7 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.pool import ShardedMonitorPool
 from repro.synth.stream import (
+    check_replay_start,
     read_stream_header,
     replay_stream,
     stream_calendar,
@@ -154,7 +156,8 @@ class ServeResult:
     #: Batches this invocation re-processed because a previous run
     #: crashed between state write and cursor commit (0 or 1).
     batches_reworked: int
-    #: Committed replay position, in whole day batches.
+    #: Day batches consumed up to the committed position (reporting;
+    #: the cursor resumes from its byte offset).
     day_batches_consumed: int
     resumed: bool
     #: True when the stream was served to completion (windows closed,
@@ -413,7 +416,7 @@ def serve_stream(
     batch_size:
         Checkpoint cadence: a batch is the smallest run of consecutive
         whole days holding at least this many baskets (days are atomic,
-        so the resume cursor counts whole days).
+        so the resume cursor points just past a whole day's line).
     n_shards, parallel, retries, timeout, fault_plan:
         Shard-pool shape; see :class:`~repro.serve.pool.ShardedMonitorPool`.
     config, beta, first_alarm_window:
@@ -499,6 +502,8 @@ def serve_stream(
     #: The commit whose base the next journal extends (None: no base
     #: in this directory yet, so the next commit writes one).
     base_index: int | None = None
+    #: Byte offset just past the last consumed day line (0: none yet).
+    stream_offset = 0
     day_batches_consumed = 0
     last_day_consumed = -1
     already_finished = False
@@ -514,6 +519,10 @@ def serve_stream(
             n_shards=n_shards,
         )
         if loaded is not None:
+            try:
+                check_replay_start(stream, loaded.cursor.stream_offset)
+            except ConfigError as exc:
+                raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
             pool = ShardedMonitorPool.from_snapshots(
                 loaded.shard_payloads,
                 parallel=parallel,
@@ -540,6 +549,7 @@ def serve_stream(
         counters = ServeCounters.from_dict(cursor.counters)
         commit_index = cursor.commit_index
         base_index = cursor.base_index
+        stream_offset = cursor.stream_offset
         day_batches_consumed = cursor.day_batches_consumed
         resumed = True
         already_finished = cursor.finished
@@ -590,6 +600,7 @@ def serve_stream(
         return ServeCursor(
             commit_index=commit_index,
             base_index=base,
+            stream_offset=stream_offset,
             day_batches_consumed=day_batches_consumed,
             counters=counters.as_dict(),
             stream_fingerprint=stream_fp,
@@ -676,7 +687,8 @@ def serve_stream(
             checkpoint.commit(make_cursor(base, finished))
 
     def process_batch(group: list[DayBatch]) -> None:
-        nonlocal commit_index, day_batches_consumed, last_day_consumed
+        nonlocal commit_index, stream_offset, day_batches_consumed
+        nonlocal last_day_consumed
         n_baskets = sum(b.n_baskets for b in group)
         if on_batch_start is not None:
             batch_plan = on_batch_start(commit_index + 1)
@@ -702,6 +714,7 @@ def serve_stream(
         registry.counter(obs_metrics.SERVE_FLAGGED).inc(
             counters.flagged - flagged_before
         )
+        stream_offset = group[-1].end
         day_batches_consumed += len(group)
         last_day_consumed = group[-1].day
         commit_index += 1
@@ -736,7 +749,7 @@ def serve_stream(
     ):
         pending: list[DayBatch] = []
         pending_baskets = 0
-        for day_batch in replay_stream(stream, skip_days=day_batches_consumed):
+        for day_batch in replay_stream(stream, start=stream_offset):
             pending.append(day_batch)
             pending_baskets += day_batch.n_baskets
             if pending_baskets < batch_size:

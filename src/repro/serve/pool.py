@@ -34,8 +34,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.detector import Alarm
-from repro.core.streaming import StabilityMonitor, WindowCloseReport
+from repro.core.streaming import StabilityMonitor, WindowCloseReport, pair_keys
 from repro.data.basket import Basket, DayBatch
 from repro.errors import ConfigError
 from repro.runtime.executor import ExecutionReport, run_sharded
@@ -276,25 +278,50 @@ class ShardedMonitorPool:
 
     def journal_shards(self) -> list[dict]:
         """What the most recent :meth:`process_batch` added, per shard:
-        the shard clock and each customer's item union over the batch.
+        the shard clock ``last_day_seen`` and the batch's item unions as
+        int64 arrays — ``customers`` ascending, and ``items`` ascending
+        within each customer, customer ``i`` owning
+        ``items[item_offsets[i]:item_offsets[i + 1]]`` (an empty slice
+        when all their baskets were empty).
 
         When that batch closed no window, this is the whole difference
         between the shard states before and after it (a checkpoint
         journal; see :mod:`repro.serve.checkpoint`).
         """
-        unions: list[dict[int, set[int]]] = [{} for _ in self.monitors]
+        ids: list[int] = []
+        sizes: list[int] = []
+        items: list[int] = []
         for batch in self._last_batches:
             for basket in batch.baskets:
-                shard = unions[shard_of(basket.customer_id, self.n_shards)]
-                items = shard.get(basket.customer_id)
-                if items is None:
-                    shard[basket.customer_id] = set(basket.items)
-                else:
-                    items |= basket.items
-        return [
-            {"last_day_seen": monitor.last_day_seen, "customers": customers}
-            for monitor, customers in zip(self.monitors, unions, strict=True)
-        ]
+                ids.append(basket.customer_id)
+                sizes.append(len(basket.items))
+                items.extend(basket.items)
+        customers, basket_rows = np.unique(
+            np.asarray(ids, dtype=np.int64), return_inverse=True
+        )
+        rows = np.repeat(basket_rows, sizes)
+        items_array = np.asarray(items, dtype=np.int64)
+        # One sorted key per (customer, item) pair: the first of each
+        # key is the union, by customer, then item.
+        _, first = np.unique(pair_keys(rows, items_array), return_index=True)
+        rows, items_array = rows[first], items_array[first]
+        counts = np.bincount(rows, minlength=len(customers))
+        customer_shards = customers % self.n_shards  # shard_of, per customer
+        item_shards = customer_shards[rows]
+        entries = []
+        for shard, monitor in enumerate(self.monitors):
+            owned = customer_shards == shard
+            entries.append(
+                {
+                    "last_day_seen": monitor.last_day_seen,
+                    "customers": customers[owned],
+                    "item_offsets": np.concatenate(
+                        ([0], np.cumsum(counts[owned], dtype=np.int64))
+                    ),
+                    "items": items_array[item_shards == shard],
+                }
+            )
+        return entries
 
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far, across all shards."""

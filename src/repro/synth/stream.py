@@ -20,9 +20,12 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import operator
+import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "read_stream_header",
     "stream_calendar",
     "replay_stream",
+    "check_replay_start",
     "stream_fingerprint",
 ]
 
@@ -114,9 +118,9 @@ def synthetic_slab_stream(
 # a JSONL file whose first line is a self-describing header and whose
 # every subsequent line is one day's baskets.  Recording a synthetic
 # scenario once and replaying the file through `repro.serve` makes every
-# serving test exactly reproducible — same bytes in, same scores out —
-# and the file's content fingerprint is what the serve checkpoint cursor
-# pins itself to.
+# serving test exactly reproducible — same bytes in, same scores out.
+# The serve checkpoint cursor pins itself to the file's content
+# fingerprint and resumes at a byte offset where a day line begins.
 # ----------------------------------------------------------------------
 
 RECORDED_STREAM_SCHEMA = "repro.recorded-stream"
@@ -230,77 +234,128 @@ def stream_calendar(header: dict[str, object]) -> StudyCalendar:
     )
 
 
-def replay_stream(
-    path: str | Path, *, skip_days: int = 0
-) -> Iterator[DayBatch]:
+def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
     """Replay a recorded stream as day batches, in recorded order.
 
-    ``skip_days`` drops the first N day batches without parsing their
-    baskets — the serve cursor's resume path ("skip already-fetched
-    pages").  Validation failures raise
+    ``start`` is the byte offset of the day line to begin at — the
+    :attr:`~repro.data.basket.DayBatch.end` of the last batch consumed,
+    so a resume seeks straight past what it has served (the serve
+    cursor's ``stream_offset``) — and ``0`` means the first day line.
+    Every batch carries its own ``end``.  Validation failures raise
     :class:`~repro.errors.SchemaError` naming the offending line; day
     regressions raise it too (a recorded fixture is day-ordered by
     construction, so regression means the file was edited or torn).
+
+    Raises
+    ------
+    ConfigError
+        If ``start`` is not ``0`` and not the start of a line after the
+        header (see :func:`check_replay_start`).
     """
     path = Path(path)
-    if skip_days < 0:
-        raise ConfigError(f"skip_days must be >= 0, got {skip_days}")
     read_stream_header(path)  # validate before yielding anything
     last_day = -1
-    skipped = 0
-    with path.open() as handle:
-        handle.readline()  # header, validated above
-        for line_no, line in enumerate(handle, start=2):
+    with path.open("rb") as handle:
+        position = _day_line_start(path, handle, start)
+        for line in handle:
+            line_start, position = position, position + len(line)
             if not line.strip():
                 continue
-            # Counted in day batches, not lines: blank lines are no days.
-            if skipped < skip_days:
-                skipped += 1
-                continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                batch = _decode_day_line(line, position)
+                if batch.day <= last_day:
+                    raise _Malformed(
+                        f"day {batch.day} does not advance past day {last_day}"
+                    )
+            except _Malformed as exc:
                 raise SchemaError(
-                    f"{path}:{line_no}: corrupt or truncated day batch"
-                ) from exc
-            batch = _parse_day_batch(path, line_no, payload)
-            if batch.day <= last_day and last_day >= 0:
-                raise SchemaError(
-                    f"{path}:{line_no}: day {batch.day} does not advance "
-                    f"past day {last_day}"
-                )
+                    f"{path}:{_line_number(path, line_start)}: {exc}"
+                ) from exc.__cause__
             last_day = batch.day
             yield batch
 
 
-def _parse_day_batch(path: Path, line_no: int, payload: object) -> DayBatch:
-    """One day line as a batch; anything malformed is a
-    :class:`~repro.errors.SchemaError` naming ``path:line_no``.
+def check_replay_start(path: str | Path, start: int) -> None:
+    """Check that :func:`replay_stream` can begin at byte ``start``:
+    ``0``, or an offset between the header's end and the file's end
+    that directly follows a newline.
+
+    Raises
+    ------
+    ConfigError
+        If it cannot (the message names the offset).
+    SchemaError
+        If the file is not a recorded stream.
+    """
+    path = Path(path)
+    read_stream_header(path)
+    with path.open("rb") as handle:
+        _day_line_start(path, handle, start)
+
+
+def _day_line_start(path: Path, handle: BinaryIO, start: int) -> int:
+    """Seek ``handle`` (at the file's start) to the day line at byte
+    ``start``, ``0`` meaning the first, and return that offset."""
+    header_end = len(handle.readline())
+    if start == 0:
+        return header_end
+    size = os.fstat(handle.fileno()).st_size
+    if header_end <= start <= size:
+        handle.seek(start - 1)
+        if handle.read(1) == b"\n":
+            return start
+    raise ConfigError(
+        f"{path}: replay start {start!r} is not the start of a day line "
+        f"(0, or an offset in [{header_end}, {size}] after a newline)"
+    )
+
+
+def _line_number(path: Path, offset: int) -> int:
+    """The 1-based number of the line starting at byte ``offset``.
+
+    Counted only when an error names the line: a resumed replay seeks
+    past the lines before it without reading them.
+    """
+    with path.open("rb") as handle:
+        return handle.read(offset).count(b"\n") + 1
+
+
+class _Malformed(Exception):
+    """What is wrong with a day line, before its line number is counted."""
+
+
+def _decode_day_line(line: bytes, end: int) -> DayBatch:
+    """One day line as a batch ending at byte ``end``; anything
+    malformed raises :class:`_Malformed`.
 
     Ids and items go through :func:`operator.index`, which refuses the
     floats and strings that ``int()`` would silently truncate or parse.
+    A valid line holds no JSON ``true``/``false`` (the only strings are
+    its two keys), so one scan of the raw line refuses every boolean
+    without a per-value type check; ``NaN`` and ``Infinity`` amounts
+    fail the range check every amount takes.
     """
+    try:
+        payload = json.loads(line)
+    except ValueError as exc:
+        raise _Malformed("corrupt or truncated day batch") from exc
+    if b"true" in line or b"false" in line:
+        raise _Malformed("a JSON boolean is no day, id, item or amount")
     if not isinstance(payload, dict) or not isinstance(
         payload.get("baskets"), list
     ):
-        raise SchemaError(f"{path}:{line_no}: malformed day batch")
+        raise _Malformed("malformed day batch")
     day = payload.get("day")
-    if type(day) is not int or day < 0:  # a bool is no day
-        raise SchemaError(
-            f"{path}:{line_no}: day must be an integer >= 0, got {day!r}"
-        )
+    if type(day) is not int or day < 0:
+        raise _Malformed(f"day must be an integer >= 0, got {day!r}")
     baskets = []
     for record in payload["baskets"]:
-        if (
-            not isinstance(record, list)
-            or len(record) != 3
-            or not isinstance(record[2], (int, float))
-        ):
-            raise SchemaError(
-                f"{path}:{line_no}: malformed basket record {record!r}"
-            )
-        customer_id, items, monetary = record
         try:
+            customer_id, items, monetary = record
+            if not 0 <= monetary < math.inf:
+                raise ValueError(
+                    f"amount must be a finite number >= 0, got {monetary!r}"
+                )
             baskets.append(
                 Basket(
                     operator.index(customer_id),
@@ -309,9 +364,9 @@ def _parse_day_batch(path: Path, line_no: int, payload: object) -> DayBatch:
                     float(monetary),
                 )
             )
-        except (TypeError, OverflowError, DataError) as exc:
-            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
-    return DayBatch(day=day, baskets=tuple(baskets))
+        except (TypeError, ValueError, OverflowError, DataError) as exc:
+            raise _Malformed(f"malformed basket record {record!r}: {exc}") from exc
+    return DayBatch(day=day, baskets=tuple(baskets), end=end)
 
 
 def stream_fingerprint(path: str | Path) -> str:

@@ -283,10 +283,21 @@ def test_integer_width_follows_the_data():
         return len(encode_snapshot({"items": values}))
 
     # Same header length either way: only the element width differs.
-    assert size([2**31 - 1, -(2**31)]) - size([1, 2]) == 0
-    assert size([2**31, 0]) - size([1, 2]) == 8
-    wide = [2**63 - 1, -(2**63), 2**31]
-    assert decode_snapshot(encode_snapshot({"items": wide}))["items"].tolist() == wide
+    assert size([2**15 - 1, -(2**15)]) - size([1, 2]) == 0
+    assert size([2**15, 0]) - size([1, 2]) == 4
+    assert size([-(2**15) - 1, 0]) - size([1, 2]) == 4
+    assert size([2**31 - 1, -(2**31)]) - size([1, 2]) == 4
+    assert size([2**31, 0]) - size([1, 2]) == 12
+    assert size([-(2**31) - 1, 0]) - size([1, 2]) == 12
+    for values, dtype in (
+        ([], np.int16),
+        ([2**15 - 1, -(2**15)], np.int16),
+        ([2**15], np.int32),
+        ([2**31 - 1, -(2**31)], np.int32),
+        ([2**63 - 1, -(2**63), 2**31], np.int64),
+    ):
+        decoded = decode_snapshot(encode_snapshot({"items": values}))["items"]
+        assert decoded.dtype == dtype and decoded.tolist() == values, values
     with pytest.raises(SnapshotError, match="items"):
         encode_snapshot({"items": [2**63]})
     with pytest.raises(SnapshotError, match="items"):

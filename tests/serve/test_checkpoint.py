@@ -7,6 +7,7 @@ import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.windowing import WindowGrid
@@ -20,6 +21,7 @@ from repro.serve.checkpoint import CURSOR_SCHEMA, CURSOR_VERSION
 def _cursor(**overrides) -> ServeCursor:
     base = dict(
         commit_index=3,
+        stream_offset=4096,
         day_batches_consumed=17,
         counters={"ingested": 100, "scored": 40, "flagged": 2, "checkpointed": 3},
         stream_fingerprint="aaaa",
@@ -45,11 +47,26 @@ def _write_checkpoint(tmp_path, cursor: ServeCursor) -> ServeCheckpoint:
 
 def _entry(day: int, **customers: set[int]) -> dict:
     """One shard's journal entry, as ShardedMonitorPool.journal_shards
-    builds it (customer ids spelled ``c<id>`` for keyword use)."""
+    builds it: customers ascending, each one's items ascending and
+    sliced by ``item_offsets`` (customer ids spelled ``c<id>`` for
+    keyword use)."""
+    unions = sorted((int(key[1:]), sorted(items)) for key, items in customers.items())
     return {
         "last_day_seen": day,
-        "customers": {int(key[1:]): items for key, items in customers.items()},
+        "customers": np.array([customer for customer, _ in unions], np.int64),
+        "item_offsets": np.array(
+            list(itertools.accumulate((len(items) for _, items in unions), initial=0)),
+            np.int64,
+        ),
+        "items": np.array([item for _, items in unions for item in items], np.int64),
     }
+
+
+def _rewrite_journal(path, **changes) -> None:
+    """Re-encode the journal at ``path`` with some fields replaced."""
+    payload = decode_snapshot(path.read_bytes())
+    payload.update(changes)
+    path.write_bytes(encode_snapshot(payload))
 
 
 def _shard(day: int, *rows: tuple[int, list[int], int, float]) -> dict:
@@ -208,12 +225,18 @@ class TestCommitProtocol:
     def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
         journal = decode_snapshot(checkpoint.journal_path(3, 4).read_bytes())
-        assert journal == {
+        # The header holds the commit and the shard clocks; the unions
+        # are columns, shard 0's customers then shard 1's.
+        columns = {k: v for k, v in journal.items() if isinstance(v, np.ndarray)}
+        assert {k: v for k, v in journal.items() if k not in columns} == {
             "commit_index": 4,
-            "shards": [
-                {"last_day_seen": 40, "customers": [[2, [1, 5]], [4, [3, 7]]]},
-                {"last_day_seen": 40, "customers": [[1, [9]]]},
-            ],
+            "clocks": [40, 40],
+        }
+        assert {name: column.tolist() for name, column in columns.items()} == {
+            "shard_offsets": [0, 2, 3],
+            "customers": [2, 4, 1],
+            "item_offsets": [0, 2, 4, 5],
+            "items": [1, 5, 3, 7, 9],
         }
         assert sorted(p.name for p in checkpoint.state_dir(3).iterdir()) == [
             "journal-000004.snap",
@@ -289,9 +312,11 @@ class TestInvalidCursors:
         checkpoint = _write_checkpoint(tmp_path, _cursor())
         current = json.loads(checkpoint.cursor_path.read_text())
         # Version 1 had no base; version 2 named a base of JSON files;
-        # version 3 kept the score table as JSON in its header.
-        for version in (1, 2, 3):
+        # version 3 kept the score table as JSON in its header; version
+        # 4 had no stream offset and kept journals in their header.
+        for version in (1, 2, 3, 4):
             payload = dict(current, version=version)
+            del payload["stream_offset"]
             if version == 1:
                 del payload["base_index"]
             checkpoint.cursor_path.write_text(json.dumps(payload))
@@ -321,9 +346,7 @@ class TestInvalidCursors:
     def test_journal_naming_another_commit(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
         journal = checkpoint.journal_path(3, 5)
-        payload = decode_snapshot(journal.read_bytes())
-        payload["commit_index"] = 4
-        journal.write_bytes(encode_snapshot(payload))
+        _rewrite_journal(journal, commit_index=4)
         with pytest.raises(
             CursorInvalid,
             match=f"{re.escape(str(journal))}: journal names commit 4, "
@@ -335,11 +358,44 @@ class TestInvalidCursors:
         checkpoint = _write_generation(tmp_path)
         journal = checkpoint.journal_path(3, 5)
         payload = decode_snapshot(journal.read_bytes())
-        del payload["shards"][1]
-        journal.write_bytes(encode_snapshot(payload))
+        # Journal 5 without shard 1: its clock, customers and items.
+        end = int(payload["shard_offsets"][1])
+        _rewrite_journal(
+            journal,
+            clocks=payload["clocks"][:1],
+            shard_offsets=payload["shard_offsets"][:2],
+            customers=payload["customers"][:end],
+            item_offsets=payload["item_offsets"][: end + 1],
+            items=payload["items"][: int(payload["item_offsets"][end])],
+        )
         with pytest.raises(
             CursorInvalid,
             match=f"{re.escape(str(journal))}: malformed journal",
+        ):
+            _load(checkpoint)
+
+    def test_journal_offsets_must_span_their_items(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 4)
+        payload = decode_snapshot(journal.read_bytes())
+        # One item too many for the offsets: [1, 5, 3, 7, 9, 9].
+        _rewrite_journal(journal, items=np.append(payload["items"], 9))
+        with pytest.raises(
+            CursorInvalid,
+            match=f"{re.escape(str(journal))}: malformed journal: .*"
+            "'item_offsets' does not span 'items'",
+        ):
+            _load(checkpoint)
+
+    def test_journal_customers_must_ascend_within_a_shard(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        journal = checkpoint.journal_path(3, 4)
+        # Shard 0 holds customers 2 then 4; make it 4 then 2.
+        _rewrite_journal(journal, customers=np.array([4, 2, 1]))
+        with pytest.raises(
+            CursorInvalid,
+            match=f"{re.escape(str(journal))}: malformed journal: .*"
+            "do not ascend within their shard",
         ):
             _load(checkpoint)
 

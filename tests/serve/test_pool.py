@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.streaming import StabilityMonitor
-from repro.data.basket import iter_day_batches
+from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
 from repro.serve.pool import _process_shard_batch  # noqa: PLC2701
@@ -144,6 +144,39 @@ class TestSharding:
         assert pool.customers() == sorted(
             {b.customer_id for b in day_ordered_baskets}
         )
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_journal_shards_are_the_batch_unions(
+        self, serve_dataset, day_ordered_baskets, serve_config, n_shards
+    ):
+        """The columnar journal against per-customer Python sets, over
+        days with repeat visits, repeated items and (appended) empty
+        baskets."""
+        days = list(iter_day_batches(day_ordered_baskets))[40:60]
+        last = days[-1].day
+        empty = (Basket.of(10**6, last, []), Basket.of(7, last, []))
+        days[-1] = DayBatch(last, (*days[-1].baskets, *empty))
+        pool = ShardedMonitorPool.create(
+            serve_config.grid(serve_dataset.calendar),
+            n_shards=n_shards,
+            significance=serve_config.significance(),
+            counting=serve_config.counting,
+        )
+        pool.process_batch(days)
+        unions: dict[int, set[int]] = {}
+        for day in days:
+            for basket in day.baskets:
+                unions.setdefault(basket.customer_id, set()).update(basket.items)
+        entries = pool.journal_shards()
+        assert len(entries) == n_shards
+        for shard, entry in enumerate(entries):
+            expected = {c: u for c, u in unions.items() if shard_of(c, n_shards) == shard}
+            offsets = entry["item_offsets"].tolist()
+            assert entry["last_day_seen"] == days[-1].day
+            assert entry["customers"].tolist() == sorted(expected)
+            assert [
+                entry["items"][lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])
+            ] == [sorted(expected[c]) for c in sorted(expected)]
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from repro.data import Basket
 from repro.errors import ConfigError, DataError, SchemaError
 from repro.synth.stream import (
     RECORDED_STREAM_VERSION,
+    check_replay_start,
     read_stream_header,
     record_stream,
     replay_stream,
@@ -43,23 +44,41 @@ class TestRecordReplay:
         assert calendar == serve_dataset.calendar
 
     def test_skip_days_resumes_mid_stream(self, stream_path, tmp_path):
-        full = list(replay_stream(stream_path))
-        # The same stream with a blank line after its first day batch:
-        # skipping counts day batches, not lines.
-        header, first, *rest = stream_path.read_text().splitlines(keepends=True)
+        """Starting at a batch's ``end`` yields exactly the batches after
+        it, ends included, also where blank lines lie between them."""
+        # The same stream with a blank line after its first day batch.
+        header, first, *rest = stream_path.read_bytes().splitlines(keepends=True)
         spaced = tmp_path / "spaced.jsonl"
-        spaced.write_text("".join([header, first, "\n", *rest]))
+        spaced.write_bytes(b"".join([header, first, b"\n", *rest]))
         for path in (stream_path, spaced):
-            tail = list(replay_stream(path, skip_days=3))
-            assert [b.day for b in tail] == [b.day for b in full[3:]], path
+            full = list(replay_stream(path))
+            assert full[0].end == len(header) + len(first), path
+            for k in (0, 1, 3, len(full) - 2):
+                tail = list(replay_stream(path, start=full[k].end))
+                assert tail == full[k + 1 :], (path, k)
+                assert [b.end for b in tail] == [b.end for b in full[k + 1 :]]
 
     def test_skip_all_days_yields_nothing(self, stream_path):
-        n_days = sum(1 for _ in replay_stream(stream_path))
-        assert list(replay_stream(stream_path, skip_days=n_days)) == []
+        last = list(replay_stream(stream_path))[-1]
+        assert last.end == stream_path.stat().st_size
+        assert list(replay_stream(stream_path, start=last.end)) == []
 
     def test_negative_skip_rejected(self, stream_path):
-        with pytest.raises(ConfigError, match="skip_days"):
-            list(replay_stream(stream_path, skip_days=-1))
+        with pytest.raises(ConfigError, match="start -1"):
+            list(replay_stream(stream_path, start=-1))
+
+    def test_start_must_begin_a_day_line(self, stream_path):
+        full = list(replay_stream(stream_path))
+        header_end = len(stream_path.read_bytes().splitlines(keepends=True)[0])
+        size = stream_path.stat().st_size
+        # Inside the header, inside a day line, past the file's end.
+        for start in (1, header_end - 1, full[1].end - 1, full[0].end + 1, size + 1):
+            with pytest.raises(ConfigError, match=f"replay start {start} "):
+                list(replay_stream(stream_path, start=start))
+            with pytest.raises(ConfigError, match=f"replay start {start} "):
+                check_replay_start(stream_path, start)
+        for start in (0, header_end, full[1].end, size):
+            check_replay_start(stream_path, start)
 
     def test_fingerprint_is_content_stable(
         self, serve_dataset, day_ordered_baskets, stream_path, tmp_path
@@ -163,6 +182,11 @@ class TestRejection:
             {"day": -1, "baskets": [[1, [1], 1.0]]},
             {"day": 6, "baskets": [[1, [1], -1.0]]},
             {"day": 6, "baskets": [[1, [1], 10**400]]},
+            '{"day": 6, "baskets": [[true, [false], Infinity]]}',
+            '{"day": 6, "baskets": [[1, [2], NaN]]}',
+            '{"day": 6, "baskets": [[1, [2], true]]}',
+            '{"day": 6, "baskets": [[1, [2], -Infinity]]}',
+            '{"day": 6, "baskets": [[1, [2], 1e400]]}',
         ],
         ids=[
             "float-ids",
@@ -175,6 +199,11 @@ class TestRejection:
             "negative-day-with-basket",
             "negative-monetary",
             "monetary-past-float-range",
+            "boolean-id-and-item-infinite-amount",
+            "nan-amount",
+            "boolean-amount",
+            "negative-infinite-amount",
+            "amount-literal-past-float-range",
         ],
     )
     def test_malformed_day_line_names_line_number(
@@ -186,7 +215,8 @@ class TestRejection:
             [], tmp_path / "hostile.jsonl", calendar=serve_dataset.calendar
         )
         with path.open("a") as sink:
-            sink.write(json.dumps(line) + "\n")
+            # A string is the raw line: JSON that json.dumps cannot spell.
+            sink.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
         with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
             list(replay_stream(path))
 
@@ -202,23 +232,28 @@ class TestRejection:
 
 
 class TestSkipDaysEdges:
-    """The resume path's skip semantics, edge by edge (soak satellite)."""
+    """The resume path's start offset, edge by edge: a resume skips the
+    days it has consumed by seeking past them."""
 
     def test_skip_zero_is_the_full_replay(self, stream_path):
         full = list(replay_stream(stream_path))
-        skipped = list(replay_stream(stream_path, skip_days=0))
-        assert [b.day for b in skipped] == [b.day for b in full]
-        assert sum(b.n_baskets for b in skipped) == sum(
-            b.n_baskets for b in full
-        )
+        header_end = len(stream_path.read_bytes().splitlines(keepends=True)[0])
+        for start in (0, header_end):
+            skipped = list(replay_stream(stream_path, start=start))
+            assert skipped == full
+            assert [b.end for b in skipped] == [b.end for b in full]
 
-    def test_skip_past_end_yields_nothing(self, stream_path):
-        n_days = sum(1 for _ in replay_stream(stream_path))
-        assert list(replay_stream(stream_path, skip_days=n_days + 5)) == []
+    def test_skip_past_end_yields_nothing(self, stream_path, tmp_path):
+        # Blank lines after the last day: no day lies past its end.
+        padded = tmp_path / "padded.jsonl"
+        padded.write_bytes(stream_path.read_bytes() + b"\n  \n")
+        last = list(replay_stream(padded))[-1]
+        for start in (last.end, last.end + 1, padded.stat().st_size):
+            assert list(replay_stream(padded, start=start)) == []
 
     def test_skip_exactly_to_final_batch(self, stream_path):
         full = list(replay_stream(stream_path))
-        tail = list(replay_stream(stream_path, skip_days=len(full) - 1))
+        tail = list(replay_stream(stream_path, start=full[-2].end))
         assert len(tail) == 1
         last = tail[0]
         assert last.day == full[-1].day

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-import re
+import struct
 
 import pytest
 
@@ -289,17 +289,13 @@ class TestCursorFallback:
                 cursor.base_index, cursor.commit_index
             ),
         }[kind]
-        # Change one byte inside the data, the file still complete.
+        # Change one byte inside the arrays, the file still complete:
+        # past the magic, the header length, the header and its CRC32.
         data = bytearray(target.read_bytes())
-        if kind in ("shard", "scores"):
-            index = len(data) // 2  # inside the arrays
-        else:
-            # Journals ride in the JSON header: change the second of two
-            # adjacent digits, so that it still parses and only the
-            # checksum can tell.
-            digits = re.compile(rb"[0-9]([0-9])")
-            index = digits.search(data, len(data) // 2).start(1)
-        data[index] ^= 0x01
+        (header_length,) = struct.unpack_from("<I", data, 8)
+        arrays_start = 12 + header_length + 4
+        assert arrays_start < len(data), kind
+        data[(arrays_start + len(data)) // 2] ^= 0x01
         target.write_bytes(bytes(data))
         registry = MetricsRegistry()
         with use_metrics(registry):
@@ -309,6 +305,64 @@ class TestCursorFallback:
         assert not result.resumed
         assert result.finished
         assert result.fingerprint() == offline_reference.fingerprint()
+        assert (
+            registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        )
+
+    def test_resume_replays_from_the_cursor_offset(
+        self, stream_path, serve_config, offline_reference, tmp_path, monkeypatch
+    ):
+        import repro.serve.loop as loop
+
+        ckpt = tmp_path / "offset"
+        partial = serve_stream(
+            stream_path, ckpt, config=serve_config, batch_size=BATCH, max_batches=3
+        )
+        cursor = ServeCheckpoint(ckpt).read_cursor()
+        days = list(replay_stream(stream_path))
+        # The offset is the end of the last consumed day's line.
+        assert cursor.stream_offset == days[partial.day_batches_consumed - 1].end
+        starts = []
+
+        def recording_replay(path, **kwargs):
+            starts.append(kwargs.get("start", 0))
+            return replay_stream(path, **kwargs)
+
+        monkeypatch.setattr(loop, "replay_stream", recording_replay)
+        result = serve_stream(stream_path, ckpt, config=serve_config, batch_size=BATCH)
+        assert starts == [cursor.stream_offset]
+        assert result.resumed and not result.batches_reworked
+        assert result.fingerprint() == offline_reference.fingerprint()
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda offset, size: offset + 1, lambda offset, size: 5,
+         lambda offset, size: size + 10, lambda offset, size: -1],
+        ids=["mid-line", "in-header", "past-end", "negative"],
+    )
+    def test_mangled_stream_offset_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path, caplog, mangle
+    ):
+        ckpt = tmp_path / "mangled-offset"
+        serve_stream(
+            stream_path, ckpt, config=serve_config, batch_size=BATCH, max_batches=3
+        )
+        cursor = json.loads((ckpt / "cursor.json").read_text())
+        cursor["stream_offset"] = mangle(
+            cursor["stream_offset"], stream_path.stat().st_size
+        )
+        (ckpt / "cursor.json").write_text(json.dumps(cursor))
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH
+            )
+        assert not result.resumed
+        assert result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert any("stream_offset" in r.message for r in caplog.records)
         assert (
             registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
         )
