@@ -1,16 +1,13 @@
 """S1 — scaling: runtime of the stability model vs population size.
 
 The paper's dataset has 6M customers; this laptop-scale bench verifies
-that (a) every fit backend scales linearly in the number of customers
-(the per-customer work is independent), which is what makes the 6M-scale
-deployment plausible, and (b) the population-batched engine beats the
-incremental one by the margin the performance architecture promises
-(≥ 5× at the 400-customer scenario).
+that the columnar kernel scales linearly in the number of customers
+(the per-customer work is independent), which is what makes the
+6M-scale deployment plausible.
 
 Besides the rendered table, the bench emits machine-readable telemetry
-to ``BENCH_scaling.json`` at the repository root (sizes, fit seconds per
-backend, ms/customer) so future PRs have a perf trajectory to compare
-against.
+to ``BENCH_scaling.json`` at the repository root (sizes, fit seconds,
+ms/customer) so future PRs have a perf trajectory to compare against.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from pathlib import Path
 
 from benchmarks.conftest import save_artifact
 from repro.config import ExperimentConfig
-from repro.core.engines import available_engines
 from repro.core.model import StabilityModel
 from repro.eval.benchmarking import (
     merge_scaling_json,
@@ -36,48 +32,32 @@ SIZES = (25, 50, 100, 200)
 SEED = 13
 
 
-def _fit_stability(dataset, backend: str = "incremental"):
+def _fit_stability(dataset):
     model = StabilityModel.from_config(
-        dataset.calendar,
-        ExperimentConfig(window_months=2, alpha=2.0, backend=backend),
+        dataset.calendar, ExperimentConfig(window_months=2, alpha=2.0)
     )
     model.fit(dataset.log)
     return model
 
 
 def test_stability_fit_scaling(benchmark, output_dir):
-    backends = available_engines()
-    telemetry = scaling_telemetry(
-        sizes=SIZES, seed=SEED, backends=backends, repeat=3
-    )
+    telemetry = scaling_telemetry(sizes=SIZES, seed=SEED, repeat=3)
     text = "\n".join(
         [
-            "S1 — stability model scaling (fit time vs customers, per backend)",
+            "S1 — stability model scaling (fit time vs customers)",
             render_scaling(telemetry),
         ]
     )
     save_artifact(output_dir, "scaling.txt", text)
     merge_scaling_json(TELEMETRY_PATH, telemetry)
 
-    # The timed benchmark: the batch backend on the largest population.
+    # The timed benchmark: the fit on the largest population.
     largest = generate_dataset(
         ScenarioConfig(n_loyal=SIZES[-1], n_churners=SIZES[-1], seed=SEED)
     )
-    benchmark.pedantic(
-        _fit_stability, args=(largest, "batch"), rounds=3, iterations=1
-    )
+    benchmark.pedantic(_fit_stability, args=(largest,), rounds=3, iterations=1)
 
-    # Linearity: per-customer cost must not blow up with population size,
-    # for any backend.
-    for name in backends:
-        per_customer = [
-            entry["backends"][name]["ms_per_customer"]
-            for entry in telemetry["results"]
-        ]
-        assert per_customer[-1] < per_customer[0] * 3 + 1.0, name
-
-    # The performance-architecture contract: at the 400-customer scenario
-    # the batch engine fits >= 5x faster than the incremental engine.
-    largest_entry = telemetry["results"][-1]
-    assert largest_entry["customers"] == 2 * SIZES[-1]
-    assert largest_entry["speedup_batch_vs_incremental"] >= 5.0, largest_entry
+    # Linearity: per-customer cost must not blow up with population size.
+    per_customer = [entry["ms_per_customer"] for entry in telemetry["results"]]
+    assert per_customer[-1] < per_customer[0] * 3 + 1.0, per_customer
+    assert telemetry["results"][-1]["customers"] == 2 * SIZES[-1]

@@ -8,7 +8,7 @@ Subcommands
 ``stats``      Print the dataset-statistics table (E3).
 ``tune``       Run the 5-fold CV parameter search (E4).
 ``explain``    Explain one customer's stability at one window.
-``bench``      Time StabilityModel fit backends and emit perf telemetry.
+``bench``      Time the StabilityModel fit and emit perf telemetry.
 ``obs``        Summarize a trace JSONL emitted via ``--trace-out``.
 ``lint``       Statically check the determinism/atomicity invariants.
 ``record``     Record a synthetic scenario as a replayable basket stream.
@@ -33,7 +33,6 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from repro.config import ExperimentConfig
-from repro.core.engines import available_engines
 from repro.core.model import StabilityModel
 from repro.core.tuning import tune_stability_model
 from repro.data.io import write_cohorts_json, write_log_csv
@@ -133,25 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
     figure1.add_argument("--window-months", type=int, default=2)
     figure1.add_argument("--alpha", type=float, default=2.0)
     figure1.add_argument(
-        "--backend",
-        choices=available_engines(),
-        default="batch",
-        help="stability engine (both are bit-identical; batch is faster)",
-    )
-    figure1.add_argument(
         "--retries",
         type=int,
         default=2,
         help=(
             "pool retry waves before a failed shard degrades to the "
-            "in-process fallback (batch backend only)"
+            "in-process fallback (with --n-jobs above 1)"
         ),
     )
     figure1.add_argument(
         "--n-jobs",
         type=int,
         default=1,
-        help="worker processes for the batch backend (-1 = all cores)",
+        help="worker processes for the fit (-1 = all cores)",
     )
     figure1.add_argument(
         "--checkpoint-dir",
@@ -222,13 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", type=Path, required=True, help="output file (.csv or .json)")
 
     bench = sub.add_parser(
-        "bench", help="benchmark StabilityModel fit backends (perf telemetry)"
-    )
-    bench.add_argument(
-        "--backend",
-        choices=("all",) + available_engines(),
-        default="all",
-        help="backend to time (default: all of them)",
+        "bench", help="benchmark the StabilityModel fit (perf telemetry)"
     )
     bench.add_argument(
         "--sizes",
@@ -239,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     bench.add_argument(
-        "--n-jobs", type=int, default=1, help="worker processes for the batch backend"
+        "--n-jobs", type=int, default=1, help="worker processes for the fit"
     )
     bench.add_argument(
         "--json", type=Path, default=None, help="write machine-readable telemetry here"
@@ -604,7 +591,6 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         window_months=args.window_months,
         alpha=args.alpha,
-        backend=args.backend,
         retries=args.retries,
         n_jobs=args.n_jobs,
     )
@@ -857,13 +843,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_scaling_json,
     )
 
-    backends = (
-        available_engines() if args.backend == "all" else (args.backend,)
-    )
     telemetry = scaling_telemetry(
         sizes=tuple(args.sizes),
         seed=args.seed,
-        backends=backends,
         repeat=args.repeat,
         n_jobs=args.n_jobs,
     )

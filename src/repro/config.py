@@ -38,7 +38,6 @@ __all__ = ["ExperimentConfig", "DEFAULT_BETA_GRID"]
 #: Default alarm-threshold sweep used by ROC-style analyses.
 DEFAULT_BETA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every shared experiment knob, validated on construction.
@@ -57,22 +56,22 @@ class ExperimentConfig:
     first_month, last_month:
         Inclusive month range of the evaluation axis (paper: 12 to 24).
     backend:
-        Name of the stability engine (:mod:`repro.core.engines`):
-        ``"incremental"`` or ``"batch"``.
+        Name of the stability kernel: ``"batch"``, the columnar kernel of
+        :mod:`repro.core.batch` and the only legal value (kept so
+        existing configs still construct).
     n_jobs:
-        Worker processes for the batch engine (``-1`` = all cores).
+        Worker processes for the kernel (``-1`` = all cores).
     retries:
         Pool retry waves the resilient shard executor attempts before a
         failed shard degrades to the serial in-process fallback
         (:func:`~repro.runtime.executor.run_sharded`); only sharded
-        batch fits consult it.
+        fits consult it.
     counting:
-        Absence-counting scheme, see
-        :class:`~repro.core.significance.SignificanceTracker`.
+        Absence-counting scheme, one of
+        :data:`~repro.core.significance.COUNTING_SCHEMES`.
 
     The dataclass is frozen and hashable, so it can key memoisation
-    caches (e.g. the per-``(customer, config)`` explanation cache of
-    :class:`~repro.core.model.StabilityModel`).
+    caches.
     """
 
     window_months: int = 2
@@ -80,7 +79,7 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     first_month: int = 12
     last_month: int = 24
-    backend: str = "incremental"
+    backend: str = "batch"
     n_jobs: int = 1
     retries: int = 2
     counting: str = "paper"
@@ -113,14 +112,9 @@ class ExperimentConfig:
             raise ConfigError(f"n_jobs must be >= 1 or -1, got {self.n_jobs}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        # Engine names live in repro.core.engines, imported lazily
-        # because repro.core itself consumes this module's configs.
-        from repro.core.engines import available_engines
-
-        if self.backend not in available_engines():
+        if self.backend != "batch":
             raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {available_engines()}"
+                f"unknown backend {self.backend!r}; expected one of ('batch',)"
             )
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ Layered exactly as Section 2 of the paper:
 * :mod:`repro.core.windowing` — the windowed database ``D_i^w``;
 * :mod:`repro.core.significance` — item significance ``S(p, k)``;
 * :mod:`repro.core.stability` — per-window stability and trajectories;
+* :mod:`repro.core.batch` — the columnar kernel that computes them;
 * :mod:`repro.core.explanation` — argmax / top-K missing-item explanations;
 * :mod:`repro.core.detector` — the beta-threshold defection rule;
 * :mod:`repro.core.model` — the :class:`StabilityModel` facade;
@@ -13,7 +14,7 @@ Layered exactly as Section 2 of the paper:
 
 from repro.core.batch import (
     BatchStability,
-    batch_churn_scores,
+    Scoring,
     significance_from_counts,
     stability_matrix,
 )
@@ -26,13 +27,7 @@ from repro.core.characterization import (
     profile_population,
 )
 from repro.core.detector import Alarm, ThresholdDetector
-from repro.core.engines import (
-    EngineFit,
-    FitSpec,
-    available_engines,
-    frame_windowed_history,
-    get_engine,
-)
+from repro.core.engines import frame_windowed_history
 from repro.core.explanation import (
     DropExplanation,
     MissingItem,
@@ -46,12 +41,10 @@ from repro.core.significance import (
     validate_alpha,
     ExponentialSignificance,
     FrequencyRatioSignificance,
-    ItemCounts,
     LinearSignificance,
     SignificanceFunction,
-    SignificanceTracker,
 )
-from repro.core.stability import StabilityTrajectory, WindowStability, stability_trajectory
+from repro.core.stability import StabilityTrajectory, WindowStability
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
 from repro.core.trend import TrendForecast, forecast_stability, rank_by_risk
 from repro.core.tuning import TuningOutcome, tune_stability_model
@@ -61,12 +54,8 @@ __all__ = [
     "Alarm",
     "BatchStability",
     "COUNTING_SCHEMES",
-    "EngineFit",
-    "FitSpec",
-    "available_engines",
+    "Scoring",
     "frame_windowed_history",
-    "get_engine",
-    "batch_churn_scores",
     "significance_from_counts",
     "stability_matrix",
     "validate_alpha",
@@ -81,11 +70,9 @@ __all__ = [
     "profile_population",
     "ExponentialSignificance",
     "FrequencyRatioSignificance",
-    "ItemCounts",
     "LinearSignificance",
     "MissingItem",
     "SignificanceFunction",
-    "SignificanceTracker",
     "StabilityModel",
     "StabilityTrajectory",
     "ThresholdDetector",
@@ -99,7 +86,6 @@ __all__ = [
     "explain_drop",
     "explain_trajectory",
     "explain_window",
-    "stability_trajectory",
     "tune_stability_model",
     "windowed_history",
 ]

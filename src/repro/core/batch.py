@@ -1,24 +1,26 @@
-"""Population-scale batched stability engine.
+"""The stability kernel: every customer at every window in numpy.
 
-The third implementation of the paper's stability definition, built for
-whole-population throughput rather than per-customer clarity:
+The one implementation of the paper's stability definition behind
+:class:`~repro.core.model.StabilityModel`, built for whole-population
+throughput:
 
 * the transaction log is encoded **once** into flat columnar arrays
   (:meth:`~repro.data.transactions.TransactionLog.to_columnar`), then
   windowed and deduplicated into ``(customer, item, window)`` presence
   triples grouped CSR-style by ``(customer, item)`` pair — the
   :class:`~repro.data.population.PopulationFrame` data plane, which
-  since its promotion to :mod:`repro.data` also feeds the evaluation
-  protocol and the RFM baselines;
+  also feeds the evaluation protocol and the RFM baselines;
 * significance and stability for **all customers × all windows** come out
   of a handful of numpy segment operations
   (:func:`stability_matrix`): per-pair shifted cumulative presence
-  counts, the log-space saturated exponential rule (identical to
-  :class:`~repro.core.significance.ExponentialSignificance`), and
-  empty-segment-safe ``reduceat`` sums over the customer axis;
-* scoring one window for the whole population
-  (:func:`batch_churn_scores`) slices the cumulative-count math at ``k``
-  — no per-customer trajectory recomputation;
+  counts ``c``, the significance of each count, and empty-segment-safe
+  ``reduceat`` sums over the customer axis;
+* the significance of a count is the paper's exponential rule in log
+  space (:func:`significance_from_counts`) for the paper configuration,
+  and for any other ``(c, l)`` rule or the ``"since-first-seen"``
+  counting scheme a table of the scalar rule over ``0..n_windows``
+  (:func:`significance_table`) indexed by the count matrices; an
+  optional item-weight column multiplies in (:class:`Scoring`);
 * the customer axis shards across worker processes (``n_jobs``) for
   multi-core fits, behind the fault-isolating
   :func:`~repro.runtime.executor.run_sharded` protocol: a shard whose
@@ -35,26 +37,27 @@ whole-population throughput rather than per-customer clarity:
   worker maps the store itself, keeping fork/spawn payloads and
   per-worker RSS flat as the population grows.
 
-Only the exponential significance and the ``"paper"`` counting scheme
-are supported; anything else stays on the flexible incremental engine.
-Exact agreement with the incremental engine is pinned by differential
-tests.
+Tasks carry the :class:`Scoring` (``alpha``, the table, the weight
+column), never a rule object.  Agreement with the paper's equations is
+pinned by the oracle tests (``tests/core/oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.significance import validate_alpha
-from repro.core.windowing import WindowGrid
+from repro.core.significance import (
+    ExponentialSignificance,
+    SignificanceFunction,
+    validate_alpha,
+)
 from repro.data.population import PopulationFrame
-from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError
 from repro.obs import span, timed_stage
 from repro.obs.metrics import STAGE_NORMALIZE, STAGE_SIGNIFICANCE
@@ -64,8 +67,10 @@ from repro.runtime.faults import FaultPlan
 __all__ = [
     "PopulationFrame",
     "BatchStability",
+    "Scoring",
+    "pair_significance",
+    "significance_table",
     "stability_matrix",
-    "batch_churn_scores",
     "significance_from_counts",
 ]
 
@@ -83,14 +88,120 @@ def significance_from_counts(
     ``c - l = 2c - k``.  The score is computed in log space with the same
     saturation cap as the scalar rule, and is 0 where ``c == 0``.
 
-    This is the one significance kernel shared by the batch engine, the
-    single-window population scorer and the streaming monitor's window
-    close.
+    This is the paper configuration's significance in the kernel and in
+    the streaming monitor's window close.
     """
     counts = np.asarray(counts, dtype=np.float64)
     margin = 2.0 * counts - np.asarray(n_prior_windows, dtype=np.float64)
     significance = np.exp(np.minimum(margin * math.log(alpha), _MAX_LOG))
     return np.where(counts > 0.0, significance, 0.0)
+
+
+def significance_table(
+    significance: SignificanceFunction, n_windows: int
+) -> np.ndarray:
+    """``table[c, l]``: the scalar rule's ``S`` for every count pair a
+    grid of ``n_windows`` windows can reach (``c + l <= n_windows``, 0
+    elsewhere).  Row 0 is 0, the rule's convention for unseen items."""
+    size = n_windows + 1
+    table = np.zeros((size, size), dtype=np.float64)
+    for c in range(size):
+        for l in range(size - c):
+            table[c, l] = significance(c, l)
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class Scoring:
+    """How the kernel turns prior counts into significance, as plain data.
+
+    ``table`` is ``None`` for the paper configuration (exponential rule at
+    ``alpha``, ``"paper"`` counting), which runs through
+    :func:`significance_from_counts`; otherwise ``table[c, l]`` holds the
+    rule (:func:`significance_table`) and ``since_first_seen`` selects
+    the counting scheme.  ``weight_items`` (ascending) and
+    ``weight_values`` are the item-weight column: an item's significance
+    is multiplied by its weight, 1 for unlisted items.  Sharded and slab
+    tasks carry this object, so a worker needs no rule object.
+    """
+
+    alpha: float = 2.0
+    table: np.ndarray | None = None
+    since_first_seen: bool = False
+    weight_items: np.ndarray | None = None
+    weight_values: np.ndarray | None = None
+
+    @classmethod
+    def of(
+        cls,
+        significance: SignificanceFunction,
+        counting: str,
+        item_weights: Mapping[int, float] | None,
+        n_windows: int,
+    ) -> Scoring:
+        """The scoring of a rule, counting scheme and item weighting on a
+        grid of ``n_windows`` windows."""
+        weight_items = weight_values = None
+        if item_weights:
+            weight_items = np.array(sorted(item_weights), dtype=np.int64)
+            weight_values = np.array(
+                [float(item_weights[item]) for item in weight_items.tolist()]
+            )
+        if isinstance(significance, ExponentialSignificance) and counting == "paper":
+            return cls(
+                alpha=significance.alpha,
+                weight_items=weight_items,
+                weight_values=weight_values,
+            )
+        return cls(
+            table=significance_table(significance, n_windows),
+            since_first_seen=counting == "since-first-seen",
+            weight_items=weight_items,
+            weight_values=weight_values,
+        )
+
+    def pair_weights(self, pair_items: np.ndarray) -> np.ndarray:
+        """The weight of each pair's item (1 where none is listed)."""
+        assert self.weight_items is not None and self.weight_values is not None
+        weights = np.ones(len(pair_items), dtype=np.float64)
+        if len(self.weight_items):
+            at = np.searchsorted(self.weight_items, pair_items)
+            at = np.minimum(at, len(self.weight_items) - 1)
+            listed = self.weight_items[at] == pair_items
+            weights[listed] = self.weight_values[at[listed]]
+        return weights
+
+
+def pair_significance(
+    population: PopulationFrame, scoring: Scoring
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(presence, prior, significance)``, each ``(n_pairs, n_windows)``.
+
+    ``presence[j, k]`` is 1 where pair ``j``'s item is in window ``k``,
+    ``prior[j, k]`` counts the windows before ``k`` that hold it (``c``),
+    and ``significance[j, k]`` is ``S(item, k)`` times the item's weight.
+    Under the paper scheme ``l = k - c``; under ``"since-first-seen"``
+    the windows before the item's first purchase do not count.
+    """
+    n_pairs, n_windows = population.n_pairs, population.n_windows
+    presence = np.zeros((n_pairs, n_windows), dtype=np.float64)
+    if n_pairs:
+        presence[population.pair_rows(), population.triple_window] = 1.0
+    prior = np.zeros_like(presence)
+    prior[:, 1:] = np.cumsum(presence, axis=1)[:, :-1]
+    if scoring.table is None:
+        window_index = np.arange(n_windows, dtype=np.float64)
+        significance = significance_from_counts(prior, window_index, scoring.alpha)
+    else:
+        c = prior.astype(np.intp)
+        absent = np.arange(n_windows, dtype=np.intp) - c
+        if scoring.since_first_seen:
+            first_seen = population.triple_window[population.triple_offsets[:-1]]
+            absent -= first_seen.astype(np.intp)[:, None]
+        significance = scoring.table[c, np.where(c > 0, absent, 0)]
+    if scoring.weight_items is not None:
+        significance = significance * scoring.pair_weights(population.pair_items)[:, None]
+    return presence, prior, significance
 
 
 def _segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -123,7 +234,7 @@ class BatchStability:
     ``stability``, ``kept_mass`` and ``total_mass`` all have shape
     ``(n_customers, n_windows)``; row order matches
     ``population.customer_ids``.  Stability is NaN where undefined (no
-    prior significance mass), matching the incremental engine.
+    prior significance mass).
 
     ``execution`` carries the resilient executor's
     :class:`~repro.runtime.executor.ExecutionReport` for sharded fits
@@ -148,7 +259,7 @@ class BatchStability:
 
 
 def _stability_kernel(
-    population: PopulationFrame, alpha: float
+    population: PopulationFrame, scoring: Scoring
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dense per-shard kernel: ``(stability, kept, total)`` matrices.
 
@@ -160,13 +271,7 @@ def _stability_kernel(
     with timed_stage(
         STAGE_SIGNIFICANCE, pairs=n_pairs, windows=n_windows
     ):
-        presence = np.zeros((n_pairs, n_windows), dtype=np.float64)
-        if n_pairs:
-            presence[population.pair_rows(), population.triple_window] = 1.0
-        prior = np.zeros_like(presence)
-        prior[:, 1:] = np.cumsum(presence, axis=1)[:, :-1]
-        window_index = np.arange(n_windows, dtype=np.float64)
-        significance = significance_from_counts(prior, window_index, alpha)
+        presence, _prior, significance = pair_significance(population, scoring)
     with timed_stage(STAGE_NORMALIZE, customers=population.n_customers):
         total = _segment_sum(significance, population.pair_offsets)
         kept = _segment_sum(significance * presence, population.pair_offsets)
@@ -176,10 +281,10 @@ def _stability_kernel(
 
 
 def _shard_worker(
-    args: tuple[PopulationFrame, float],
+    args: tuple[PopulationFrame, Scoring],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    population, alpha = args
-    return _stability_kernel(population, alpha)
+    population, scoring = args
+    return _stability_kernel(population, scoring)
 
 
 def _stack_parts(
@@ -206,7 +311,7 @@ def _clip_bounds(
 
 
 def _out_of_core_kernel(
-    population: PopulationFrame, alpha: float, lo: int, hi: int
+    population: PopulationFrame, scoring: Scoring, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel over rows ``[lo, hi)`` of a slab-backed frame, chunked.
 
@@ -223,30 +328,30 @@ def _out_of_core_kernel(
     store = open_slab_store(population.store_path)
     bounds = _clip_bounds(store.shard_bounds(), lo, hi)
     if not bounds:
-        return _stability_kernel(population.shard(lo, hi), alpha)
+        return _stability_kernel(population.shard(lo, hi), scoring)
     return _stack_parts(
         [
-            _stability_kernel(population.shard(b_lo, b_hi), alpha)
+            _stability_kernel(population.shard(b_lo, b_hi), scoring)
             for b_lo, b_hi in bounds
         ]
     )
 
 
 def _slab_shard_worker(
-    args: tuple[str, int, int, float],
+    args: tuple[str, int, int, Scoring],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Worker entry for slab-reference tasks: map the store, fit a range.
 
-    The task is ``(store_path, lo, hi, alpha)`` — a few hundred bytes on
-    the wire regardless of population size.  The worker memory-maps the
-    store itself and chunks over its shard layout, so worker RSS is
+    The task is ``(store_path, lo, hi, scoring)`` — a few hundred bytes
+    on the wire regardless of population size.  The worker memory-maps
+    the store itself and chunks over its shard layout, so worker RSS is
     bounded by one store shard, not the task's whole row range.
     """
-    store_path, lo, hi, alpha = args
+    store_path, lo, hi, scoring = args
     from repro.data.slabs import open_slab_store
 
     frame = open_slab_store(store_path).frame()
-    return _out_of_core_kernel(frame, alpha, lo, hi)
+    return _out_of_core_kernel(frame, scoring, lo, hi)
 
 
 def _resolve_n_jobs(n_jobs: int | None) -> int:
@@ -259,27 +364,33 @@ def _resolve_n_jobs(n_jobs: int | None) -> int:
     return int(n_jobs)
 
 
-def _shard_tasks(
-    population: PopulationFrame, alpha: float, n_jobs: int
-) -> list[tuple[PopulationFrame, float]]:
+def _row_bounds(population: PopulationFrame, n_jobs: int) -> list[tuple[int, int]]:
+    """``n_jobs`` contiguous, non-empty customer row ranges."""
     bounds = np.linspace(0, population.n_customers, n_jobs + 1).astype(int)
     return [
-        (population.shard(int(lo), int(hi)), alpha)
+        (int(lo), int(hi))
         for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
         if hi > lo
     ]
 
 
-def _slab_shard_tasks(
-    population: PopulationFrame, alpha: float, n_jobs: int
-) -> list[tuple[str, int, int, float]]:
-    """Slab-reference tasks: ``(store_path, lo, hi, alpha)`` per worker."""
-    assert population.store_path is not None
-    bounds = np.linspace(0, population.n_customers, n_jobs + 1).astype(int)
+def _shard_tasks(
+    population: PopulationFrame, scoring: Scoring, n_jobs: int
+) -> list[tuple[PopulationFrame, Scoring]]:
     return [
-        (population.store_path, int(lo), int(hi), alpha)
-        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
-        if hi > lo
+        (population.shard(lo, hi), scoring)
+        for lo, hi in _row_bounds(population, n_jobs)
+    ]
+
+
+def _slab_shard_tasks(
+    population: PopulationFrame, scoring: Scoring, n_jobs: int
+) -> list[tuple[str, int, int, Scoring]]:
+    """Slab-reference tasks: ``(store_path, lo, hi, scoring)`` per worker."""
+    assert population.store_path is not None
+    return [
+        (population.store_path, lo, hi, scoring)
+        for lo, hi in _row_bounds(population, n_jobs)
     ]
 
 
@@ -290,8 +401,13 @@ def stability_matrix(
     retries: int = 2,
     shard_timeout: float | None = None,
     fault_plan: FaultPlan | None = None,
+    scoring: Scoring | None = None,
 ) -> BatchStability:
     """Stability of all customers at all windows in batched numpy ops.
+
+    ``alpha`` selects the paper configuration; a ``scoring``
+    (:meth:`Scoring.of`) replaces it with any other rule, counting scheme
+    or item weighting.
 
     With ``n_jobs > 1`` the customer axis is split into contiguous shards
     computed in worker processes (``n_jobs = -1`` uses every core).
@@ -307,7 +423,8 @@ def stability_matrix(
     deterministically injects worker faults for tests
     (:class:`~repro.runtime.faults.FaultPlan`).
     """
-    validate_alpha(alpha)
+    if scoring is None:
+        scoring = Scoring(alpha=validate_alpha(alpha))
     n_jobs = _resolve_n_jobs(n_jobs)
     n_customers = population.n_customers
     slab_backed = population.store_path is not None
@@ -315,22 +432,22 @@ def stability_matrix(
         if n_jobs <= 1 or n_customers < 2 * n_jobs:
             if slab_backed:
                 stability, kept, total = _out_of_core_kernel(
-                    population, alpha, 0, n_customers
+                    population, scoring, 0, n_customers
                 )
             else:
-                stability, kept, total = _stability_kernel(population, alpha)
+                stability, kept, total = _stability_kernel(population, scoring)
             return BatchStability(population, stability, kept, total)
         if slab_backed:
             parts, report = run_sharded(
                 _slab_shard_worker,
-                _slab_shard_tasks(population, alpha, n_jobs),
+                _slab_shard_tasks(population, scoring, n_jobs),
                 max_workers=n_jobs,
                 retries=retries,
                 timeout=shard_timeout,
                 fault_plan=fault_plan,
             )
         else:
-            shards = _shard_tasks(population, alpha, n_jobs)
+            shards = _shard_tasks(population, scoring, n_jobs)
             parts, report = run_sharded(
                 _shard_worker,
                 shards,
@@ -352,50 +469,9 @@ def _stability_matrix_bare(
     fault-free overhead is measured against; one dead worker aborts the
     whole fit here.
     """
-    validate_alpha(alpha)
-    shards = _shard_tasks(population, alpha, _resolve_n_jobs(n_jobs))
+    scoring = Scoring(alpha=validate_alpha(alpha))
+    shards = _shard_tasks(population, scoring, _resolve_n_jobs(n_jobs))
     with ProcessPoolExecutor(max_workers=len(shards)) as executor:
         parts = list(executor.map(_shard_worker, shards))
-    stability = np.vstack([p[0] for p in parts])
-    kept = np.vstack([p[1] for p in parts])
-    total = np.vstack([p[2] for p in parts])
+    stability, kept, total = _stack_parts(parts)
     return BatchStability(population, stability, kept, total)
-
-
-def batch_churn_scores(
-    log: TransactionLog,
-    grid: WindowGrid,
-    window_index: int,
-    customers: Iterable[int] | None = None,
-    alpha: float = 2.0,
-) -> dict[int, float]:
-    """Churn scores (``1 - stability``) for a population at one window.
-
-    Unlike a trajectory fit, this slices the cumulative-count math at
-    ``window_index``: only presences strictly before ``k`` feed the
-    significance counts and only presence *at* ``k`` feeds the kept mass,
-    so the cost is one pass over the triples regardless of how many
-    windows the grid has.  Undefined stability maps to the neutral 0.5.
-    """
-    if not 0 <= window_index < grid.n_windows:
-        raise ConfigError(
-            f"window index {window_index} out of range [0, {grid.n_windows})"
-        )
-    validate_alpha(alpha)
-    population = PopulationFrame.from_log(log, grid, customers)
-    pair_rows = population.pair_rows()
-    before = population.triple_window < window_index
-    prior = np.bincount(
-        pair_rows[before], minlength=population.n_pairs
-    ).astype(np.float64)
-    present = np.zeros(population.n_pairs, dtype=np.float64)
-    present[pair_rows[population.triple_window == window_index]] = 1.0
-    significance = significance_from_counts(prior, window_index, alpha)
-    total = _segment_sum(significance, population.pair_offsets)
-    kept = _segment_sum(significance * present, population.pair_offsets)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        churn = np.where(total > 0.0, 1.0 - kept / total, 0.5)
-    return {
-        int(customer_id): float(score)
-        for customer_id, score in zip(population.customer_ids, churn, strict=True)
-    }

@@ -92,8 +92,8 @@ def explain_window(
     Parameters
     ----------
     trajectory:
-        A stability trajectory produced by
-        :func:`~repro.core.stability.stability_trajectory`.
+        A stability trajectory with significance snapshots, as
+        :meth:`~repro.core.model.StabilityModel.trajectory` returns.
     window_index:
         The window ``k`` to explain.
     previous_items:

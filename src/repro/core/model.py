@@ -5,19 +5,17 @@ significance rule and the stability/explanation machinery, and exposes
 the operations the evaluation protocol and a retailer's application code
 need:
 
-* ``fit(log)`` — compute the stability trajectory of every customer;
-  also accepts a pre-built
-  :class:`~repro.data.population.PopulationFrame` so the encoding cost
-  is paid once per dataset, not once per model;
-* ``trajectory(customer)`` — inspect one customer;
+* ``fit(log)`` — the stability of every customer at every window, as
+  the matrices of the columnar kernel (:mod:`repro.core.batch`); also
+  accepts a pre-built :class:`~repro.data.population.PopulationFrame`
+  so the encoding cost is paid once per dataset, not once per model;
+* ``trajectory(customer)`` — inspect one customer: records with full
+  per-item significance snapshots, built on demand from the frame's
+  columns (:func:`~repro.core.engines.customer_trajectory`);
 * ``churn_scores(window)`` — continuous churn score per customer at an
   evaluation window, ready for ROC analysis or campaign ranking;
 * ``explain(customer, window, k)`` — the paper's argmax-missing-item
   explanation, extended to top-K.
-
-Engine selection goes through :mod:`repro.core.engines`:
-``backend="incremental"|"batch"`` name two implementations of one
-protocol.
 """
 
 from __future__ import annotations
@@ -28,21 +26,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import ExperimentConfig
-from repro.core.batch import BatchStability
+from repro.core import engines
+from repro.core.batch import BatchStability, Scoring
 from repro.core.detector import Alarm, ThresholdDetector
-from repro.core.engines import FitSpec, frame_windowed_history, get_engine
 from repro.core.explanation import DropExplanation, explain_window
 from repro.core.significance import ExponentialSignificance, SignificanceFunction
-from repro.core.stability import (
-    StabilityTrajectory,
-    WindowStability,
-    stability_trajectory,
-)
-from repro.core.windowing import Window, windowed_history
+from repro.core.stability import StabilityTrajectory
 from repro.data.calendar import StudyCalendar
 from repro.data.population import PopulationFrame
 from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError, DataError, NotFittedError
+from repro.obs import span
 
 if TYPE_CHECKING:
     from repro.runtime.executor import ExecutionReport
@@ -63,30 +57,24 @@ class StabilityModel:
         Base of the exponential significance rule (the paper uses 2).
         Ignored when ``significance`` is given explicitly.
     significance:
-        Custom significance rule; overrides ``alpha``.
+        Custom significance rule, any function of ``(c, l)``; overrides
+        ``alpha``.
     item_weights:
-        Optional per-item weights (e.g. segment prices) producing
-        revenue-weighted stability; see
-        :func:`~repro.core.stability.stability_trajectory`.
+        Optional per-item multiplicative weights (default 1.0 for every
+        item), each positive.  With segment prices as weights the model
+        computes **revenue-weighted stability**: losing an expensive
+        habitual segment costs proportionally more stability, and
+        explanations rank by weighted significance.
     config:
         The validated :class:`~repro.config.ExperimentConfig` carrying
-        ``window_months`` / ``alpha`` / ``backend`` / ``n_jobs`` /
+        ``window_months`` / ``alpha`` / ``n_jobs`` / ``retries`` /
         ``counting`` in one object.  When given, ``window_months`` and
-        ``alpha`` must be left at their defaults.
+        ``alpha`` must be left at their defaults
+        (:class:`~repro.errors.ConfigError` otherwise).
 
-        Engine selection lives on the config: ``backend`` names a
-        fit/score engine (:mod:`repro.core.engines`) —
-        ``"incremental"`` (default, flexible, every significance rule /
-        counting scheme / item weighting, full per-window significance
-        snapshots) or ``"batch"`` (population-scale columnar engine,
-        optionally sharded over ``n_jobs`` worker processes).  The batch
-        backend supports only the paper's exponential significance with
-        the ``"paper"`` counting scheme and no item weights
-        (a :class:`~repro.errors.ConfigError` otherwise); its
-        stability values agree exactly with the incremental engine
-        (differentially tested), and :meth:`explain` transparently
-        recomputes missing significance snapshots through the
-        incremental engine.
+    Every rule, counting scheme and weighting fits through the one
+    columnar kernel (:func:`~repro.core.batch.stability_matrix`),
+    sharded over ``config.n_jobs`` worker processes when above 1.
 
     Examples
     --------
@@ -125,29 +113,39 @@ class StabilityModel:
                 window_months=window_months,
                 alpha=alpha,
             )
+        else:
+            for name, value, default in (
+                ("window_months", window_months, 2),
+                ("alpha", alpha, 2.0),
+            ):
+                if value != default:
+                    raise ConfigError(
+                        f"{name}={value!r} given beside a config; set it "
+                        f"on the ExperimentConfig instead"
+                    )
+        if item_weights is not None:
+            bad = {i: w for i, w in item_weights.items() if not w > 0}
+            if bad:
+                raise ConfigError(
+                    "item_weights must be positive, got "
+                    f"{dict(list(bad.items())[:3])}"
+                )
         self.config = config
         self.calendar = calendar
         self.significance: SignificanceFunction = (
             significance if significance is not None else config.significance()
         )
         self.item_weights = dict(item_weights) if item_weights is not None else None
-        self._engine = get_engine(config.backend)
-        self._spec = FitSpec(
-            significance=self.significance,
-            counting=config.counting,
-            item_weights=self.item_weights,
-            n_jobs=config.n_jobs,
-            retries=config.retries,
-        )
-        self._engine.validate(self._spec)
         self.grid = config.grid(calendar)
-        self._frame: PopulationFrame | None = None
-        self._trajectories: dict[int, StabilityTrajectory] | None = None
+        self._scoring = Scoring.of(
+            self.significance,
+            config.counting,
+            self.item_weights,
+            self.grid.n_windows,
+        )
         self._batch: BatchStability | None = None
-        self._fit_log: TransactionLog | None = None
-        self._snapshot_cache: dict[
-            tuple[int, ExperimentConfig], StabilityTrajectory
-        ] = {}
+        #: Trajectories built so far, by customer (cleared by ``fit``).
+        self._trajectories: dict[int, StabilityTrajectory] = {}
 
     @classmethod
     def from_config(
@@ -164,7 +162,7 @@ class StabilityModel:
         log: TransactionLog | PopulationFrame,
         customers: Iterable[int] | None = None,
     ) -> StabilityModel:
-        """Compute stability trajectories for customers in the log.
+        """Compute the stability matrices of the customers in the log.
 
         Parameters
         ----------
@@ -177,16 +175,15 @@ class StabilityModel:
             frame).
         """
         frame = self._as_frame(log, customers)
-        self._frame = frame
-        self._fit_log = frame.log
         self._batch = None
-        self._snapshot_cache = {}
-        result = self._engine.fit(frame, self._spec)
-        if result.batch is not None:
-            self._batch = result.batch
-            self._trajectories = {}
-        else:
-            self._trajectories = result.trajectories
+        self._trajectories = {}
+        with span("engine.fit", customers=frame.n_customers):
+            self._batch = engines.stability_matrix(
+                frame,
+                n_jobs=self.config.n_jobs,
+                retries=self.config.retries,
+                scoring=self._scoring,
+            )
         return self
 
     def _as_frame(
@@ -210,56 +207,37 @@ class StabilityModel:
             return PopulationFrame.from_log(log.log, self.grid, customers)
         return PopulationFrame.from_log(log, self.grid, customers)
 
-    def _alpha(self) -> float:
-        """The exponential base (the batch backend is gated to this rule)."""
-        assert isinstance(self.significance, ExponentialSignificance)
-        return self.significance.alpha
-
-    def _batch_trajectory(self, customer_id: int) -> StabilityTrajectory:
-        assert self._batch is not None and self._trajectories is not None
-        try:
-            row = self._batch.row_of(customer_id)
-        except ConfigError:
-            raise DataError(f"customer {customer_id} was not fitted") from None
-        items_per_window = self._batch.population.window_items(row)
-        records = tuple(
-            WindowStability(
-                window=Window(
-                    index=k,
-                    begin_day=self.grid.boundaries[k],
-                    end_day=self.grid.boundaries[k + 1],
-                    items=items_per_window[k],
-                ),
-                stability=float(self._batch.stability[row, k]),
-                kept_mass=float(self._batch.kept_mass[row, k]),
-                total_mass=float(self._batch.total_mass[row, k]),
-                significances={},
-            )
-            for k in range(self._batch.population.n_windows)
-        )
-        trajectory = StabilityTrajectory(customer_id=customer_id, records=records)
-        self._trajectories[customer_id] = trajectory
-        return trajectory
-
     @property
     def is_fitted(self) -> bool:
-        return self._trajectories is not None or self._batch is not None
+        return self._batch is not None
 
     @property
     def execution_report(self) -> ExecutionReport | None:
-        """The resilient executor's report for the last sharded batch fit.
+        """The resilient executor's report for the last sharded fit.
 
-        ``None`` unless the fit ran ``backend="batch"`` with ``n_jobs >
-        1`` (serial fits have no workers to isolate).  See
+        ``None`` unless the fit ran with ``n_jobs > 1`` (serial fits
+        have no workers to isolate).  See
         :class:`~repro.runtime.executor.ExecutionReport` for what it
         records (retries, degradations, wall time).
         """
         return self._batch.execution if self._batch is not None else None
 
-    def _fitted(self) -> dict[int, StabilityTrajectory]:
-        if self._trajectories is None:
+    def _fitted(self) -> BatchStability:
+        if self._batch is None:
             raise NotFittedError("StabilityModel used before fit")
-        return self._trajectories
+        return self._batch
+
+    def _row(self, customer_id: int) -> int:
+        try:
+            return self._fitted().row_of(customer_id)
+        except ConfigError:
+            raise DataError(f"customer {customer_id} was not fitted") from None
+
+    def _check_window(self, window_index: int) -> None:
+        if not 0 <= window_index < self.n_windows:
+            raise ConfigError(
+                f"window index {window_index} out of range [0, {self.n_windows})"
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -270,42 +248,29 @@ class StabilityModel:
         return self.grid.n_windows
 
     def customers(self) -> list[int]:
-        """Sorted customers with a fitted trajectory."""
-        trajectories = self._fitted()
-        if self._batch is not None:
-            return [int(c) for c in self._batch.customer_ids]
-        return sorted(trajectories)
+        """Sorted fitted customers."""
+        return [int(c) for c in self._fitted().customer_ids]
 
     def trajectory(self, customer_id: int) -> StabilityTrajectory:
         """Stability trajectory of one fitted customer.
 
-        Under the batch backend trajectories materialise lazily from the
-        population arrays (and are cached); see the ``backend`` parameter
-        for what lazily-built records do and do not carry.
+        Built on first request from the frame's columns, with the full
+        per-item significance snapshot of every window, and cached until
+        the next :meth:`fit`.
         """
-        trajectories = self._fitted()
-        if self._batch is not None and customer_id not in trajectories:
-            return self._batch_trajectory(customer_id)
-        try:
-            return trajectories[customer_id]
-        except KeyError:
-            raise DataError(f"customer {customer_id} was not fitted") from None
+        trajectory = self._trajectories.get(customer_id)
+        if trajectory is None:
+            trajectory = engines.customer_trajectory(
+                self._fitted(), self._row(customer_id), self._scoring
+            )
+            self._trajectories[customer_id] = trajectory
+        return trajectory
 
     def stability_at(self, customer_id: int, window_index: int) -> float:
         """``Stability_i^k`` (``nan`` when undefined)."""
-        if self._batch is not None:
-            self._fitted()
-            try:
-                row = self._batch.row_of(customer_id)
-            except ConfigError:
-                raise DataError(f"customer {customer_id} was not fitted") from None
-            if not 0 <= window_index < self._batch.population.n_windows:
-                raise ConfigError(
-                    f"window index {window_index} out of range "
-                    f"[0, {self._batch.population.n_windows})"
-                )
-            return float(self._batch.stability[row, window_index])
-        return self.trajectory(customer_id).at(window_index).stability
+        row = self._row(customer_id)
+        self._check_window(window_index)
+        return float(self._fitted().stability[row, window_index])
 
     def churn_scores(
         self, window_index: int, customers: Iterable[int] | None = None
@@ -313,80 +278,36 @@ class StabilityModel:
         """Churn score (``1 - stability``) per customer at a window.
 
         Higher means more likely defecting; undefined stability maps to a
-        neutral 0.5 (see :meth:`StabilityTrajectory.churn_score`).  Under
-        the batch backend the whole population is read off the stability
-        matrix in one vectorised slice.
+        neutral 0.5 (see :meth:`StabilityTrajectory.churn_score`).  The
+        whole population is read off the stability matrix in one
+        vectorised slice.
         """
+        batch = self._fitted()
         selected = list(customers) if customers is not None else self.customers()
-        if self._batch is not None:
-            self._fitted()
-            if not 0 <= window_index < self._batch.population.n_windows:
-                raise ConfigError(
-                    f"window index {window_index} out of range "
-                    f"[0, {self._batch.population.n_windows})"
-                )
-            ids = np.asarray(selected, dtype=np.int64)
-            known = self._batch.customer_ids
-            rows = np.searchsorted(known, ids)
-            rows_safe = np.minimum(rows, len(known) - 1) if len(known) else rows
-            if not len(known) or (known[rows_safe] != ids).any():
-                missing = (
-                    selected[0]
-                    if not len(known)
-                    else int(ids[known[rows_safe] != ids][0])
-                )
-                raise DataError(f"customer {missing} was not fitted")
-            stability = self._batch.stability[rows_safe, window_index]
-            churn = np.where(np.isnan(stability), 0.5, 1.0 - stability)
-            return {
-                int(customer_id): float(score)
-                for customer_id, score in zip(ids, churn, strict=True)
-            }
-        return {
-            customer_id: self.trajectory(customer_id).churn_score(window_index)
-            for customer_id in selected
-        }
-
-    def _snapshot_trajectory(self, customer_id: int) -> StabilityTrajectory:
-        """A trajectory with full significance snapshots, whatever backend.
-
-        The numpy backends drop per-window snapshots for speed; when the
-        explanation layer needs them this recomputes one customer through
-        the incremental engine, memoised per ``(customer, config)`` so a
-        second ``explain()`` on the same customer does no kernel work.
-        """
-        if self.config.backend == "incremental":
-            return self.trajectory(customer_id)
-        self.trajectory(customer_id)  # validates fitted state + customer id
-        key = (customer_id, self.config)
-        if key not in self._snapshot_cache:
-            if self._fit_log is not None:
-                windows = windowed_history(
-                    self._fit_log.history(customer_id), self.grid
-                )
-            else:
-                # Log-less fit (slab-backed / sharded frame): rebuild the
-                # windowed history from the columnar levels instead.
-                assert self._frame is not None
-                windows = frame_windowed_history(
-                    self._frame, self._frame.row_of(customer_id)
-                )
-            self._snapshot_cache[key] = stability_trajectory(
-                customer_id,
-                windows,
-                significance=self.significance,
-                counting=self.config.counting,
-                item_weights=self.item_weights,
+        self._check_window(window_index)
+        ids = np.asarray(selected, dtype=np.int64)
+        known = batch.customer_ids
+        rows = np.searchsorted(known, ids)
+        rows_safe = np.minimum(rows, len(known) - 1) if len(known) else rows
+        if not len(known) or (known[rows_safe] != ids).any():
+            missing = (
+                selected[0]
+                if not len(known)
+                else int(ids[known[rows_safe] != ids][0])
             )
-        return self._snapshot_cache[key]
+            raise DataError(f"customer {missing} was not fitted")
+        stability = batch.stability[rows_safe, window_index]
+        churn = np.where(np.isnan(stability), 0.5, 1.0 - stability)
+        return {
+            int(customer_id): float(score)
+            for customer_id, score in zip(ids, churn, strict=True)
+        }
 
     def explain(
         self, customer_id: int, window_index: int, top_k: int = 5
     ) -> DropExplanation:
         """Top-K most significant items the customer stopped buying."""
-        explanation = explain_window(
-            self._snapshot_trajectory(customer_id), window_index
-        )
+        explanation = explain_window(self.trajectory(customer_id), window_index)
         return DropExplanation(
             customer_id=explanation.customer_id,
             window_index=explanation.window_index,
@@ -401,9 +322,10 @@ class StabilityModel:
         ``first_month`` is the burn-in: windows ending before it are not
         monitored (stability is noisy while significance counts are
         small).  The default matches the start of the paper's evaluation
-        axis.
+        axis.  The scan is vectorised over the stability matrix.
         """
-        detector = ThresholdDetector(beta)
+        beta = ThresholdDetector(beta).beta
+        batch = self._fitted()
         first_window = next(
             (
                 k
@@ -412,22 +334,7 @@ class StabilityModel:
             ),
             self.n_windows,
         )
-        if self._batch is not None:
-            self._fitted()
-            return self._detect_batch(detector.beta, first_window)
-        alarms = []
-        for customer_id in self.customers():
-            alarm = detector.first_alarm(
-                self.trajectory(customer_id), first_window=first_window
-            )
-            if alarm is not None:
-                alarms.append(alarm)
-        return alarms
-
-    def _detect_batch(self, beta: float, first_window: int) -> list[Alarm]:
-        """Vectorised first-alarm scan over the batch stability matrix."""
-        assert self._batch is not None
-        stability = self._batch.stability[:, first_window:]
+        stability = batch.stability[:, first_window:]
         if stability.shape[1] == 0:
             return []
         with np.errstate(invalid="ignore"):
@@ -436,7 +343,7 @@ class StabilityModel:
         first_offsets = np.argmax(fired, axis=1)
         return [
             Alarm(
-                customer_id=int(self._batch.customer_ids[row]),
+                customer_id=int(batch.customer_ids[row]),
                 window_index=int(first_window + first_offsets[row]),
                 stability=float(stability[row, first_offsets[row]]),
             )

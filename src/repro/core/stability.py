@@ -10,9 +10,11 @@ i.e. the fraction of the total item-significance mass that the customer
 recurs and decreases proportionally to the significance of the missing
 items.
 
-This module computes, for a windowed history, the full stability
-trajectory together with the per-window significance snapshots needed by
-the explanation layer (:mod:`repro.core.explanation`).
+This module holds the per-window records and the trajectory they form;
+the columnar kernel (:mod:`repro.core.batch`) computes them, and
+:func:`~repro.core.engines.customer_trajectory` builds one customer's
+records, with the per-window significance snapshots the explanation
+layer (:mod:`repro.core.explanation`) needs.
 
 Edge cases, pinned down by tests:
 
@@ -29,14 +31,12 @@ Edge cases, pinned down by tests:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.significance import SignificanceFunction, SignificanceTracker
 from repro.core.windowing import Window
 from repro.errors import ConfigError
 
-__all__ = ["WindowStability", "StabilityTrajectory", "stability_trajectory"]
+__all__ = ["WindowStability", "StabilityTrajectory"]
 
 
 @dataclass(frozen=True)
@@ -133,70 +133,3 @@ class StabilityTrajectory:
                 out.append(record.window.index)
             previous = record.stability
         return out
-
-
-def stability_trajectory(
-    customer_id: int,
-    windows: Sequence[Window],
-    significance: SignificanceFunction | None = None,
-    counting: str = "paper",
-    item_weights: dict[int, float] | None = None,
-) -> StabilityTrajectory:
-    """Compute the stability series of one customer.
-
-    Parameters
-    ----------
-    customer_id:
-        Customer the windows belong to (carried through for reporting).
-    windows:
-        The windowed database ``D_i^w`` in chronological order, including
-        empty windows.
-    significance:
-        Scoring rule; defaults to the paper's exponential rule with
-        ``alpha = 2``.
-    counting:
-        Absence-counting scheme, see
-        :class:`~repro.core.significance.SignificanceTracker`.
-    item_weights:
-        Optional per-item multiplicative weights (default 1.0 for every
-        item).  With segment prices as weights the trajectory becomes
-        **revenue-weighted stability**: losing an expensive habitual
-        segment costs proportionally more stability, and explanations
-        rank by weighted significance.  Weights must be positive.
-    """
-    if item_weights is not None:
-        bad = {i: w for i, w in item_weights.items() if w <= 0}
-        if bad:
-            raise ConfigError(
-                f"item_weights must be positive, got {dict(list(bad.items())[:3])}"
-            )
-    tracker = SignificanceTracker(significance, counting=counting)
-    records: list[WindowStability] = []
-    for window in windows:
-        snapshot = tracker.significance_snapshot()
-        if item_weights is not None:
-            snapshot = {
-                item: sig * item_weights.get(item, 1.0)
-                for item, sig in snapshot.items()
-            }
-        total_mass = sum(snapshot.values())
-        # Sorted so the sum's rounding is set-layout independent (the
-        # snapshot dict itself is already in canonical order).
-        kept_mass = sum(
-            snapshot.get(item, 0.0) for item in sorted(window.items)
-        )
-        if total_mass > 0.0:
-            stability = kept_mass / total_mass
-        else:
-            stability = math.nan
-        records.append(
-            WindowStability(
-                window=window,
-                stability=stability,
-                kept_mass=kept_mass,
-                total_mass=total_mass,
-                significances=snapshot,
-            )
-        )
-        tracker.observe_window(window.items)
-    return StabilityTrajectory(customer_id=customer_id, records=tuple(records))

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.batch import _segment_sum, significance_from_counts
+from repro.core.batch import Scoring, _segment_sum, significance_from_counts
 from repro.core.detector import Alarm
 from repro.core.significance import COUNTING_SCHEMES, ExponentialSignificance, SignificanceFunction
 from repro.core.windowing import WindowGrid
@@ -201,8 +201,8 @@ class StabilityMonitor:
     significance:
         Scoring rule; defaults to the paper's exponential rule.
     counting:
-        Absence-counting scheme (see
-        :class:`~repro.core.significance.SignificanceTracker`).
+        Absence-counting scheme, one of
+        :data:`~repro.core.significance.COUNTING_SCHEMES`.
     first_alarm_window:
         Burn-in: windows before this index never alarm.
 
@@ -239,6 +239,9 @@ class StabilityMonitor:
         )
         self.counting = counting
         self.first_alarm_window = int(first_alarm_window)
+        #: The kernel's scoring: ``alpha`` for the paper configuration,
+        #: else the rule's ``(c, l)`` table over the grid.
+        self._scoring = Scoring.of(self.significance, counting, None, grid.n_windows)
         self._current_window = 0
         self._last_day_seen = -1
         self._finished = False
@@ -465,26 +468,21 @@ class StabilityMonitor:
         return views
 
     def _significance(self, item_rows: np.ndarray) -> np.ndarray:
-        """``S(p, k)`` of every ``items`` row for the window being closed."""
+        """``S(p, k)`` of every ``items`` row for the window being closed.
+
+        Each customer counts windows since their own registration, so the
+        prior-window count ``k`` is per customer, per item.
+        """
         columns = self._columns
         presence = columns["presence"]
         n_windows = columns["n_windows_observed"][item_rows]
-        if (
-            isinstance(self.significance, ExponentialSignificance)
-            and self.counting == "paper"
-        ):
-            # Each customer counts windows since their own registration,
-            # so the prior-window count k is per customer, per item.
-            return significance_from_counts(presence, n_windows, self.significance.alpha)
-        # Any other rule or counting scheme: the scalar rule, per item.
+        table = self._scoring.table
+        if table is None:
+            return significance_from_counts(presence, n_windows, self._scoring.alpha)
         absent = n_windows - presence
-        if self.counting == "since-first-seen":
+        if self._scoring.since_first_seen:
             absent = absent - columns["first_seen"]
-        return np.fromiter(
-            map(self.significance, presence.tolist(), absent.tolist()),
-            np.float64,
-            len(presence),
-        )
+        return table[presence, absent]
 
     def _close_current_window(self) -> WindowCloseReport:
         """Score every customer on the window being closed, then fold its

@@ -113,7 +113,7 @@ def alpha_sweep(
         bundle.cohorts.onset_month + 2 if eval_month is None else eval_month
     )
     customers = bundle.cohorts.all_customers()
-    base = ExperimentConfig(window_months=window_months, backend="batch")
+    base = ExperimentConfig(window_months=window_months)
     journal = _sweep_journal(checkpoint_dir)
     # alpha does not change the grid: encode the cohort once and share
     # the frame across the whole sweep.  Built lazily so a fully
@@ -178,9 +178,7 @@ def window_sweep(
     journal = _sweep_journal(checkpoint_dir)
 
     def fit_and_score(window_months: int) -> float:
-        config = ExperimentConfig(
-            window_months=window_months, alpha=alpha, backend="batch"
-        )
+        config = ExperimentConfig(window_months=window_months, alpha=alpha)
         model = StabilityModel.from_config(bundle.calendar, config).fit(
             PopulationFrame.from_log(
                 bundle.log, config.grid(bundle.calendar), customers

@@ -1,13 +1,13 @@
-"""Backend fit-time telemetry: the perf trajectory between PRs.
+"""Fit-time telemetry: the perf trajectory between PRs.
 
 One machine-readable artifact (``BENCH_scaling.json``) records, per
-population size, how long each :class:`~repro.core.model.StabilityModel`
-backend takes to fit — so a future PR that touches the hot path has a
-baseline to compare against.  Both the ``bench`` CLI subcommand and
+population size, how long a :class:`~repro.core.model.StabilityModel`
+takes to fit — so a future PR that touches the hot path has a baseline
+to compare against.  Both the ``bench`` CLI subcommand and
 ``benchmarks/bench_scaling.py`` build their payloads here.
 
 Timing protocol: best-of-``repeat`` wall-clock on a freshly constructed
-model (so no backend benefits from caches), dataset generation excluded.
+model (so no run benefits from caches), dataset generation excluded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.atomicio import atomic_write_json
 from repro.config import ExperimentConfig
-from repro.core.engines import available_engines
 from repro.core.model import StabilityModel
 from repro.data.validation import DatasetBundle
 from repro.errors import ConfigError
@@ -39,13 +38,12 @@ __all__ = [
 
 def time_fit(
     dataset: SyntheticDataset,
-    backend: str,
     repeat: int = 3,
     n_jobs: int = 1,
     window_months: int = 2,
     alpha: float = 2.0,
 ) -> float:
-    """Best-of-``repeat`` seconds to fit one backend on a dataset."""
+    """Best-of-``repeat`` seconds to fit the model on a dataset."""
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
     best = float("inf")
@@ -53,10 +51,7 @@ def time_fit(
         model = StabilityModel.from_config(
             dataset.calendar,
             ExperimentConfig(
-                window_months=window_months,
-                alpha=alpha,
-                backend=backend,
-                n_jobs=n_jobs if backend == "batch" else 1,
+                window_months=window_months, alpha=alpha, n_jobs=n_jobs
             ),
         )
         start = time.perf_counter()
@@ -68,25 +63,16 @@ def time_fit(
 def scaling_telemetry(
     sizes: Sequence[int] = (25, 50, 100, 200),
     seed: int = 13,
-    backends: Sequence[str] | None = None,
     repeat: int = 3,
     n_jobs: int = 1,
     window_months: int = 2,
     alpha: float = 2.0,
 ) -> dict:
-    """Fit-time telemetry across population sizes and backends.
+    """Fit-time telemetry across population sizes.
 
     ``sizes`` are per-cohort counts (total customers = ``2 * size``:
     loyal + churners, mirroring the paper's scenario generator).
-    ``backends`` defaults to both engines.
     """
-    registered = available_engines()
-    backends = registered if backends is None else tuple(backends)
-    unknown = [b for b in backends if b not in registered]
-    if unknown:
-        raise ConfigError(
-            f"unknown backends {unknown}; expected subset of {registered}"
-        )
     results = []
     for size in sizes:
         start = time.perf_counter()
@@ -95,35 +81,25 @@ def scaling_telemetry(
         )
         generate_seconds = time.perf_counter() - start
         n_customers = dataset.log.n_customers
-        per_backend = {}
-        for backend in backends:
-            seconds = time_fit(
-                dataset,
-                backend,
-                repeat=repeat,
-                n_jobs=n_jobs,
-                window_months=window_months,
-                alpha=alpha,
-            )
-            per_backend[backend] = {
+        seconds = time_fit(
+            dataset,
+            repeat=repeat,
+            n_jobs=n_jobs,
+            window_months=window_months,
+            alpha=alpha,
+        )
+        results.append(
+            {
+                "customers": n_customers,
+                "receipts": dataset.log.n_baskets,
+                "generate_seconds": generate_seconds,
                 "fit_seconds": seconds,
                 "ms_per_customer": seconds / n_customers * 1e3,
             }
-        entry = {
-            "customers": n_customers,
-            "receipts": dataset.log.n_baskets,
-            "generate_seconds": generate_seconds,
-            "backends": per_backend,
-        }
-        if "incremental" in per_backend and "batch" in per_backend:
-            entry["speedup_batch_vs_incremental"] = (
-                per_backend["incremental"]["fit_seconds"]
-                / per_backend["batch"]["fit_seconds"]
-            )
-        results.append(entry)
+        )
     return {
         "benchmark": "stability_fit_scaling",
-        "schema_version": 1,
+        "schema_version": 2,
         "window_months": window_months,
         "alpha": alpha,
         "seed": seed,
@@ -273,35 +249,14 @@ def _ru_maxrss_mb() -> float:
     return rss / 2**10 if sys.platform != "darwin" else rss / 2**20
 
 
-def _roc_sweep_legacy(
-    bundle: DatasetBundle,
-    config: ExperimentConfig,
-    train: Sequence[int],
-    test: Sequence[int],
-) -> None:
-    """The pre-refactor sweep: per-customer incremental fit + per-customer
-    RFM feature loops over the raw log at every evaluation window."""
-    from repro.baselines.rfm import RFMModel
-    from repro.eval.protocol import EvaluationProtocol
-
-    protocol = EvaluationProtocol(bundle, config=config)
-    model = StabilityModel.from_config(bundle.calendar, config).fit(
-        bundle.log, test
-    )
-    protocol.evaluate_stability_model(model, test)
-    rfm = RFMModel(bundle.calendar, config=config)
-    rfm.supports_frame = False  # force the per-customer log path
-    protocol.evaluate_window_scorer(rfm, "rfm", train, test)
-
-
 def _roc_sweep_frame(
     bundle: DatasetBundle,
     config: ExperimentConfig,
     train: Sequence[int],
     test: Sequence[int],
 ) -> None:
-    """The refactored sweep: one PopulationFrame feeds the batch stability
-    fit and every per-window RFM refit."""
+    """The ROC sweep: one PopulationFrame feeds the stability fit and
+    every per-window RFM refit."""
     from repro.baselines.rfm import RFMModel
     from repro.eval.protocol import EvaluationProtocol
 
@@ -323,15 +278,12 @@ def protocol_telemetry(
     first_month: int = 12,
     last_month: int = 24,
 ) -> dict:
-    """Wall-clock of the full Figure-1-style ROC sweep, both data planes.
+    """Wall-clock of the full Figure-1-style ROC sweep.
 
-    ``size`` is per-cohort (total customers = ``2 * size``).  The legacy
-    path re-derives per-customer windowed dictionaries from the raw log;
-    the frame path encodes the log once into a
-    :class:`~repro.data.population.PopulationFrame` and runs the batch
-    stability kernel plus the columnar RFM features.  Both produce
-    bit-identical AUROC (pinned by tests), so the ratio is a pure
-    data-plane speedup.
+    ``size`` is per-cohort (total customers = ``2 * size``).  The sweep
+    encodes the log once into a
+    :class:`~repro.data.population.PopulationFrame` and runs the
+    stability kernel plus the columnar RFM features on it.
     """
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
@@ -341,27 +293,20 @@ def protocol_telemetry(
         ScenarioConfig(n_loyal=size, n_churners=size, seed=seed)
     )
     bundle = dataset.bundle
-    base = ExperimentConfig(
+    config = ExperimentConfig(
         window_months=window_months,
         alpha=alpha,
         first_month=first_month,
         last_month=last_month,
     )
-    train, test = EvaluationProtocol(bundle, config=base).train_test_split(
+    train, test = EvaluationProtocol(bundle, config=config).train_test_split(
         seed=seed
     )
-    timings = {}
-    for label, backend, sweep in (
-        ("legacy_incremental", "incremental", _roc_sweep_legacy),
-        ("frame_batch", "batch", _roc_sweep_frame),
-    ):
-        config = base.evolve(backend=backend)
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            sweep(bundle, config, train, test)
-            best = min(best, time.perf_counter() - start)
-        timings[label] = {"sweep_seconds": best}
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        _roc_sweep_frame(bundle, config, train, test)
+        best = min(best, time.perf_counter() - start)
     return {
         "scenario": "eval_protocol_roc_sweep",
         "customers": bundle.log.n_customers,
@@ -372,11 +317,7 @@ def protocol_telemetry(
         "last_month": last_month,
         "seed": seed,
         "repeat": repeat,
-        "paths": timings,
-        "speedup_frame_vs_legacy": (
-            timings["legacy_incremental"]["sweep_seconds"]
-            / timings["frame_batch"]["sweep_seconds"]
-        ),
+        "sweep_seconds": best,
     }
 
 
@@ -490,7 +431,6 @@ def telemetry_overhead(
         alpha=alpha,
         first_month=first_month,
         last_month=last_month,
-        backend="batch",
     )
     train, test = EvaluationProtocol(bundle, config=config).train_test_split(
         seed=seed
@@ -536,7 +476,7 @@ def write_scaling_json(path: Path | str, telemetry: dict) -> None:
 def merge_scaling_json(path: Path | str, updates: dict) -> dict:
     """Merge top-level keys into an existing telemetry artifact.
 
-    Benches regenerate different top-level scenarios (the backend grid,
+    Benches regenerate different top-level scenarios (the scaling grid,
     the slab grid) at different cadences; merging instead of overwriting
     lets each refresh its own keys without discarding the others.  A
     missing or unreadable artifact starts from scratch.  Returns the
@@ -561,27 +501,22 @@ def render_scaling(telemetry: dict) -> str:
     """Human-readable table of one telemetry payload."""
     from repro.eval.reporting import format_table
 
-    backends = list(telemetry["results"][0]["backends"]) if telemetry["results"] else []
-    header = ("customers", "receipts") + tuple(f"{b} s" for b in backends) + ("speedup",)
-    rows = []
-    for entry in telemetry["results"]:
-        speedup = entry.get("speedup_batch_vs_incremental")
-        rows.append(
-            (entry["customers"], entry["receipts"])
-            + tuple(
-                f"{entry['backends'][b]['fit_seconds']:.3f}" for b in backends
-            )
-            + (f"{speedup:.1f}x" if speedup is not None else "-",)
+    header = ("customers", "receipts", "fit s", "ms/customer")
+    rows = [
+        (
+            entry["customers"],
+            entry["receipts"],
+            f"{entry['fit_seconds']:.3f}",
+            f"{entry['ms_per_customer']:.3f}",
         )
+        for entry in telemetry["results"]
+    ]
     table = format_table(header, rows)
     protocol = telemetry.get("eval_protocol")
     if protocol is not None:
-        paths = protocol["paths"]
         table += (
             f"\n\nfull ROC sweep ({protocol['customers']} customers): "
-            f"legacy {paths['legacy_incremental']['sweep_seconds']:.3f}s, "
-            f"frame {paths['frame_batch']['sweep_seconds']:.3f}s "
-            f"({protocol['speedup_frame_vs_legacy']:.1f}x)"
+            f"{protocol['sweep_seconds']:.3f}s"
         )
     resilience = telemetry.get("resilient_executor")
     if resilience is not None:

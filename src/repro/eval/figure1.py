@@ -73,8 +73,7 @@ def run_figure1(
     Parameters mirror the paper: ``window_months=2`` and ``alpha=2`` are
     the values its 5-fold CV selected; ``first_month``/``last_month``
     bound the x axis (all folded into an :class:`ExperimentConfig` when
-    ``config`` is not given; the default backend is ``batch``, which is
-    bit-identical to the incremental reference).  ``test_fraction``
+    ``config`` is not given).  ``test_fraction``
     controls the stratified split the RFM model is trained/evaluated
     across; the stability model is evaluated on the same test customers
     so both curves measure the same population.
@@ -93,7 +92,6 @@ def run_figure1(
             alpha=alpha,
             first_month=first_month,
             last_month=last_month,
-            backend="batch",
         )
     protocol = EvaluationProtocol(
         bundle, config=config, checkpoint_dir=checkpoint_dir

@@ -76,10 +76,9 @@ def run_figure2(
     injected customer is generated (coffee lost in the window ending at
     month 20; milk, sponges and cheese in the window ending at month 22).
     ``first_month``/``last_month`` bound the plotted axis like the
-    paper's Figure 2 (months 12 to 24).  The incremental backend is kept
-    deliberately: the per-drop explanations read the full per-item
-    significance snapshots, which lazily-built batch trajectories do not
-    carry.
+    paper's Figure 2 (months 12 to 24).  The per-drop explanations read
+    the full per-item significance snapshots of the customer's
+    trajectory, built from the frame's columns.
     """
     case = case if case is not None else figure2_case_study(seed=seed)
     if config is None:

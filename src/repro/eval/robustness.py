@@ -92,7 +92,6 @@ def mechanism_crossover(
             alpha=alpha,
             first_month=min(months),
             last_month=max(months),
-            backend="batch",
         )
         protocol = EvaluationProtocol(dataset.bundle, config=config)
         train, test = protocol.train_test_split(seed=seed)
@@ -192,7 +191,6 @@ def vacation_sensitivity(
             window_months=window_months,
             first_month=eval_month,
             last_month=eval_month,
-            backend="batch",
         )
         protocol = EvaluationProtocol(dataset.bundle, config=config)
         model = StabilityModel.from_config(dataset.calendar, config).fit(

@@ -21,7 +21,8 @@ not the population.  The FeedForward streaming-batch runbook
   before it is re-derived identically on replay;
 * an unusable cursor (torn file, version drift, stream or config
   fingerprint mismatch, a ``stream_offset`` that does not begin a day
-  line) is not fatal: the loop logs a warning, counts
+  line or whose preceding day line is not the resumed state's last
+  day) is not fatal: the loop logs a warning, counts
   ``serve.cursor_invalid`` and restarts from the stream head, relying
   on the score table's idempotent upsert semantics.
 
@@ -519,10 +520,6 @@ def serve_stream(
             n_shards=n_shards,
         )
         if loaded is not None:
-            try:
-                check_replay_start(stream, loaded.cursor.stream_offset)
-            except ConfigError as exc:
-                raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
             pool = ShardedMonitorPool.from_snapshots(
                 loaded.shard_payloads,
                 parallel=parallel,
@@ -530,6 +527,16 @@ def serve_stream(
                 timeout=timeout,
                 fault_plan=fault_plan,
             )
+            # The shards are aligned, so one clock: the day of the line
+            # that ends at the cursor's offset.
+            try:
+                check_replay_start(
+                    stream,
+                    loaded.cursor.stream_offset,
+                    last_day=pool.monitors[0].last_day_seen,
+                )
+            except ConfigError as exc:
+                raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
             table = _table_from_payload(loaded.scores)
     except (CursorInvalid, SnapshotError) as exc:
         logger.warning(

@@ -275,10 +275,15 @@ def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
             yield batch
 
 
-def check_replay_start(path: str | Path, start: int) -> None:
-    """Check that :func:`replay_stream` can begin at byte ``start``:
-    ``0``, or an offset between the header's end and the file's end
-    that directly follows a newline.
+def check_replay_start(path: str | Path, start: int, last_day: int) -> None:
+    """Check that a resume whose state last saw day ``last_day`` can
+    continue with :func:`replay_stream` at byte ``start``.
+
+    ``start`` must be ``0``, or an offset between the header's end and
+    the file's end that directly follows a newline; and the day line
+    that ends at ``start`` must hold ``last_day`` (``-1`` when no day
+    line precedes ``start``), so an offset that skips or repeats days is
+    refused.  Only that one line is read.
 
     Raises
     ------
@@ -290,7 +295,40 @@ def check_replay_start(path: str | Path, start: int) -> None:
     path = Path(path)
     read_stream_header(path)
     with path.open("rb") as handle:
-        _day_line_start(path, handle, start)
+        day = _day_ending_at(handle, _day_line_start(path, handle, start))
+    if day != last_day:
+        raise ConfigError(
+            f"{path}: the day line ending at byte {start} holds day {day}, "
+            f"not the resumed state's day {last_day}"
+        )
+
+
+def _day_ending_at(handle: BinaryIO, end: int) -> int:
+    """The day of the line ending at byte ``end`` (a day line start past
+    the header), or -1 when that line is the header."""
+    handle.seek(0)
+    header_end = len(handle.readline())
+    if end <= header_end:
+        return -1
+    begin = header_end
+    probe = end - 1  # the newline that ends the line
+    while probe > header_end:
+        lo = max(header_end, probe - 4096)
+        handle.seek(lo)
+        newline = handle.read(probe - lo).rfind(b"\n")
+        if newline >= 0:
+            begin = lo + newline + 1
+            break
+        probe = lo
+    handle.seek(begin)
+    line = handle.read(end - begin)
+    try:
+        day = json.loads(line)["day"]
+    except (ValueError, TypeError, KeyError):
+        day = None
+    if type(day) is not int:
+        raise ConfigError(f"the line ending at byte {end} is not a day line")
+    return day
 
 
 def _day_line_start(path: Path, handle: BinaryIO, start: int) -> int:

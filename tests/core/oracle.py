@@ -10,12 +10,19 @@ another.
   registered in (their first basket's, or window 0 when registered up
   front).
 * ``c(k)`` / ``l(k)``: the number of prior windows that do / do not
-  contain ``p``, found by scanning those windows.
-* ``S(p, k) = alpha ** (c(k) - l(k))`` when ``c(k) > 0``, else 0.
+  contain ``p``, found by scanning those windows.  Under the
+  ``"since-first-seen"`` counting scheme ``l`` only counts the prior
+  windows from ``p``'s first purchase on.
+* ``S(p, k) = alpha ** (c(k) - l(k))`` when ``c(k) > 0``, else 0; or any
+  other rule of ``(c, l)`` (:func:`frequency_ratio`, :func:`linear`),
+  times the item's weight when weights are given (1 when unlisted).
 * Stability: the significance mass of the items in ``u_k`` over the
   mass of every item, ``nan`` when that mass is 0.  Items with
   ``c(k) = 0`` score 0, so "every item" reduces to the items bought in
   a prior window.
+
+A ``rule`` argument is either ``alpha`` (the paper's exponential rule)
+or a function of ``(c, l)``.
 * The explanation: the top-K ``argmax`` of ``S(p, k)`` over the items
   missing from ``u_k`` (with ``S > 0``), ties broken by item id.
 """
@@ -23,6 +30,19 @@ another.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+
+Rule = float | Callable[[int, int], float]
+
+
+def frequency_ratio(c: int, l: int) -> float:
+    """``S = c / (c + l)``."""
+    return c / (c + l)
+
+
+def linear(c: int, l: int) -> float:
+    """``S = max(c - l, 0)``."""
+    return float(max(c - l, 0))
 
 
 def window_index(boundaries: list[int], day: int) -> int:
@@ -46,16 +66,40 @@ def windowed_unions(
     return unions
 
 
-def prior_counts(prior: list[set[int]], item: int) -> tuple[int, int]:
-    """``(c, l)``: how many of the ``prior`` windows do and do not hold ``item``."""
+def prior_counts(
+    prior: list[set[int]], item: int, counting: str = "paper"
+) -> tuple[int, int]:
+    """``(c, l)``: how many of the ``prior`` windows do and do not hold
+    ``item`` (under ``"since-first-seen"``, only from its first on)."""
     c = 0
-    for union in prior:
+    first = None
+    for index, union in enumerate(prior):
         if item in union:
             c += 1
-    return c, len(prior) - c
+            if first is None:
+                first = index
+    counted = len(prior)
+    if counting == "since-first-seen" and first is not None:
+        counted = len(prior) - first
+    return c, counted - c
 
 
-def significances(unions: list[set[int]], k: int, alpha: float) -> dict[int, float]:
+def significance(rule: Rule, c: int, l: int) -> float:
+    """``S`` of counts ``(c, l)``: 0 when ``c == 0``."""
+    if c == 0:
+        return 0.0
+    if callable(rule):
+        return rule(c, l)
+    return rule ** (c - l)
+
+
+def significances(
+    unions: list[set[int]],
+    k: int,
+    rule: Rule,
+    counting: str = "paper",
+    weights: dict[int, float] | None = None,
+) -> dict[int, float]:
     """``S(p, k)`` of every item bought in a window before ``k``."""
     prior = unions[:k]
     seen: set[int] = set()
@@ -63,14 +107,21 @@ def significances(unions: list[set[int]], k: int, alpha: float) -> dict[int, flo
         seen |= union
     scores = {}
     for item in seen:
-        c, l = prior_counts(prior, item)
-        scores[item] = alpha ** (c - l) if c > 0 else 0.0
+        c, l = prior_counts(prior, item, counting)
+        weight = 1.0 if weights is None else weights.get(item, 1.0)
+        scores[item] = significance(rule, c, l) * weight
     return scores
 
 
-def stability(unions: list[set[int]], k: int, alpha: float) -> float:
+def stability(
+    unions: list[set[int]],
+    k: int,
+    rule: Rule,
+    counting: str = "paper",
+    weights: dict[int, float] | None = None,
+) -> float:
     """``Stability^k``: kept significance mass over total mass."""
-    scores = significances(unions, k, alpha)
+    scores = significances(unions, k, rule, counting, weights)
     total = sum(scores.values())
     if total <= 0:
         return math.nan
@@ -79,10 +130,15 @@ def stability(unions: list[set[int]], k: int, alpha: float) -> float:
 
 
 def explanation(
-    unions: list[set[int]], k: int, alpha: float, top_k: int
+    unions: list[set[int]],
+    k: int,
+    rule: Rule,
+    top_k: int,
+    counting: str = "paper",
+    weights: dict[int, float] | None = None,
 ) -> list[tuple[int, float]]:
     """The ``top_k`` most significant items missing from ``u_k``."""
-    scores = significances(unions, k, alpha)
+    scores = significances(unions, k, rule, counting, weights)
     missing = [
         (item, score)
         for item, score in scores.items()

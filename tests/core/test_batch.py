@@ -1,34 +1,41 @@
-"""Tests for repro.core.batch — the population-scale stability engine.
+"""Tests for repro.core.batch — the columnar stability kernel.
 
-The repo's invariant is *two independent implementations cross-check each
-other*.  The differential tests here assert that the incremental
-reference and the population batch engine agree on every (customer,
-window) cell — including all-NaN prefixes, single-item customers, empty
-windows and histories long enough to hit the ``_MAX_LOG`` saturation
-cap.
+The differential tests assert that the kernel agrees with the
+paper-equation oracle (``oracle.py``) on every (customer, window) cell —
+including all-NaN prefixes, single-item customers and empty windows —
+and that its two significance paths (the paper's log-space rule and the
+table of the scalar rule) agree with each other.  Histories long enough
+to hit the ``_MAX_LOG`` saturation cap, where ``alpha ** (c - l)``
+overflows the oracle's floats, are checked against the hand-computed
+values.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 import math
 import random
 
 import numpy as np
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.core.batch import (
+    Scoring,
     _segment_sum,
-    batch_churn_scores,
     significance_from_counts,
+    significance_table,
     stability_matrix,
 )
+from repro.core.model import StabilityModel
 from repro.core.significance import ExponentialSignificance
-from repro.core.stability import stability_trajectory
-from repro.core.windowing import WindowGrid, windowed_history
+from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
+from repro.data.calendar import StudyCalendar
 from repro.data.population import PopulationFrame
 from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError, ConfigWarning, DataError
+from tests.core import oracle
 
 
 def _random_log(
@@ -57,24 +64,37 @@ def _assert_cell_equal(fast: float, reference: float) -> None:
     if math.isnan(reference):
         assert math.isnan(fast)
     else:
-        assert fast == pytest.approx(reference, abs=1e-12)
+        assert fast == pytest.approx(reference, rel=1e-12)
+
+
+def _table_scoring(alpha: float, n_windows: int) -> Scoring:
+    """The exponential rule through the table path instead of the
+    log-space paper path."""
+    return Scoring(table=significance_table(ExponentialSignificance(alpha), n_windows))
 
 
 def _assert_all_backends_agree(log: TransactionLog, grid: WindowGrid, alpha: float):
-    result = stability_matrix(PopulationFrame.from_log(log, grid), alpha=alpha)
+    population = PopulationFrame.from_log(log, grid)
+    result = stability_matrix(population, alpha=alpha)
+    table = stability_matrix(population, scoring=_table_scoring(alpha, grid.n_windows))
     assert list(result.customer_ids) == log.customers()
+    boundaries = list(grid.boundaries)
     for row, customer_id in enumerate(result.customer_ids):
-        windows = windowed_history(log.history(int(customer_id)), grid)
-        reference = stability_trajectory(
-            int(customer_id), windows, significance=ExponentialSignificance(alpha)
-        )
-        for k, slow in enumerate(reference.values()):
-            _assert_cell_equal(result.stability[row, k], slow)
+        baskets = [
+            (b.day, set(b.items))
+            for b in log.history(int(customer_id))
+            if boundaries[0] <= b.day < boundaries[-1]
+        ]
+        unions = oracle.windowed_unions(baskets, boundaries, 0)
+        for k in range(grid.n_windows):
+            want = oracle.stability(unions, k, alpha)
+            _assert_cell_equal(result.stability[row, k], want)
+            _assert_cell_equal(table.stability[row, k], want)
 
 
 class TestDifferential:
     def test_randomized_histories_agree_across_backends(self):
-        """Seeded fuzz loop: two implementations, one definition."""
+        """Seeded fuzz loop: two significance paths and the oracle."""
         rng = random.Random(20160315)
         grid = WindowGrid.daily(total_days=120, days_per_window=10)
         for _ in range(25):
@@ -111,21 +131,20 @@ class TestDifferential:
         _assert_all_backends_agree(log, grid, 2.0)
 
     def test_long_history_hits_saturation_cap(self):
-        """alpha ** margin overflows double range; the cap must agree."""
+        """alpha ** margin overflows double range; the cap keeps the
+        ratio: items 1 and 2 bought every day, then only item 1."""
         log = TransactionLog()
         for day in range(1500):
             log.add(Basket.of(customer_id=1, day=day, items=[1, 2]))
         log.add(Basket.of(customer_id=1, day=1500, items=[1]))
         grid = WindowGrid.daily(total_days=1502, days_per_window=1)
         result = stability_matrix(PopulationFrame.from_log(log, grid), alpha=8.0)
-        assert result.stability[0, 1500] == pytest.approx(0.5)
-        reference = stability_trajectory(
-            1,
-            windowed_history(log.history(1), grid),
-            significance=ExponentialSignificance(8.0),
-        )
-        for k, slow in enumerate(reference.values()):
-            _assert_cell_equal(result.stability[0, k], slow)
+        assert math.isnan(result.stability[0, 0])
+        assert (result.stability[0, 1:1500] == 1.0).all()
+        # Both items saturate at the same score: losing one halves it.
+        assert result.stability[0, 1500] == 0.5
+        assert np.isfinite(result.total_mass[0, 1:]).all()
+        assert result.total_mass[0, 1500] == 2 * math.exp(700.0)
 
     def test_lexsort_fallback_for_huge_item_ids(self):
         """Item ids too large for the packed-key fast path."""
@@ -240,41 +259,39 @@ class TestSignificanceKernel:
 
 
 class TestBatchChurnScores:
+    """``StabilityModel.churn_scores``: one slice of the stability matrix."""
+
     @pytest.fixture()
-    def log(self) -> TransactionLog:
+    def model(self) -> StabilityModel:
         rng = random.Random(11)
-        return _random_log(rng, n_customers=6, n_days=50, item_pool=5)
+        calendar = StudyCalendar(start=_dt.date(2000, 1, 1), n_months=5)
+        log = _random_log(rng, n_customers=6, n_days=calendar.n_days, item_pool=5)
+        return StabilityModel(
+            calendar, config=ExperimentConfig(window_months=1)
+        ).fit(log)
 
-    def test_matches_trajectory_engine(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, window_index=4)
-        for customer_id in log.customers():
-            trajectory = stability_trajectory(
-                customer_id, windowed_history(log.history(customer_id), grid)
-            )
-            assert scores[customer_id] == pytest.approx(
-                trajectory.churn_score(4), abs=1e-12
-            )
+    def test_matches_trajectory_engine(self, model):
+        scores = model.churn_scores(4)
+        assert list(scores) == model.customers()
+        for customer_id, score in scores.items():
+            trajectory = model.trajectory(customer_id)
+            assert score == trajectory.churn_score(4)
+            assert score == 1.0 - trajectory.at(4).stability
 
-    def test_undefined_maps_to_neutral(self, log):
+    def test_undefined_maps_to_neutral(self, model):
         """No customer has prior significance mass in window 0."""
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, window_index=0)
-        assert set(scores.values()) == {0.5}
+        assert set(model.churn_scores(0).values()) == {0.5}
 
-    def test_bad_window_rejected(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
+    def test_bad_window_rejected(self, model):
         with pytest.raises(ConfigError):
-            batch_churn_scores(log, grid, window_index=99)
+            model.churn_scores(99)
 
-    def test_unknown_customer_rejected(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
+    def test_unknown_customer_rejected(self, model):
         with pytest.raises(DataError):
-            batch_churn_scores(log, grid, 4, customers=[424242])
+            model.churn_scores(4, customers=[424242])
 
-    def test_subset(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, 4, customers=[2, 4])
+    def test_subset(self, model):
+        scores = model.churn_scores(4, customers=[2, 4])
         assert set(scores) == {2, 4}
 
 
@@ -324,4 +341,4 @@ class TestAlphaValidation:
         with pytest.warns(ConfigWarning):
             stability_matrix(population, alpha=1.0)
         with pytest.warns(ConfigWarning):
-            batch_churn_scores(log, grid, 0, alpha=0.5)
+            StabilityModel(StudyCalendar.paper(), alpha=0.5)

@@ -9,17 +9,9 @@ from repro.core.characterization import (
     loss_events,
     profile_population,
 )
-from repro.core.stability import stability_trajectory
-from repro.core.windowing import Window
 from repro.errors import ConfigError
 from repro.synth.catalog import build_catalog
-
-
-def _windows(item_sets) -> list[Window]:
-    return [
-        Window(index=k, begin_day=k * 10, end_day=(k + 1) * 10, items=frozenset(items))
-        for k, items in enumerate(item_sets)
-    ]
+from tests.core.histories import trajectory_of
 
 
 class TestClassifyLoss:
@@ -44,9 +36,7 @@ class TestClassifyLoss:
 
 class TestLossEvents:
     def test_single_abrupt_loss(self):
-        trajectory = stability_trajectory(
-            1, _windows([{1, 2}, {1, 2}, {1, 2}, {1}])
-        )
+        trajectory = trajectory_of([{1, 2}, {1, 2}, {1, 2}, {1}])
         events = loss_events(trajectory)
         assert len(events) == 1
         event = events[0]
@@ -57,9 +47,7 @@ class TestLossEvents:
         assert event.share == pytest.approx(0.5)
 
     def test_recovery_detected(self):
-        trajectory = stability_trajectory(
-            1, _windows([{1, 2}, {1, 2}, {1}, {1, 2}])
-        )
+        trajectory = trajectory_of([{1, 2}, {1, 2}, {1}, {1, 2}])
         events = loss_events(trajectory)
         assert len(events) == 1
         assert events[0].recovered_window == 3
@@ -67,17 +55,13 @@ class TestLossEvents:
     def test_fading_loss(self):
         # Item 2 misses window 1, returns in 2, gone from 3: the final
         # loss is classified as fading (broken streak in the lookback).
-        trajectory = stability_trajectory(
-            1, _windows([{1, 2}, {1}, {1, 2}, {1}, {1}])
-        )
+        trajectory = trajectory_of([{1, 2}, {1}, {1, 2}, {1}, {1}])
         events = loss_events(trajectory)
         kinds = {(e.window_index, e.kind) for e in events}
         assert (3, "fading") in kinds
 
     def test_min_share_filters_insignificant_items(self):
-        trajectory = stability_trajectory(
-            1, _windows([{1, 2}, {1}, {1}, {1}, {1}, {1, 3}, {1}])
-        )
+        trajectory = trajectory_of([{1, 2}, {1}, {1}, {1}, {1}, {1, 3}, {1}])
         # Item 3 appears once then vanishes with tiny significance.
         events = loss_events(trajectory, min_share=0.2)
         assert all(e.item != 3 for e in events)
@@ -85,20 +69,18 @@ class TestLossEvents:
         assert any(e.item == 3 for e in events_loose)
 
     def test_invalid_min_share(self):
-        trajectory = stability_trajectory(1, _windows([{1}]))
+        trajectory = trajectory_of([{1}])
         with pytest.raises(ConfigError):
             loss_events(trajectory, min_share=2.0)
 
     def test_events_ordered(self):
-        trajectory = stability_trajectory(
-            1, _windows([{1, 2, 3}, {1, 2, 3}, {1, 3}, {1}])
-        )
+        trajectory = trajectory_of([{1, 2, 3}, {1, 2, 3}, {1, 3}, {1}])
         events = loss_events(trajectory)
         positions = [e.window_index for e in events]
         assert positions == sorted(positions)
 
     def test_no_events_for_stable_customer(self):
-        trajectory = stability_trajectory(1, _windows([{1}, {1}, {1}]))
+        trajectory = trajectory_of([{1}, {1}, {1}])
         assert loss_events(trajectory) == []
 
 
@@ -106,9 +88,9 @@ class TestPopulationProfile:
     @pytest.fixture()
     def profile(self):
         trajectories = [
-            stability_trajectory(1, _windows([{1, 2}, {1, 2}, {1, 2}, {1}])),
-            stability_trajectory(2, _windows([{1, 2}, {1, 2}, {2}, {2}])),
-            stability_trajectory(3, _windows([{2}, {2}, {2}, {2}])),
+            trajectory_of([{1, 2}, {1, 2}, {1, 2}, {1}]),
+            trajectory_of([{1, 2}, {1, 2}, {2}, {2}], customer_id=2),
+            trajectory_of([{2}, {2}, {2}, {2}], customer_id=3),
         ]
         return profile_population(trajectories)
 
@@ -133,9 +115,7 @@ class TestPopulationProfile:
         coffee = catalog.segment_by_name("Coffee").segment_id
         milk = catalog.segment_by_name("Milk").segment_id
         trajectories = [
-            stability_trajectory(
-                1, _windows([{coffee, milk}, {coffee, milk}, {coffee, milk}, {milk}])
-            )
+            trajectory_of([{coffee, milk}, {coffee, milk}, {coffee, milk}, {milk}])
         ]
         profile = profile_population(trajectories)
         rollup = profile.department_rollup(catalog)

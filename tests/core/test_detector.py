@@ -5,22 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.detector import ThresholdDetector
-from repro.core.stability import stability_trajectory
-from repro.core.windowing import Window
 from repro.errors import ConfigError
-
-
-def _windows(item_sets) -> list[Window]:
-    return [
-        Window(index=k, begin_day=k * 10, end_day=(k + 1) * 10, items=frozenset(items))
-        for k, items in enumerate(item_sets)
-    ]
+from tests.core.histories import trajectory_of
 
 
 @pytest.fixture()
 def defecting():
     # Stability: nan, 1.0, 1.0, then a drop to 0.5 at window 3.
-    return stability_trajectory(1, _windows([{1, 2}, {1, 2}, {1, 2}, {1}]))
+    return trajectory_of([{1, 2}, {1, 2}, {1, 2}, {1}])
 
 
 class TestThresholdRule:
@@ -64,7 +56,7 @@ class TestAlarms:
         assert alarm.window_index == 3
 
     def test_no_alarm_for_loyal(self):
-        loyal = stability_trajectory(1, _windows([{1}, {1}, {1}]))
+        loyal = trajectory_of([{1}, {1}, {1}])
         assert ThresholdDetector(beta=0.5).first_alarm(loyal) is None
 
     def test_default_beta(self):

@@ -1,65 +1,84 @@
-"""The two stability engines behind ``get_engine``."""
+"""repro.core.engines: the model's fit entry and column-built records."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.engines import (
-    FitSpec,
-    StabilityEngine,
-    available_engines,
-    get_engine,
-)
-from repro.core.significance import ExponentialSignificance, LinearSignificance
+import repro.core.engines as engines
+from repro.config import ExperimentConfig
+from repro.core.batch import Scoring, stability_matrix
+from repro.core.model import StabilityModel
+from repro.core.significance import LinearSignificance
+from repro.core.windowing import windowed_history
+from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
-
-
-def spec(**overrides) -> FitSpec:
-    defaults = dict(significance=ExponentialSignificance(2.0))
-    defaults.update(overrides)
-    return FitSpec(**defaults)
+from tests.core import oracle
+from tests.core.histories import history_log, model_of
 
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert available_engines() == ("incremental", "batch")
-
-    def test_get_engine_round_trips_names(self):
-        for name in available_engines():
-            engine = get_engine(name)
-            assert engine.name == name
-            assert isinstance(engine, StabilityEngine)
+        # One built-in kernel: "batch" is the default and the only legal
+        # backend (every rule, counting scheme and weighting runs on it:
+        # tests/core/test_model.py::TestBackends).
+        assert ExperimentConfig().backend == "batch"
+        assert ExperimentConfig(backend="batch").backend == "batch"
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown backend 'gpu'"):
-            get_engine("gpu")
+            ExperimentConfig(backend="gpu")
 
 
 class TestValidation:
-    def test_incremental_accepts_any_rule(self):
-        get_engine("incremental").validate(
-            spec(significance=LinearSignificance(), counting="since-first-seen")
+    def test_batch_accepts_parallel_fit(self, calendar):
+        model = StabilityModel(
+            calendar,
+            significance=LinearSignificance(),
+            item_weights={1: 2.0},
+            config=ExperimentConfig(n_jobs=4, counting="since-first-seen"),
         )
+        assert model.config.n_jobs == 4
 
-    @pytest.mark.parametrize("name", ["batch"])
-    def test_numpy_engines_require_exponential(self, name):
-        with pytest.raises(ConfigError, match="ExponentialSignificance"):
-            get_engine(name).validate(spec(significance=LinearSignificance()))
 
-    @pytest.mark.parametrize("name", ["batch"])
-    def test_numpy_engines_require_paper_counting(self, name):
-        with pytest.raises(ConfigError, match="counting"):
-            get_engine(name).validate(spec(counting="since-first-seen"))
+class TestFitEntry:
+    def test_model_fits_through_the_module_kernel(self, monkeypatch):
+        # Tracing wraps engines.stability_matrix by name: the model must
+        # look it up there, with the frame as the first argument.
+        calls = []
 
-    @pytest.mark.parametrize("name", ["batch"])
-    def test_numpy_engines_reject_item_weights(self, name):
-        with pytest.raises(ConfigError, match="item_weights"):
-            get_engine(name).validate(spec(item_weights={1: 2.0}))
+        def recording(frame, *args, **kwargs):
+            calls.append(frame)
+            return stability_matrix(frame, *args, **kwargs)
 
-    @pytest.mark.parametrize("name", ["incremental"])
-    def test_serial_engines_reject_parallel_fit(self, name):
-        with pytest.raises(ConfigError, match="n_jobs"):
-            get_engine(name).validate(spec(n_jobs=4))
+        monkeypatch.setattr(engines, "stability_matrix", recording)
+        model = model_of([{1}, {1}])
+        assert len(calls) == 1 and isinstance(calls[0], PopulationFrame)
+        assert model.stability_at(1, 1) == 1.0
 
-    def test_batch_accepts_parallel_fit(self):
-        get_engine("batch").validate(spec(n_jobs=4))
+
+class TestCustomerTrajectory:
+    def test_windows_equal_the_log_path(self, small_dataset):
+        config = ExperimentConfig()
+        grid = config.grid(small_dataset.calendar)
+        frame = PopulationFrame.from_log(small_dataset.log, grid)
+        fit = stability_matrix(frame)
+        for row in (0, frame.n_customers // 2, frame.n_customers - 1):
+            customer = int(frame.customer_ids[row])
+            built = engines.customer_trajectory(fit, row, Scoring())
+            want = windowed_history(small_dataset.log.history(customer), grid)
+            assert [r.window for r in built.records] == want
+            assert built.customer_id == customer
+
+    def test_snapshot_holds_every_item_bought_before(self):
+        windows = [{1, 2}, {3}, set(), {1}]
+        calendar, log = history_log(windows)
+        fit = stability_matrix(
+            PopulationFrame.from_log(log, ExperimentConfig(window_months=1).grid(calendar))
+        )
+        trajectory = engines.customer_trajectory(fit, 0, Scoring())
+        for k in range(len(windows)):
+            want = oracle.significances(windows, k, 2.0)
+            got = trajectory.at(k).significances
+            assert set(got) == set(want)
+            for item, value in want.items():
+                assert got[item] == pytest.approx(value, rel=1e-12)

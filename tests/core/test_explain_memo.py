@@ -1,43 +1,41 @@
-"""explain() memoization: snapshot recomputation happens once per customer.
+"""explain() memoization: snapshots are built once per customer.
 
-The numpy backends drop per-window significance snapshots; ``explain()``
-transparently rebuilds them through the incremental kernel.  That rebuild
-is memoised per ``(customer, config)`` — a second ``explain()`` on the
-same customer must do no kernel work.
+The fit keeps only the stability matrices; ``explain()`` builds the
+customer's records, with their significance snapshots, from the frame's
+columns (:func:`~repro.core.engines.customer_trajectory`).  That build
+is memoised per customer until the next fit — a second ``explain()`` on
+the same customer must do no kernel work.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.model as model_module
-from repro.config import ExperimentConfig
+import repro.core.engines as engines
 from repro.core.model import StabilityModel
 
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Count calls into the incremental snapshot kernel."""
+    """Count the per-customer record builds."""
     calls = []
-    real = model_module.stability_trajectory
+    real = engines.customer_trajectory
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])  # customer id
-        return real(*args, **kwargs)
+    def counting(fit, row, scoring):
+        calls.append(int(fit.customer_ids[row]))
+        return real(fit, row, scoring)
 
-    monkeypatch.setattr(model_module, "stability_trajectory", counting)
+    monkeypatch.setattr(engines, "customer_trajectory", counting)
     return calls
 
 
 def test_second_explain_does_no_kernel_work(small_dataset, kernel_calls):
     churners = sorted(small_dataset.cohorts.churners)[:2]
-    model = StabilityModel(
-        small_dataset.calendar, config=ExperimentConfig(backend="batch")
-    ).fit(
+    model = StabilityModel(small_dataset.calendar).fit(
         small_dataset.log, churners
     )
     customer = churners[0]
-    assert kernel_calls == []  # the batch fit itself never touches it
+    assert kernel_calls == []  # the fit itself builds no records
 
     first = model.explain(customer, 9)
     assert kernel_calls == [customer]
@@ -49,9 +47,7 @@ def test_second_explain_does_no_kernel_work(small_dataset, kernel_calls):
 
 def test_each_customer_recomputed_once(small_dataset, kernel_calls):
     churners = sorted(small_dataset.cohorts.churners)[:2]
-    model = StabilityModel(
-        small_dataset.calendar, config=ExperimentConfig(backend="batch")
-    ).fit(
+    model = StabilityModel(small_dataset.calendar).fit(
         small_dataset.log, churners
     )
     for customer in churners:
@@ -62,21 +58,10 @@ def test_each_customer_recomputed_once(small_dataset, kernel_calls):
 
 def test_refit_invalidates_memo(small_dataset, kernel_calls):
     churners = sorted(small_dataset.cohorts.churners)[:1]
-    model = StabilityModel(
-        small_dataset.calendar, config=ExperimentConfig(backend="batch")
-    ).fit(
+    model = StabilityModel(small_dataset.calendar).fit(
         small_dataset.log, churners
     )
     model.explain(churners[0], 9)
     model.fit(small_dataset.log, churners)
     model.explain(churners[0], 9)
     assert kernel_calls == [churners[0], churners[0]]
-
-
-def test_incremental_backend_bypasses_memo(small_dataset):
-    churners = sorted(small_dataset.cohorts.churners)[:1]
-    model = StabilityModel(small_dataset.calendar).fit(
-        small_dataset.log, churners
-    )
-    model.explain(churners[0], 9)
-    assert model._snapshot_cache == {}  # full snapshots already on hand

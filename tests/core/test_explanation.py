@@ -5,25 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.explanation import explain_drop, explain_trajectory, explain_window
-from repro.core.stability import stability_trajectory
-from repro.core.windowing import Window
 from repro.errors import ConfigError
-
-
-def _windows(item_sets) -> list[Window]:
-    return [
-        Window(index=k, begin_day=k * 10, end_day=(k + 1) * 10, items=frozenset(items))
-        for k, items in enumerate(item_sets)
-    ]
+from tests.core.histories import trajectory_of
 
 
 @pytest.fixture()
 def trajectory():
     # Items: 1 bought every window (most significant), 2 bought in the
     # first two, 3 only in the first.  Window 3 drops everything but 1.
-    return stability_trajectory(
-        5, _windows([{1, 2, 3}, {1, 2}, {1, 2}, {1}])
-    )
+    return trajectory_of([{1, 2, 3}, {1, 2}, {1, 2}, {1}], customer_id=5)
 
 
 class TestExplainWindow:
@@ -50,13 +40,13 @@ class TestExplainWindow:
         assert [m.item for m in explanation.newly_missing] == [2]
 
     def test_no_missing_items(self):
-        trajectory = stability_trajectory(1, _windows([{1}, {1}]))
+        trajectory = trajectory_of([{1}, {1}])
         explanation = explain_window(trajectory, 1)
         assert explanation.missing == ()
         assert explanation.top_item is None
 
     def test_window_zero_has_no_previous(self):
-        trajectory = stability_trajectory(1, _windows([{1}, {1}]))
+        trajectory = trajectory_of([{1}, {1}])
         explanation = explain_window(trajectory, 0)
         assert explanation.newly_missing == ()
 
@@ -82,7 +72,7 @@ class TestExplainWindow:
 
     def test_deterministic_tie_break_by_item_id(self):
         # Two items with identical significance rank by ascending id.
-        trajectory = stability_trajectory(1, _windows([{1, 2}, {1, 2}, set()]))
+        trajectory = trajectory_of([{1, 2}, {1, 2}, set()])
         explanation = explain_window(trajectory, 2)
         assert [m.item for m in explanation.missing] == [1, 2]
 
@@ -97,5 +87,5 @@ class TestExplainDropAndTrajectory:
         assert explained_windows == set(trajectory.drops(0.05))
 
     def test_explain_trajectory_empty_when_stable(self):
-        trajectory = stability_trajectory(1, _windows([{1}, {1}, {1}]))
+        trajectory = trajectory_of([{1}, {1}, {1}])
         assert explain_trajectory(trajectory) == []

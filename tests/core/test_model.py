@@ -7,12 +7,18 @@ import math
 import pytest
 
 from repro.config import ExperimentConfig
+from repro.core.detector import ThresholdDetector
 from repro.core.model import StabilityModel
-from repro.core.significance import FrequencyRatioSignificance
+from repro.core.significance import (
+    ExponentialSignificance,
+    FrequencyRatioSignificance,
+    LinearSignificance,
+)
 from repro.data.basket import Basket
 from repro.data.calendar import StudyCalendar
 from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError, DataError, NotFittedError
+from tests.core import oracle
 
 
 @pytest.fixture()
@@ -38,6 +44,20 @@ class TestConstruction:
     def test_default_alpha_two(self, calendar):
         model = StabilityModel(calendar)
         assert model.significance.alpha == 2.0  # type: ignore[attr-defined]
+
+    @pytest.mark.parametrize(
+        "loose", [{"window_months": 3}, {"alpha": 4.0}], ids=["window_months", "alpha"]
+    )
+    def test_loose_argument_beside_a_config_rejected(self, calendar, loose):
+        # A config carries window_months and alpha: a second value beside
+        # it would be silently ignored.
+        (name,) = loose
+        with pytest.raises(ConfigError, match=name):
+            StabilityModel(calendar, config=ExperimentConfig(), **loose)
+
+    def test_negative_item_weight_rejected_at_construction(self, calendar):
+        with pytest.raises(ConfigError, match="item_weights must be positive"):
+            StabilityModel(calendar, item_weights={1: 2.0, 7: -0.5})
 
 
 class TestFit:
@@ -126,33 +146,57 @@ def _churn_log(calendar) -> TransactionLog:
     return log
 
 
+def _unions(model, log, customer):
+    """The customer's ``u_k`` on the model's grid."""
+    boundaries = list(model.grid.boundaries)
+    baskets = [(b.day, set(b.items)) for b in log.history(customer)]
+    return oracle.windowed_unions(baskets, boundaries, 0)
+
+
+def _assert_matches_oracle(model, log, rule, counting="paper", weights=None):
+    for customer in model.customers():
+        unions = _unions(model, log, customer)
+        trajectory = model.trajectory(customer)
+        for k in range(model.n_windows):
+            want = oracle.stability(unions, k, rule, counting, weights)
+            got = trajectory.at(k).stability
+            if math.isnan(want):
+                assert math.isnan(got), (customer, k)
+            else:
+                assert got == pytest.approx(want, rel=1e-12), (customer, k)
+
+
 class TestBackends:
+    """The one kernel, against the paper-equation oracle (``oracle.py``),
+    the per-customer reference these tests compare with."""
+
     def test_unknown_backend_rejected(self, calendar):
-        with pytest.raises(ConfigError, match="backend"):
-            StabilityModel(calendar, config=ExperimentConfig(backend="gpu"))
+        for backend in ("gpu", "incremental"):
+            with pytest.raises(ConfigError, match="backend"):
+                StabilityModel(calendar, config=ExperimentConfig(backend=backend))
 
-    def test_custom_significance_requires_incremental(self, calendar):
-        with pytest.raises(ConfigError):
-            StabilityModel(
-                calendar,
-                significance=FrequencyRatioSignificance(),
-                config=ExperimentConfig(backend="batch"),
-            )
+    def test_custom_significance_fits(self, calendar):
+        log = _churn_log(calendar)
+        for significance, rule in (
+            (FrequencyRatioSignificance(), oracle.frequency_ratio),
+            (LinearSignificance(), oracle.linear),
+            (ExponentialSignificance(4.0), 4.0),
+        ):
+            model = StabilityModel(calendar, significance=significance).fit(log)
+            _assert_matches_oracle(model, log, rule)
 
-    def test_custom_counting_requires_incremental(self, calendar):
-        with pytest.raises(ConfigError):
-            StabilityModel(
-                calendar,
-                config=ExperimentConfig(counting="since-first-seen", backend="batch"),
-            )
+    def test_custom_counting_fits(self, calendar):
+        log = _churn_log(calendar)
+        model = StabilityModel(
+            calendar, config=ExperimentConfig(counting="since-first-seen")
+        ).fit(log)
+        _assert_matches_oracle(model, log, 2.0, counting="since-first-seen")
 
-    def test_item_weights_require_incremental(self, calendar):
-        with pytest.raises(ConfigError):
-            StabilityModel(
-                calendar,
-                item_weights={1: 2.0},
-                config=ExperimentConfig(backend="batch"),
-            )
+    def test_item_weights_fit(self, calendar):
+        log = _churn_log(calendar)
+        weights = {1: 3.0, 4: 0.5}
+        model = StabilityModel(calendar, item_weights=weights).fit(log)
+        _assert_matches_oracle(model, log, 2.0, weights=weights)
 
     def test_n_jobs_requires_batch(self, calendar):
         with pytest.raises(ConfigError):
@@ -163,86 +207,69 @@ class TestBackends:
     @pytest.mark.parametrize("backend", ["batch"])
     def test_trajectories_match_incremental(self, calendar, backend):
         log = _churn_log(calendar)
-        reference = StabilityModel(calendar, window_months=2).fit(log)
-        fast = StabilityModel(
+        model = StabilityModel(
             calendar, config=ExperimentConfig(window_months=2, backend=backend)
         ).fit(log)
-        assert fast.customers() == reference.customers()
-        for customer in reference.customers():
-            slow_t = reference.trajectory(customer)
-            fast_t = fast.trajectory(customer)
-            for k in range(reference.n_windows):
-                slow = slow_t.at(k).stability
-                if math.isnan(slow):
-                    assert math.isnan(fast_t.at(k).stability)
-                else:
-                    assert fast_t.at(k).stability == pytest.approx(
-                        slow, abs=1e-12
-                    )
+        assert model.customers() == [1, 2]
+        _assert_matches_oracle(model, log, 2.0)
 
     @pytest.mark.parametrize("backend", ["batch"])
     def test_churn_scores_and_detect_match(self, calendar, backend):
         log = _churn_log(calendar)
-        reference = StabilityModel(calendar, window_months=2).fit(log)
-        fast = StabilityModel(
+        model = StabilityModel(
             calendar, config=ExperimentConfig(window_months=2, backend=backend)
         ).fit(log)
-        for k in range(reference.n_windows):
-            slow = reference.churn_scores(k)
-            quick = fast.churn_scores(k)
-            assert set(quick) == set(slow)
-            for customer, score in slow.items():
-                assert quick[customer] == pytest.approx(score, abs=1e-12)
-        slow_alarms = reference.detect(beta=0.7)
-        fast_alarms = fast.detect(beta=0.7)
-        assert [(a.customer_id, a.window_index) for a in fast_alarms] == [
-            (a.customer_id, a.window_index) for a in slow_alarms
-        ]
-        for fast_alarm, slow_alarm in zip(fast_alarms, slow_alarms):
-            assert fast_alarm.stability == pytest.approx(
-                slow_alarm.stability, abs=1e-12
+        for k in range(model.n_windows):
+            scores = model.churn_scores(k)
+            assert set(scores) == {1, 2}
+            for customer, score in scores.items():
+                assert score == model.trajectory(customer).churn_score(k)
+        first_window = next(
+            k for k in range(model.n_windows) if model.window_month(k) >= 12
+        )
+        want = []
+        for customer in model.customers():
+            alarm = ThresholdDetector(0.7).first_alarm(
+                model.trajectory(customer), first_window=first_window
             )
+            if alarm is not None:
+                want.append(alarm)
+        assert model.detect(beta=0.7) == want
 
     def test_batch_explain_matches_incremental(self, calendar):
         log = _churn_log(calendar)
-        reference = StabilityModel(calendar, window_months=2).fit(log)
-        fast = StabilityModel(
+        model = StabilityModel(
             calendar, config=ExperimentConfig(window_months=2, backend="batch")
         ).fit(log)
         k = next(
-            k
-            for k in range(reference.n_windows)
-            if reference.stability_at(1, k) < 1.0
+            k for k in range(model.n_windows) if model.stability_at(1, k) < 1.0
         )
-        slow = reference.explain(1, k)
-        quick = fast.explain(1, k)
-        assert quick.stability == pytest.approx(slow.stability, abs=1e-12)
-        assert [m.item for m in quick.missing] == [m.item for m in slow.missing]
+        unions = _unions(model, log, 1)
+        explained = model.explain(1, k)
+        want = oracle.explanation(unions, k, 2.0, top_k=5)
+        assert explained.stability == pytest.approx(
+            oracle.stability(unions, k, 2.0), rel=1e-12
+        )
+        assert [m.item for m in explained.missing] == [item for item, _ in want]
 
     def test_batch_trajectory_is_cached(self, calendar):
-        model = StabilityModel(
-            calendar, config=ExperimentConfig(backend="batch")
-        ).fit(_churn_log(calendar))
+        model = StabilityModel(calendar).fit(_churn_log(calendar))
         assert model.trajectory(1) is model.trajectory(1)
 
     def test_batch_unknown_customer(self, calendar):
-        model = StabilityModel(
-            calendar, config=ExperimentConfig(backend="batch")
-        ).fit(_churn_log(calendar))
+        model = StabilityModel(calendar).fit(_churn_log(calendar))
         with pytest.raises(DataError, match="not fitted"):
             model.trajectory(999)
 
     def test_batch_unfitted_raises(self, calendar):
-        model = StabilityModel(calendar, config=ExperimentConfig(backend="batch"))
+        model = StabilityModel(calendar)
         with pytest.raises(NotFittedError):
             model.customers()
 
     def test_parallel_fit_matches_serial(self, calendar):
         log = _churn_log(calendar)
-        serial = StabilityModel(calendar, config=ExperimentConfig(backend="batch")).fit(log)
-        parallel = StabilityModel(
-            calendar, config=ExperimentConfig(backend="batch", n_jobs=2)
-        ).fit(log)
+        serial = StabilityModel(calendar).fit(log)
+        parallel = StabilityModel(calendar, config=ExperimentConfig(n_jobs=2)).fit(log)
         for customer in serial.customers():
             for k in range(serial.n_windows):
                 a = serial.stability_at(customer, k)

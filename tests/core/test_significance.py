@@ -1,20 +1,52 @@
-"""Tests for repro.core.significance — the paper's S(p, k)."""
+"""Tests for repro.core.significance — the paper's S(p, k).
+
+The prior-window counts ``(c, l)`` are read back through the model: the
+``_Counts`` rule scores ``1000 c + l``, so a significance snapshot
+(``tests/core/histories.py``) spells out the counts the kernel used.
+"""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExperimentConfig
+from repro.core.model import StabilityModel
 from repro.core.significance import (
     COUNTING_SCHEMES,
     ExponentialSignificance,
     FrequencyRatioSignificance,
-    ItemCounts,
     LinearSignificance,
-    SignificanceTracker,
+    SignificanceFunction,
 )
+from repro.core.streaming import StabilityMonitor
+from repro.core.windowing import WindowGrid
+from repro.data import Basket, StudyCalendar, TransactionLog
 from repro.errors import ConfigError, ConfigWarning
+from tests.core.histories import START, trajectory_of
+
+
+@dataclass(frozen=True)
+class _Counts(SignificanceFunction):
+    """``S = 1000 c + l``: the counts, legible in a snapshot."""
+
+    name: str = field(default="counts", init=False)
+
+    def score(self, c: int, l: int) -> float:
+        return 1000.0 * c + l
+
+
+def counts_after(windows, counting: str = "paper") -> dict[int, tuple[int, int]]:
+    """``(c, l)`` of every item bought in ``windows``, at the window after
+    them."""
+    windows = list(windows)
+    trajectory = trajectory_of(windows + [set()], _Counts(), counting=counting)
+    snapshot = trajectory.at(len(windows)).significances
+    return {item: (int(s // 1000), int(s % 1000)) for item, s in snapshot.items()}
 
 
 class TestExponentialSignificance:
@@ -107,81 +139,76 @@ class TestAlternativeFunctions:
 
 
 class TestTrackerPaperScheme:
+    """The paper's counts: every prior window is a presence or a miss."""
+
     def test_counts_sum_to_window_index(self):
         # Paper semantics: c(k) + l(k) = k for every item ever seen.
-        tracker = SignificanceTracker()
-        tracker.observe_window({1})
-        tracker.observe_window(set())
-        tracker.observe_window({1, 2})
-        counts_1 = tracker.counts_of(1)
-        counts_2 = tracker.counts_of(2)
-        assert (counts_1.c, counts_1.l) == (2, 1)
+        counts = counts_after([{1}, set(), {1, 2}])
+        assert counts[1] == (2, 1)
         # Item 2 first appears at window 2 but prior windows count as misses.
-        assert (counts_2.c, counts_2.l) == (1, 2)
+        assert counts[2] == (1, 2)
 
     def test_significance_before_first_observation_is_zero(self):
-        tracker = SignificanceTracker()
-        assert tracker.significance_of(1) == 0.0
-        assert tracker.significance_snapshot() == {}
+        trajectory = trajectory_of([{1}, {2}])
+        assert trajectory.at(0).significances == {}
+        assert not trajectory.at(0).defined
+        # Item 2 is first bought in window 1: no significance there yet.
+        assert set(trajectory.at(1).significances) == {1}
 
     def test_docstring_example(self):
-        tracker = SignificanceTracker(ExponentialSignificance(alpha=2))
-        tracker.observe_window({1, 2})
-        assert tracker.significance_of(1) == 2.0
-        tracker.observe_window({1})
-        assert tracker.significance_of(2) == 1.0  # c=1, l=1
-        assert tracker.significance_of(1) == 4.0  # c=2, l=0
+        trajectory = trajectory_of(
+            [{1, 2}, {1}, set()], ExponentialSignificance(alpha=2)
+        )
+        assert trajectory.at(1).significances == {1: 2.0, 2: 2.0}
+        at_two = trajectory.at(2).significances
+        assert at_two[2] == 1.0  # c=1, l=1
+        assert at_two[1] == 4.0  # c=2, l=0
 
     def test_known_items(self):
-        tracker = SignificanceTracker()
-        tracker.observe_window({1, 2})
-        tracker.observe_window({3})
-        assert tracker.known_items() == frozenset({1, 2, 3})
+        assert set(counts_after([{1, 2}, {3}])) == {1, 2, 3}
 
     def test_unseen_item_counts(self):
-        tracker = SignificanceTracker()
-        tracker.observe_window({1})
-        counts = tracker.counts_of(99)
-        assert counts.c == 0
-        assert counts.l == 1  # paper scheme: all prior windows are misses
+        # Item 99 is first bought in window 1; window 0 counts as a miss.
+        assert counts_after([{1}, {99}]) == {1: (1, 1), 99: (1, 1)}
 
     def test_n_windows_observed(self):
-        tracker = SignificanceTracker()
-        assert tracker.n_windows_observed == 0
-        tracker.observe_window(set())
-        assert tracker.n_windows_observed == 1
+        for n in range(1, 5):
+            assert counts_after([{1}] * n) == {1: (n, 0)}
+            assert len(trajectory_of([{1}] * n)) == n
 
     def test_duplicate_items_in_window_count_once(self):
-        tracker = SignificanceTracker()
-        tracker.observe_window([1, 1, 1])
-        assert tracker.counts_of(1).c == 1
+        calendar = StudyCalendar(start=START, n_months=2)
+        log = TransactionLog()
+        for day in (0, 5):
+            log.add(Basket.of(customer_id=1, day=day, items=[1, 1, 1]))
+        model = StabilityModel(
+            calendar,
+            significance=_Counts(),
+            config=ExperimentConfig(window_months=1),
+        ).fit(log)
+        assert model.trajectory(1).at(1).significances == {1: 1000.0}
 
 
 class TestTrackerSinceFirstSeenScheme:
+    """Late adopters: misses only count from an item's first purchase."""
+
     def test_prior_absences_not_counted(self):
-        tracker = SignificanceTracker(counting="since-first-seen")
-        tracker.observe_window(set())
-        tracker.observe_window(set())
-        tracker.observe_window({1})
-        counts = tracker.counts_of(1)
-        assert (counts.c, counts.l) == (1, 0)
+        counts = counts_after([set(), set(), {1}], "since-first-seen")
+        assert counts == {1: (1, 0)}
 
     def test_absences_after_first_seen_counted(self):
-        tracker = SignificanceTracker(counting="since-first-seen")
-        tracker.observe_window({1})
-        tracker.observe_window(set())
-        tracker.observe_window(set())
-        counts = tracker.counts_of(1)
-        assert (counts.c, counts.l) == (1, 2)
+        counts = counts_after([{1}, set(), set()], "since-first-seen")
+        assert counts == {1: (1, 2)}
 
     def test_unseen_item_has_zero_l(self):
-        tracker = SignificanceTracker(counting="since-first-seen")
-        tracker.observe_window({1})
-        assert tracker.counts_of(99) == ItemCounts(c=0, l=0)
+        counts = counts_after([{1}, set(), {99}], "since-first-seen")
+        assert counts == {1: (1, 2), 99: (1, 0)}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError, match="counting scheme"):
-            SignificanceTracker(counting="bogus")
+            ExperimentConfig(counting="bogus")
+        with pytest.raises(ConfigError, match="counting scheme"):
+            StabilityMonitor(WindowGrid.daily(10, 5), counting="bogus")
 
     def test_schemes_constant(self):
         assert COUNTING_SCHEMES == ("paper", "since-first-seen")
@@ -196,13 +223,9 @@ class TestTrackerProperties:
         )
     )
     def test_paper_scheme_counts_invariant(self, windows):
-        tracker = SignificanceTracker()
-        for window in windows:
-            tracker.observe_window(window)
-        for item in tracker.known_items():
-            counts = tracker.counts_of(item)
-            assert counts.c + counts.l == len(windows)
-            assert counts.c == sum(1 for w in windows if item in w)
+        for item, (c, l) in counts_after(windows).items():
+            assert c + l == len(windows)
+            assert c == sum(1 for w in windows if item in w)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -212,11 +235,12 @@ class TestTrackerProperties:
         )
     )
     def test_snapshot_matches_significance_of(self, windows):
-        tracker = SignificanceTracker()
-        for window in windows:
-            tracker.observe_window(window)
-        snapshot = tracker.significance_snapshot()
-        for item, sig in snapshot.items():
-            assert sig == tracker.significance_of(item)
+        rule = ExponentialSignificance()
+        trajectory = trajectory_of(list(windows) + [set()], rule)
+        snapshot = trajectory.at(len(windows)).significances
         # Snapshot covers exactly the items seen at least once.
-        assert set(snapshot) == set(tracker.known_items())
+        assert set(snapshot) == set().union(*windows)
+        for item, sig in snapshot.items():
+            c = sum(1 for w in windows if item in w)
+            want = rule(c, len(windows) - c)
+            assert math.isclose(sig, want, rel_tol=1e-12, abs_tol=0.0)

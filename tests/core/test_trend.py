@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.stability import stability_trajectory
 from repro.core.trend import forecast_stability, rank_by_risk
-from repro.core.windowing import Window
 from repro.errors import ConfigError
-
-
-def _windows(item_sets) -> list[Window]:
-    return [
-        Window(index=k, begin_day=k * 10, end_day=(k + 1) * 10, items=frozenset(items))
-        for k, items in enumerate(item_sets)
-    ]
+from tests.core.histories import trajectory_of
 
 
 def _declining_trajectory():
@@ -24,7 +16,7 @@ def _declining_trajectory():
     sets = [full] * 4
     for lost in range(1, 7):
         sets.append(set(range(10 - lost)))
-    return stability_trajectory(1, _windows(sets))
+    return trajectory_of(sets)
 
 
 class TestForecast:
@@ -39,15 +31,13 @@ class TestForecast:
         assert forecast.windows_to_threshold > 0
 
     def test_stable_customer_never_crosses(self):
-        trajectory = stability_trajectory(2, _windows([{1, 2}] * 8))
+        trajectory = trajectory_of([{1, 2}] * 8, customer_id=2)
         forecast = forecast_stability(trajectory, beta=0.5)
         assert forecast.slope == pytest.approx(0.0)
         assert forecast.windows_to_threshold is None
 
     def test_already_below_threshold_is_zero_horizon(self):
-        trajectory = stability_trajectory(
-            3, _windows([{1, 2}, {1, 2}, {1, 2}, set(), set()])
-        )
+        trajectory = trajectory_of([{1, 2}, {1, 2}, {1, 2}, set(), set()], customer_id=3)
         forecast = forecast_stability(trajectory, beta=0.5, lookback=2)
         assert forecast.windows_to_threshold == 0.0
 
@@ -73,7 +63,7 @@ class TestForecast:
             forecast_stability(_declining_trajectory(), lookback=1)
 
     def test_insufficient_history_rejected(self):
-        trajectory = stability_trajectory(1, _windows([{1}]))
+        trajectory = trajectory_of([{1}])
         with pytest.raises(ConfigError, match="at least 2"):
             forecast_stability(trajectory)
 
@@ -101,7 +91,7 @@ class TestRankByRisk:
     def test_crossing_before_stable(self):
         declining = forecast_stability(_declining_trajectory(), beta=0.3)
         stable = forecast_stability(
-            stability_trajectory(9, _windows([{1}] * 8)), beta=0.3
+            trajectory_of([{1}] * 8, customer_id=9), beta=0.3
         )
         ranked = rank_by_risk([stable, declining])
         assert ranked[0].customer_id == declining.customer_id

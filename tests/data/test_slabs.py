@@ -21,8 +21,8 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.batch import stability_matrix
-from repro.core.engines import available_engines
 from repro.core.model import StabilityModel
+from repro.core.significance import LinearSignificance
 from repro.data.population import PopulationFrame
 from repro.data.slabs import (
     SLAB_STORE_VERSION,
@@ -233,16 +233,23 @@ class TestEngineBitIdentity:
         return reference, store.frame()
 
     def test_every_engine_matches_in_ram(self, tiny_dataset, frames):
+        # Every kernel path: the paper's rule, a table rule under the
+        # since-first-seen scheme, and an item-weight column.
         in_ram, slab = frames
-        for backend in available_engines():
-            config = ExperimentConfig(window_months=2, backend=backend)
-            reference = StabilityModel.from_config(
-                tiny_dataset.calendar, config
-            ).fit(in_ram)
-            mmapped = StabilityModel.from_config(
-                tiny_dataset.calendar, config
-            ).fit(slab)
-            _assert_trajectories_bit_identical(reference, mmapped)
+        for significance, counting, weights in (
+            (None, "paper", None),
+            (LinearSignificance(), "since-first-seen", None),
+            (None, "paper", {min(tiny_dataset.log.item_universe()): 3.0}),
+        ):
+            def fit(frame):
+                return StabilityModel(
+                    tiny_dataset.calendar,
+                    significance=significance,
+                    item_weights=weights,
+                    config=ExperimentConfig(window_months=2, counting=counting),
+                ).fit(frame)
+
+            _assert_trajectories_bit_identical(fit(in_ram), fit(slab))
 
     def test_sharded_slab_reference_workers_match_serial(self, frames):
         in_ram, slab = frames

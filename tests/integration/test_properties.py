@@ -5,7 +5,7 @@ invariants that hold regardless of data:
 
 * CSV serialisation round-trips exactly;
 * the streaming monitor agrees with the batch model;
-* the batch engine agrees with the incremental one end to end;
+* the batch model agrees with the paper-equation oracle end to end;
 * stability stays in [0, 1] through the full model facade;
 * abstraction (product -> segment) never increases the item universe.
 """
@@ -25,6 +25,7 @@ from repro.data.basket import Basket
 from repro.data.calendar import StudyCalendar
 from repro.data.io import read_log_csv, write_log_csv
 from repro.data.transactions import TransactionLog
+from tests.core import oracle
 
 # A 6-month mini-study keeps the fuzzing fast while covering several windows.
 _CALENDAR = StudyCalendar(n_months=6)
@@ -84,20 +85,20 @@ class TestEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(log=log_strategy, alpha=st.sampled_from([1.5, 2.0, 4.0]))
     def test_batch_matches_incremental(self, log: TransactionLog, alpha):
+        # The per-customer reference is the paper-equation oracle.
         config = ExperimentConfig(window_months=1, alpha=alpha)
-        reference = StabilityModel(_CALENDAR, config=config).fit(log)
-        batch = StabilityModel(
-            _CALENDAR, config=config.evolve(backend="batch")
-        ).fit(log)
-        assert batch.customers() == reference.customers()
-        for customer in reference.customers():
-            slow = reference.trajectory(customer).values()
-            fast = batch.trajectory(customer).values()
-            for a, b in zip(fast, slow, strict=True):
-                if math.isnan(b):
-                    assert math.isnan(a)
+        model = StabilityModel(_CALENDAR, config=config).fit(log)
+        assert model.customers() == log.customers()
+        boundaries = list(model.grid.boundaries)
+        for customer in model.customers():
+            baskets = [(b.day, set(b.items)) for b in log.history(customer)]
+            unions = oracle.windowed_unions(baskets, boundaries, 0)
+            for k, value in enumerate(model.trajectory(customer).values()):
+                want = oracle.stability(unions, k, alpha)
+                if math.isnan(want):
+                    assert math.isnan(value)
                 else:
-                    assert a == pytest.approx(b, abs=1e-12)
+                    assert value == pytest.approx(want, rel=1e-12)
 
 
 class TestModelInvariants:

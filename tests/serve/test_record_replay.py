@@ -76,9 +76,15 @@ class TestRecordReplay:
             with pytest.raises(ConfigError, match=f"replay start {start} "):
                 list(replay_stream(stream_path, start=start))
             with pytest.raises(ConfigError, match=f"replay start {start} "):
-                check_replay_start(stream_path, start)
-        for start in (0, header_end, full[1].end, size):
-            check_replay_start(stream_path, start)
+                check_replay_start(stream_path, start, last_day=-1)
+        # A start is the end of the last consumed day line: it must
+        # follow that line's day, -1 when none was consumed.
+        for start, day in (
+            (0, -1), (header_end, -1), (full[1].end, full[1].day), (size, full[-1].day)
+        ):
+            check_replay_start(stream_path, start, last_day=day)
+            with pytest.raises(ConfigError, match="not the resumed state's day"):
+                check_replay_start(stream_path, start, last_day=day + 1)
 
     def test_fingerprint_is_content_stable(
         self, serve_dataset, day_ordered_baskets, stream_path, tmp_path

@@ -334,6 +334,33 @@ class TestCursorFallback:
         assert result.resumed and not result.batches_reworked
         assert result.fingerprint() == offline_reference.fingerprint()
 
+    @pytest.mark.parametrize("shift", [3, -1], ids=["skips-days", "repeats-a-day"])
+    def test_offset_on_another_day_line_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path, caplog, shift
+    ):
+        # The offset still begins a day line, but not the one after the
+        # day the committed state last saw: resuming there would skip
+        # (or re-ingest) whole days.
+        ckpt = tmp_path / "moved-offset"
+        serve_stream(
+            stream_path, ckpt, config=serve_config, batch_size=BATCH, max_batches=3
+        )
+        cursor = json.loads((ckpt / "cursor.json").read_text())
+        ends = [batch.end for batch in replay_stream(stream_path)]
+        cursor["stream_offset"] = ends[ends.index(cursor["stream_offset"]) + shift]
+        (ckpt / "cursor.json").write_text(json.dumps(cursor))
+        with caplog.at_level(logging.WARNING, logger="repro.serve.loop"):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH
+            )
+        assert not result.resumed
+        assert result.finished
+        assert result.counters.ingested == sum(
+            batch.n_baskets for batch in replay_stream(stream_path)
+        )
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert any("not the resumed state's day" in r.message for r in caplog.records)
+
     @pytest.mark.parametrize(
         "mangle",
         [lambda offset, size: offset + 1, lambda offset, size: 5,

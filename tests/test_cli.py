@@ -167,30 +167,33 @@ class TestCommands:
             ]
         ) == 0
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout
+        assert "ms/customer" in stdout
         assert "resilient executor" in stdout
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "stability_fit_scaling"
+        assert payload["schema_version"] == 2
         assert payload["results"][0]["customers"] == 8
-        assert payload["results"][0]["speedup_batch_vs_incremental"] > 0
+        assert payload["results"][0]["fit_seconds"] > 0
         resilience = payload["resilient_executor"]
         assert resilience["scenario"] == "resilient_executor_overhead"
         assert resilience["bare_seconds"] > 0
         assert resilience["resilient_seconds"] > 0
 
     def test_bench_single_backend(self, capsys):
-        assert main([*ARGS, "bench", "--backend", "batch", "--sizes", "4",
-                     "--repeat", "1"]) == 0
+        # The bench times the one kernel: a fit-time column, no
+        # per-backend columns and no speedup ratio.
+        assert main([*ARGS, "bench", "--sizes", "4", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
-        assert "batch s" in out
-        assert "incremental s" not in out
+        assert "fit s" in out
+        assert "batch s" not in out and "incremental s" not in out
+        assert "speedup" not in out
 
     def test_bench_telemetry_overhead_section(self, tmp_path, capsys):
         import json
 
         out = tmp_path / "telemetry.json"
         assert main(
-            [*ARGS, "bench", "--backend", "batch", "--sizes", "4",
+            [*ARGS, "bench", "--sizes", "4",
              "--repeat", "1", "--telemetry-size", "8", "--json", str(out)]
         ) == 0
         assert "% overhead" in capsys.readouterr().out

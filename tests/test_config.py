@@ -17,7 +17,7 @@ class TestValidation:
         config = ExperimentConfig()
         assert config.window_months == 2
         assert config.alpha == 2.0
-        assert config.backend == "incremental"
+        assert config.backend == "batch"
         assert config.beta_grid == DEFAULT_BETA_GRID
 
     def test_window_months_must_be_positive(self):
@@ -58,12 +58,11 @@ class TestValidation:
             ExperimentConfig(counting="nope")
 
     def test_unknown_backend_names_the_registry(self):
-        for backend in ("gpu", "vectorized"):
+        for backend in ("gpu", "vectorized", "incremental"):
             with pytest.raises(
                 ConfigError,
                 match=re.escape(
-                    f"unknown backend {backend!r}; "
-                    "expected one of ('incremental', 'batch')"
+                    f"unknown backend {backend!r}; expected one of ('batch',)"
                 ),
             ):
                 ExperimentConfig(backend=backend)
