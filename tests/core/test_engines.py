@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro.core.engines as engines
 from repro.config import ExperimentConfig
 from repro.core.batch import Scoring, stability_matrix
 from repro.core.model import StabilityModel
-from repro.core.significance import LinearSignificance
+from repro.core.significance import FrequencyRatioSignificance, LinearSignificance
 from repro.core.windowing import windowed_history
 from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
@@ -29,7 +31,63 @@ class TestRegistry:
             ExperimentConfig(backend="gpu")
 
 
+# Item 2 is first bought in window 2 and item 3 in window 5, so the two
+# counting schemes differ; window 4 is empty.
+LATE_ADOPTER = [{1}, {1}, {1, 2}, {2}, set(), {1, 2, 3}, {3}, {1, 3}]
+
+
+def _assert_records_match_oracle(
+    backend, rule, significance=None, counting="paper", weights=None
+):
+    """Fit LATE_ADOPTER through the model and check every column-built
+    record, stability and full significance snapshot, against the oracle."""
+    calendar, log = history_log(LATE_ADOPTER)
+    model = StabilityModel(
+        calendar,
+        significance=significance,
+        item_weights=weights,
+        config=ExperimentConfig(window_months=1, counting=counting, backend=backend),
+    ).fit(log)
+    trajectory = model.trajectory(1)
+    for k in range(len(LATE_ADOPTER)):
+        record = trajectory.at(k)
+        want = oracle.stability(LATE_ADOPTER, k, rule, counting, weights)
+        if math.isnan(want):
+            assert math.isnan(record.stability), k
+        else:
+            assert record.stability == pytest.approx(want, rel=1e-12), k
+        scores = oracle.significances(LATE_ADOPTER, k, rule, counting, weights)
+        assert set(record.significances) == set(scores), k
+        for item, value in scores.items():
+            assert record.significances[item] == pytest.approx(value, rel=1e-12)
+
+
 class TestValidation:
+    """A name that says an engine needs or refuses a case predates the one
+    kernel, which takes every rule, counting scheme and weighting: the
+    test checks the kernel's records for that case against the oracle."""
+
+    def test_incremental_accepts_any_rule(self):
+        _assert_records_match_oracle(
+            "batch", oracle.linear, LinearSignificance(), "since-first-seen"
+        )
+
+    @pytest.mark.parametrize("name", ["batch"])
+    def test_numpy_engines_require_exponential(self, name):
+        for significance, rule in (
+            (LinearSignificance(), oracle.linear),
+            (FrequencyRatioSignificance(), oracle.frequency_ratio),
+        ):
+            _assert_records_match_oracle(name, rule, significance)
+
+    @pytest.mark.parametrize("name", ["batch"])
+    def test_numpy_engines_require_paper_counting(self, name):
+        _assert_records_match_oracle(name, 2.0, counting="since-first-seen")
+
+    @pytest.mark.parametrize("name", ["batch"])
+    def test_numpy_engines_reject_item_weights(self, name):
+        _assert_records_match_oracle(name, 2.0, weights={1: 2.0, 3: 0.25})
+
     def test_batch_accepts_parallel_fit(self, calendar):
         model = StabilityModel(
             calendar,
