@@ -59,5 +59,5 @@ def test_stability_fit_scaling(benchmark, output_dir):
 
     # Linearity: per-customer cost must not blow up with population size.
     per_customer = [entry["ms_per_customer"] for entry in telemetry["results"]]
-    assert per_customer[-1] < per_customer[0] * 3 + 1.0, per_customer
+    assert per_customer[-1] < per_customer[0] * 3, per_customer
     assert telemetry["results"][-1]["customers"] == 2 * SIZES[-1]

@@ -241,15 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--resilience-size",
-        type=int,
-        default=100,
-        help=(
-            "per-cohort size for the resilient-executor overhead scenario "
-            "(0 disables it)"
-        ),
-    )
-    bench.add_argument(
         "--telemetry-size",
         type=int,
         default=200,
@@ -836,7 +827,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.eval.benchmarking import (
         protocol_telemetry,
         render_scaling,
-        resilience_telemetry,
         scaling_telemetry,
         slab_grid_telemetry,
         telemetry_overhead,
@@ -852,13 +842,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.protocol_size > 0:
         telemetry["eval_protocol"] = protocol_telemetry(
             size=args.protocol_size, seed=args.seed, repeat=args.repeat
-        )
-    if args.resilience_size > 0:
-        telemetry["resilient_executor"] = resilience_telemetry(
-            size=args.resilience_size,
-            seed=args.seed,
-            repeat=args.repeat,
-            n_jobs=max(args.n_jobs, 2),
         )
     if args.telemetry_size > 0:
         telemetry["telemetry_overhead"] = telemetry_overhead(

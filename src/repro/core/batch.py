@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,20 +457,3 @@ def stability_matrix(
             )
         stability, kept, total = _stack_parts(parts)
     return BatchStability(population, stability, kept, total, execution=report)
-
-
-def _stability_matrix_bare(
-    population: PopulationFrame, alpha: float = 2.0, n_jobs: int = 2
-) -> BatchStability:
-    """The pre-resilience sharded fit: bare ``ProcessPoolExecutor.map``.
-
-    Kept (private) as the benchmarking baseline the resilient executor's
-    fault-free overhead is measured against; one dead worker aborts the
-    whole fit here.
-    """
-    scoring = Scoring(alpha=validate_alpha(alpha))
-    shards = _shard_tasks(population, scoring, _resolve_n_jobs(n_jobs))
-    with ProcessPoolExecutor(max_workers=len(shards)) as executor:
-        parts = list(executor.map(_shard_worker, shards))
-    stability, kept, total = _stack_parts(parts)
-    return BatchStability(population, stability, kept, total)

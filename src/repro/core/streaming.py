@@ -26,16 +26,21 @@ restore adopts them.
 * ``missing_customers`` / ``missing_offsets`` / ``missing_items`` /
   ``missing_significance``: the items each customer missed in the last
   closed window, with their significance — the evidence
-  :meth:`StabilityMonitor.explain_alarm` ranks.
+  :meth:`StabilityMonitor.explain_alarm` ranks;
+* ``alarm_customers`` / ``alarm_windows`` / ``alarm_stability``: every
+  alarm the monitor raised, one row per alarm, appended in close order
+  (so ``(window, customer)`` strictly ascends) and never dropped.
 
 Next to the columns the monitor keeps one dict of open-window item sets
 for the customers seen since the last close, so ingesting a basket is a
 set update.  A window close scores every row with one vectorised
 significance pass, then appends each customer's new items to its row.
 
-Memory is O(customers x items-ever-bought), independent of history length —
-the property that makes the 6M-customer deployment of the paper's retailer
-feasible.
+Memory is O(customers x items-ever-bought) plus one row per alarm raised,
+independent of history length otherwise — the property that makes the
+6M-customer deployment of the paper's retailer feasible.
+:func:`monitor_scores` reads the served output (each scored customer's
+last stability, flag and alarms) straight from these columns.
 
 Equivalence with the batch model is pinned by tests: feeding a log through
 the monitor produces exactly the same stability values as
@@ -62,7 +67,7 @@ if TYPE_CHECKING:
     from repro.config import ExperimentConfig
     from repro.data.calendar import StudyCalendar
 
-__all__ = ["STATE_COLUMNS", "WindowCloseReport", "StabilityMonitor"]
+__all__ = ["STATE_COLUMNS", "WindowCloseReport", "StabilityMonitor", "monitor_scores"]
 
 #: The monitor's significance state: column name -> dtype (see the
 #: module docstring).
@@ -78,6 +83,9 @@ STATE_COLUMNS: dict[str, type] = {
     "missing_offsets": np.int64,
     "missing_items": np.int64,
     "missing_significance": np.float64,
+    "alarm_customers": np.int64,
+    "alarm_windows": np.int64,
+    "alarm_stability": np.float64,
 }
 
 
@@ -490,7 +498,8 @@ class StabilityMonitor:
 
         Stability is kept over total significance mass, both summed per
         customer in first-seen order with
-        :func:`~repro.core.batch._segment_sum`.  Items the customer missed
+        :func:`~repro.core.batch._segment_sum`.  Each alarm joins the
+        alarm log, customers ascending.  Items the customer missed
         with positive significance become the alarm evidence; items first
         seen in this window are appended to the customer's row in
         ascending order, with presence 1.
@@ -513,15 +522,25 @@ class StabilityMonitor:
         np.divide(kept_mass, total, out=stability, where=total > 0)
         ids = customers.tolist()
         stabilities = stability.tolist()
-        alarms: tuple[Alarm, ...] = ()
-        if window_index >= self.first_alarm_window:
-            alarms = tuple(
-                Alarm(
-                    customer_id=ids[row],
-                    window_index=window_index,
-                    stability=stabilities[row],
-                )
-                for row in np.flatnonzero(stability <= self.beta).tolist()
+        alarm_rows = np.flatnonzero(stability <= self.beta)
+        if window_index < self.first_alarm_window:
+            alarm_rows = alarm_rows[:0]
+        alarms = tuple(
+            Alarm(
+                customer_id=ids[row],
+                window_index=window_index,
+                stability=stabilities[row],
+            )
+            for row in alarm_rows.tolist()
+        )
+        if alarm_rows.size:
+            raised = {
+                "alarm_customers": customers[alarm_rows],
+                "alarm_windows": np.full(alarm_rows.size, window_index, np.int64),
+                "alarm_stability": stability[alarm_rows],
+            }
+            columns.update(
+                {name: np.concatenate((columns[name], rows)) for name, rows in raised.items()}
             )
 
         # Observe the window: kept items count once more, new items go
@@ -558,3 +577,48 @@ class StabilityMonitor:
             stabilities=dict(zip(ids, stabilities, strict=True)),
             alarms=alarms,
         )
+
+
+def monitor_scores(
+    monitors: Iterable[StabilityMonitor],
+) -> tuple[
+    dict[int, float],
+    dict[int, bool],
+    dict[int, tuple[tuple[int, float], ...]],
+]:
+    """``(scores, flags, alarm_windows)`` of monitors owning disjoint
+    customers, keyed by every scored customer in ascending id order.
+
+    A customer is scored once a window closed on their row
+    (``n_windows_observed > 0``), and their score is ``last_stability``
+    (``nan`` while undefined).  They are flagged when the alarm log
+    holds a row of theirs; ``alarm_windows`` lists those rows as
+    ``(window, stability)`` pairs in window order.
+    """
+    states = [monitor._columns for monitor in monitors]
+    scored = [state["n_windows_observed"] > 0 for state in states]
+    ids = np.concatenate(
+        [state["customers"][rows] for state, rows in zip(states, scored, strict=True)]
+    )
+    stability = np.concatenate(
+        [state["last_stability"][rows] for state, rows in zip(states, scored, strict=True)]
+    )
+    order = np.argsort(ids, kind="stable")
+    customers = ids[order].tolist()
+    log = {
+        name: np.concatenate([state[name] for state in states])
+        for name in ("alarm_customers", "alarm_windows", "alarm_stability")
+    }
+    # Each log is in window order, so a stable sort by customer keeps
+    # every customer's alarms in window order.
+    by_customer = np.argsort(log["alarm_customers"], kind="stable")
+    alarms: dict[int, list[tuple[int, float]]] = {}
+    for customer_id, window, value in zip(
+        *(log[name][by_customer].tolist() for name in log), strict=True
+    ):
+        alarms.setdefault(customer_id, []).append((window, value))
+    return (
+        dict(zip(customers, stability[order].tolist(), strict=True)),
+        {customer_id: customer_id in alarms for customer_id in customers},
+        {customer_id: tuple(alarms.get(customer_id, ())) for customer_id in customers},
+    )

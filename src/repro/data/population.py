@@ -171,10 +171,10 @@ class PopulationFrame:
     item_vocab:
         Sorted distinct item ids across the population.
     log:
-        The source transaction log, kept by reference so flexible
-        (object-level) engines and the explanation layer can reach the
-        raw baskets without a second argument.  Dropped by :meth:`shard`
-        so worker-process payloads stay columnar.
+        The source transaction log, kept by reference so a model fitted
+        on the frame can restrict it to a customer subset without a
+        second argument.  Dropped by :meth:`shard` so worker-process
+        payloads stay columnar.
     store_path:
         Directory of the slab store this frame is memory-mapped from,
         or ``None`` for in-RAM frames.  Sharded fits use it to hand

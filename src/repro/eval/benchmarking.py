@@ -28,7 +28,6 @@ __all__ = [
     "scaling_telemetry",
     "slab_grid_telemetry",
     "protocol_telemetry",
-    "resilience_telemetry",
     "telemetry_overhead",
     "write_scaling_json",
     "merge_scaling_json",
@@ -321,82 +320,6 @@ def protocol_telemetry(
     }
 
 
-def resilience_telemetry(
-    size: int = 100,
-    seed: int = 13,
-    repeat: int = 5,
-    n_jobs: int = 2,
-    window_months: int = 2,
-    alpha: float = 2.0,
-) -> dict:
-    """Fault-free overhead of the resilient shard executor.
-
-    Times the same sharded stability fit twice on one
-    :class:`~repro.data.population.PopulationFrame`: once through the
-    bare ``ProcessPoolExecutor.map`` path (no retries, no per-shard
-    telemetry) and once through :func:`~repro.runtime.executor.run_sharded`
-    with default retries.  Both produce bit-identical matrices; the
-    difference is pure bookkeeping, pinned below 5% overhead by the
-    acceptance criteria.  ``size`` is per-cohort (total customers =
-    ``2 * size``).
-
-    Measurement protocol: the arms interleave ``repeat`` times and each
-    arm reports its minimum (process-pool spin-up dominates a single
-    run, so means are meaningless).  The run-to-run spread of each arm
-    is its noise floor; when the measured overhead sits inside the
-    larger of the two floors the result is *noise-dominated* — the
-    reported ``overhead_pct`` is clamped to be non-negative and the raw
-    signed value is preserved in ``raw_overhead_pct``.  This is what
-    previously produced a nonsensical "-2.36% overhead".
-    """
-    if repeat < 1:
-        raise ConfigError(f"repeat must be >= 1, got {repeat}")
-    from repro.core.batch import _stability_matrix_bare, stability_matrix
-    from repro.data.population import PopulationFrame
-
-    dataset = generate_dataset(
-        ScenarioConfig(n_loyal=size, n_churners=size, seed=seed)
-    )
-    config = ExperimentConfig(window_months=window_months, alpha=alpha)
-    frame = PopulationFrame.from_log(
-        dataset.log, config.grid(dataset.calendar)
-    )
-    bare_runs: list[float] = []
-    resilient_runs: list[float] = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        _stability_matrix_bare(frame, alpha=alpha, n_jobs=n_jobs)
-        bare_runs.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        stability_matrix(frame, alpha=alpha, n_jobs=n_jobs)
-        resilient_runs.append(time.perf_counter() - start)
-    bare = min(bare_runs)
-    resilient = min(resilient_runs)
-    raw_overhead = (resilient - bare) / bare * 100.0
-    noise_floor = max(
-        (max(runs) - min(runs)) / min(runs) * 100.0
-        for runs in (bare_runs, resilient_runs)
-    )
-    noise_dominated = abs(raw_overhead) <= noise_floor
-    return {
-        "scenario": "resilient_executor_overhead",
-        "customers": frame.n_customers,
-        "n_jobs": n_jobs,
-        "window_months": window_months,
-        "alpha": alpha,
-        "seed": seed,
-        "repeat": repeat,
-        "bare_seconds": bare,
-        "resilient_seconds": resilient,
-        "raw_overhead_pct": raw_overhead,
-        "noise_floor_pct": noise_floor,
-        "noise_dominated": noise_dominated,
-        "overhead_pct": (
-            max(raw_overhead, 0.0) if noise_dominated else raw_overhead
-        ),
-    }
-
-
 def telemetry_overhead(
     size: int = 200,
     seed: int = 13,
@@ -517,20 +440,6 @@ def render_scaling(telemetry: dict) -> str:
         table += (
             f"\n\nfull ROC sweep ({protocol['customers']} customers): "
             f"{protocol['sweep_seconds']:.3f}s"
-        )
-    resilience = telemetry.get("resilient_executor")
-    if resilience is not None:
-        noise = (
-            f", noise-dominated (floor {resilience['noise_floor_pct']:.1f}%)"
-            if resilience.get("noise_dominated")
-            else ""
-        )
-        table += (
-            f"\n\nresilient executor ({resilience['customers']} customers, "
-            f"{resilience['n_jobs']} shards): "
-            f"bare {resilience['bare_seconds']:.3f}s, "
-            f"resilient {resilience['resilient_seconds']:.3f}s "
-            f"({resilience['overhead_pct']:+.1f}% overhead{noise})"
         )
     slab_grid = telemetry.get("slab_grid")
     if slab_grid is not None:

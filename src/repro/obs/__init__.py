@@ -30,7 +30,7 @@ The contract every instrumented call site relies on:
    <3% on the full evaluation sweep).
 2. **Observation only** — telemetry never changes a computed value;
    scores with telemetry on are bit-identical to off (pinned by
-   differential tests across both engines).
+   differential tests over serial and sharded fits).
 
 :class:`TelemetrySession` is the CLI-facing bundle: it installs a
 recording tracer/registry for the duration of a command and exports

@@ -25,7 +25,10 @@ ascending id order:
   open-window sets;
 * ``missing_customers`` / ``missing_offsets`` / ``missing_items`` /
   ``missing_significance`` — the last closed window's missing-item
-  evidence, so ``explain_alarm`` keeps working across a restart.
+  evidence, so ``explain_alarm`` keeps working across a restart;
+* ``alarm_customers`` / ``alarm_windows`` / ``alarm_stability`` — the
+  alarm log, one row per alarm raised, ``(window, customer)`` strictly
+  ascending.
 
 :func:`restore_monitor` checks the columns with whole-array operations
 and hands them to the new monitor as they are; only the open-window
@@ -90,7 +93,7 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.stability-monitor"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"REPRSNAP"
 #: Magic plus the JSON header's length.
@@ -115,6 +118,9 @@ _COLUMNS = {
     "missing_offsets": "i",
     "missing_items": "i",
     "missing_significance": "f",
+    "alarm_customers": "i",
+    "alarm_windows": "i",
+    "alarm_stability": "f",
 }
 _ITEMSIZE = {"<i2": 2, "<i4": 4, "<i8": 8, "<f8": 8}
 #: Integer column widths, narrowest first: a column takes the first
@@ -276,6 +282,30 @@ def _first_repeat(offsets: np.ndarray, values: np.ndarray) -> int | None:
     return int(rows[np.flatnonzero(keys == ordered[repeated[0]])[0]])
 
 
+def _check_alarm_log(columns: Mapping[str, np.ndarray], current_window: int) -> None:
+    """Check the alarm log: equally long columns, ``(window, customer)``
+    strictly ascending, every window in ``[0, current_window)``."""
+    customers, windows = columns["alarm_customers"], columns["alarm_windows"]
+    if not len(customers) == len(windows) == len(columns["alarm_stability"]):
+        raise SnapshotError(
+            "snapshot columns 'alarm_customers', 'alarm_windows', "
+            "'alarm_stability' differ in length"
+        )
+    ascending = (windows[1:] > windows[:-1]) | (
+        (windows[1:] == windows[:-1]) & (customers[1:] > customers[:-1])
+    )
+    if not ascending.all():
+        raise SnapshotError(
+            "snapshot alarm log's (window, customer) rows are not strictly ascending"
+        )
+    if len(windows) and (windows[0] < 0 or windows[-1] >= current_window):
+        window = int(windows[0] if windows[0] < 0 else windows[-1])
+        raise SnapshotError(
+            f"snapshot alarm log names window {window}, outside the closed "
+            f"windows [0, {current_window})"
+        )
+
+
 #: The open window's columns: each customer's items, ascending.
 _OPEN_COLUMNS = {"current_offsets": np.int64, "current_items": np.int64}
 
@@ -290,8 +320,10 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
     SnapshotError
         On any schema or version mismatch, or a malformed column: a
         missing one, offsets that do not span their column, per-customer
-        columns of unequal length, customers out of ascending order, or
-        an item repeated within one customer.
+        columns of unequal length, customers out of ascending order, an
+        item repeated within one customer, or an alarm log whose columns
+        differ in length, whose ``(window, customer)`` rows do not
+        strictly ascend or which names a window not yet closed.
     """
     from repro.core.significance import ExponentialSignificance
     from repro.core.streaming import STATE_COLUMNS, StabilityMonitor
@@ -355,6 +387,7 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
             raise SnapshotError(
                 f"snapshot customer {columns[owners][row]} repeats {what}"
             )
+    _check_alarm_log(columns, monitor.current_window)
     monitor._columns = {name: columns[name] for name in STATE_COLUMNS}
     offsets = columns["current_offsets"]
     touched = offsets[1:] > offsets[:-1]

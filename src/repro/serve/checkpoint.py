@@ -10,8 +10,8 @@ batch* — is carried entirely by the write ordering here:
    then prunes superseded generations.
 
 State is kept as one *generation* per ``state-<base>/`` directory: a
-**base** (one snapshot file ``shard-<i>.snap`` per shard plus the score
-table ``scores.snap``, the full state as of commit ``base``) and the
+**base** (one snapshot file ``shard-<i>.snap`` per shard and nothing
+else, the full state as of commit ``base``, alarm log included) and the
 **journals** ``journal-<k>.snap`` of the commits after it.  The model's
 state only moves at window boundaries — between two closes a batch adds
 nothing but each customer's open-window items — so a commit whose batch
@@ -23,8 +23,8 @@ base and folds its journals in, in commit order: a journal only adds
 to the open window, so the fold touches the open-window columns and
 the shard clock, all in numpy.  Every state file is one checksummed
 :func:`~repro.runtime.snapshot.encode_snapshot` container whose arrays
-are columns: a shard snapshot's, the score table's, and a journal's
-unions (its header holds only its commit and the shard clocks).
+are columns: a shard snapshot's, and a journal's unions (its header
+holds only its commit and the shard clocks).
 
 A crash before the commit leaves the previous cursor (and its intact
 generation) authoritative: the resumed run replays exactly the one
@@ -40,8 +40,8 @@ torn/corrupt cursor, a torn, missing, altered (checksum mismatch) or
 misnumbered state file, or a malformed journal — raises
 :class:`CursorInvalid`, and
 the loop falls back to restarting from the stream head (Snippet-2
-semantics: idempotent score upsert, warning logged) rather than
-resuming into the wrong data.
+semantics: the fresh shards re-derive every score and alarm, warning
+logged) rather than resuming into the wrong data.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "CURSOR_NAME",
     "CURSOR_SCHEMA",
     "CURSOR_VERSION",
-    "SCORES_NAME",
     "CursorInvalid",
     "CheckpointIOExhausted",
     "ServeCursor",
@@ -91,9 +90,7 @@ IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 5
-#: Score-table file inside each base.
-SCORES_NAME = "scores.snap"
+CURSOR_VERSION = 6
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
 _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
@@ -214,9 +211,6 @@ class LoadedCheckpoint:
     #: One snapshot payload per shard as of the cursor's commit: the
     #: base with every journal after it folded in.
     shard_payloads: list[dict]
-    #: The score table (only window closes change it, and every close
-    #: writes a base, so the base's table is current).
-    scores: dict
     #: State newer than the cursor exists (``state-<commit+1>/`` or
     #: ``journal-<commit+1>.snap``): a previous run crashed between its
     #: state write and the cursor commit, so the resumed run will
@@ -330,7 +324,6 @@ class ServeCheckpoint:
         self,
         commit_index: int,
         shard_payloads: list[dict],
-        scores: dict | None = None,
         *,
         base_index: int | None = None,
     ) -> Path:
@@ -339,7 +332,7 @@ class ServeCheckpoint:
         state.
 
         Without ``base_index`` this writes a **base**: ``shard_payloads``
-        are per-shard snapshots, written with ``scores`` into a fresh
+        are per-shard snapshots, written into a fresh
         ``state-<commit_index>/`` (whatever an abandoned run left under
         that name is dropped first); returns the directory.  With
         ``base_index`` it writes a **journal** into that base's
@@ -347,8 +340,7 @@ class ServeCheckpoint:
         (:meth:`~repro.serve.pool.ShardedMonitorPool.journal_shards`:
         per shard ``last_day_seen`` plus ``customers``,
         ``item_offsets`` and ``items`` arrays), stored as one column
-        each, shard after shard, and no score table; returns the
-        journal's path.
+        each, shard after shard; returns the journal's path.
 
         Every file is an :func:`~repro.runtime.snapshot.encode_snapshot`
         container.  Transient :class:`OSError` is retried with backoff
@@ -361,17 +353,13 @@ class ServeCheckpoint:
             If a payload cannot be encoded (a column holding non-numbers).
         """
         if base_index is None:
-            if scores is None:
-                raise ConfigError("a base needs its score table")
             blobs = [encode_snapshot(payload) for payload in shard_payloads]
-            scores_blob = encode_snapshot(scores)
 
             def write() -> Path:
                 directory = self.state_dir(commit_index)
                 shutil.rmtree(directory, ignore_errors=True)
                 for shard, blob in enumerate(blobs):
                     atomic_write_bytes(self.shard_path(commit_index, shard), blob)
-                atomic_write_bytes(directory / SCORES_NAME, scores_blob)
                 return directory
 
         else:
@@ -480,13 +468,11 @@ class ServeCheckpoint:
             shard_payloads.append(
                 self._read_state(self.shard_path(cursor.base_index, shard))
             )
-        scores = self._read_state(self.state_dir(cursor.base_index) / SCORES_NAME)
         self._fold_journals(cursor, shard_payloads)
         after = cursor.commit_index + 1
         return LoadedCheckpoint(
             cursor=cursor,
             shard_payloads=shard_payloads,
-            scores=scores,
             orphaned_state=self.state_dir(after).exists()
             or self.journal_path(cursor.base_index, after).exists(),
         )

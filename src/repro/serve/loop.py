@@ -4,13 +4,16 @@
 recorded day-ordered basket stream (:mod:`repro.synth.stream`) in
 checkpoint batches — consecutive whole days until at least
 ``batch_size`` baskets accumulate — plays each batch through a
-:class:`~repro.serve.pool.ShardedMonitorPool`, upserts the resulting
-scores/flags into an idempotent score table, and makes the batch
-durable through :class:`~repro.serve.checkpoint.ServeCheckpoint`'s
-state-then-cursor protocol.  A batch that closes a window (and the
-first commit, and the finish seal) writes a full base; any other batch
-writes only its journal, so the cost of a commit follows the batch,
-not the population.  The FeedForward streaming-batch runbook
+:class:`~repro.serve.pool.ShardedMonitorPool`, counts the scores and
+alarms its window closes report, and makes the batch durable through
+:class:`~repro.serve.checkpoint.ServeCheckpoint`'s state-then-cursor
+protocol.  The shard monitors are the one serve state: each keeps its
+customers' last stabilities and every alarm it raised
+(:func:`~repro.core.streaming.monitor_scores` reads the result from
+them), so a shard snapshot is all a commit writes for its shard.  A
+batch that closes a window (and the first commit, and the finish seal)
+writes a full base; any other batch writes only its journal, so the
+cost of a commit follows the batch, not the population.  The FeedForward streaming-batch runbook
 (SNIPPETS.md Snippet 2) is the contract:
 
 * counters ``ingested`` / ``scored`` / ``flagged`` / ``checkpointed``
@@ -23,8 +26,8 @@ not the population.  The FeedForward streaming-batch runbook
   fingerprint mismatch, a ``stream_offset`` that does not begin a day
   line or whose preceding day line is not the resumed state's last
   day) is not fatal: the loop logs a warning, counts
-  ``serve.cursor_invalid`` and restarts from the stream head, relying
-  on the score table's idempotent upsert semantics.
+  ``serve.cursor_invalid`` and restarts from the stream head with fresh
+  shards, which re-derive every score and alarm.
 
 The headline invariant — pinned by the parity tests and checkable via
 :func:`score_fingerprint` — is that serving a recorded stream to
@@ -38,24 +41,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import logging
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.config import ExperimentConfig
-from repro.core.streaming import StabilityMonitor, WindowCloseReport
+from repro.core.streaming import StabilityMonitor, WindowCloseReport, monitor_scores
 from repro.errors import ConfigError, SnapshotError
 from repro.obs import build_manifest, get_metrics, get_tracer, timed_stage, write_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import config_fingerprint
-from repro.runtime.snapshot import check_columns, payload_columns
 from repro.serve.checkpoint import (
     CursorInvalid,
     ServeCheckpoint,
@@ -98,7 +97,7 @@ class ServeCounters:
     ingested: int = 0
     #: (customer, window) stability scores emitted at window closes.
     scored: int = 0
-    #: Alarms raised (distinct (customer, window) threshold crossings).
+    #: Alarms raised, one per (customer, window) threshold crossing.
     flagged: int = 0
     #: Data batches made durable (state written *and* cursor committed).
     checkpointed: int = 0
@@ -113,30 +112,6 @@ class ServeCounters:
             scored=int(payload.get("scored", 0)),
             flagged=int(payload.get("flagged", 0)),
             checkpointed=int(payload.get("checkpointed", 0)),
-        )
-
-
-@dataclass
-class _ScoreTable:
-    """The idempotent score table; frozen into the result at the end.
-
-    A customer is flagged exactly when they have an entry in ``alarms``.
-    """
-
-    #: Latest stability of every scored customer.
-    stability: dict[int, float] = field(default_factory=dict)
-    #: Window -> stability of every alarm, for the customers who alarmed.
-    alarms: dict[int, dict[int, float]] = field(default_factory=dict)
-
-    def row(
-        self, customer_id: int
-    ) -> tuple[float, bool, tuple[tuple[int, float], ...]]:
-        """``(stability, flagged, window-ordered alarms)`` of a customer."""
-        alarms = self.alarms.get(customer_id)
-        return (
-            self.stability[customer_id],
-            alarms is not None,
-            tuple(sorted(alarms.items())) if alarms else (),
         )
 
 
@@ -212,114 +187,30 @@ def score_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Score table: idempotent upsert from window-close reports.
+# Window-close reports: counters and the status board
 # ----------------------------------------------------------------------
 def _apply_reports(
-    table: _ScoreTable,
-    reports: Iterable[WindowCloseReport],
+    reports: list[WindowCloseReport],
     counters: ServeCounters,
+    pool: ShardedMonitorPool,
     status: StatusBoard | None,
 ) -> None:
-    """Upsert reports into the table; counters track *new* information
-    only, so replaying an already-counted batch after a crash (whose
-    counters were not committed) re-counts it exactly once overall."""
-    touched: set[int] = set()
+    """Count the reports' scores and alarms; when a window closed,
+    refresh the status board from the shards."""
     for report in reports:
-        table.stability.update(report.stabilities)
         counters.scored += len(report.stabilities)
-        touched.update(report.stabilities)
-        for alarm in report.alarms:
-            windows = table.alarms.setdefault(alarm.customer_id, {})
-            if alarm.window_index not in windows:
-                windows[alarm.window_index] = alarm.stability
-                counters.flagged += 1
-    if status is not None:
-        for customer_id in sorted(touched):
-            status.upsert_customer(customer_id, *table.row(customer_id))
+        counters.flagged += len(report.alarms)
+    if reports and status is not None:
+        _show_scores(status, pool)
 
 
-def _freeze_table(
-    table: _ScoreTable,
-) -> tuple[
-    dict[int, float],
-    dict[int, bool],
-    dict[int, tuple[tuple[int, float], ...]],
-]:
-    customers = sorted(table.stability)
-    alarm_windows: dict[int, tuple[tuple[int, float], ...]]
-    alarm_windows = dict.fromkeys(customers, ())
-    for customer_id, windows in table.alarms.items():
-        alarm_windows[customer_id] = tuple(sorted(windows.items()))
-    return (
-        {customer_id: table.stability[customer_id] for customer_id in customers},
-        {customer_id: customer_id in table.alarms for customer_id in customers},
-        alarm_windows,
-    )
-
-
-#: The score table's columns: one row per customer in ascending id
-#: order, alarms as ``(window, stability)`` rows sliced by
-#: ``alarm_offsets``.  A customer is flagged iff they have an alarm.
-_TABLE_COLUMNS = {
-    "customers": np.int64,
-    "stability": np.float64,
-    "alarm_offsets": np.int64,
-    "alarm_windows": np.int64,
-    "alarm_stability": np.float64,
-}
-
-
-def _table_to_payload(table: _ScoreTable) -> dict[str, np.ndarray]:
-    customers = sorted(table.stability)
-    counts = [len(table.alarms.get(c, ())) for c in customers]
-    rows = [
-        row
-        for customer_id in sorted(table.alarms)
-        for row in sorted(table.alarms[customer_id].items())
-    ]
-    columns = {
-        "customers": customers,
-        "stability": list(map(table.stability.__getitem__, customers)),
-        "alarm_offsets": list(itertools.accumulate(counts, initial=0)),
-        "alarm_windows": [w for w, _ in rows],
-        "alarm_stability": [s for _, s in rows],
-    }
-    return {
-        name: np.asarray(columns[name], dtype)
-        for name, dtype in _TABLE_COLUMNS.items()
-    }
-
-
-def _table_from_payload(payload: dict) -> _ScoreTable:
-    """Rebuild the score table from its columns.
-
-    Raises
-    ------
-    CursorInvalid
-        If a column is missing or malformed, the ids do not ascend, or
-        the alarm offsets do not span the alarm columns.
-    """
-    try:
-        columns = payload_columns(payload, _TABLE_COLUMNS)
-        check_columns(
-            columns,
-            "customers",
-            ("stability",),
-            {"alarm_offsets": ("alarm_windows", "alarm_stability")},
+def _show_scores(status: StatusBoard, pool: ShardedMonitorPool) -> None:
+    """Put every scored customer's row on the status board."""
+    scores, flags, alarm_windows = monitor_scores(pool.monitors)
+    for customer_id, stability in scores.items():
+        status.upsert_customer(
+            customer_id, stability, flags[customer_id], alarm_windows[customer_id]
         )
-    except SnapshotError as exc:
-        raise CursorInvalid(f"score table is malformed: {exc}") from exc
-    customers = columns["customers"].tolist()
-    bounds = columns["alarm_offsets"].tolist()
-    windows = columns["alarm_windows"].tolist()
-    stabilities = columns["alarm_stability"].tolist()
-    alarms = {
-        customer_id: dict(zip(windows[lo:hi], stabilities[lo:hi]))
-        for customer_id, lo, hi in zip(customers, bounds, bounds[1:])
-        if lo < hi
-    }
-    stability = dict(zip(customers, columns["stability"].tolist(), strict=True))
-    return _ScoreTable(stability, alarms)
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +234,9 @@ def offline_sweep(
     monitor = StabilityMonitor.from_config(
         calendar, config, beta=beta, first_alarm_window=first_alarm_window
     )
-    reports = monitor.ingest_many(baskets)
-    reports.extend(monitor.finish())
-    table = _ScoreTable()
-    _apply_reports(table, reports, ServeCounters(), None)
-    scores, flags, alarm_windows = _freeze_table(table)
+    monitor.ingest_many(baskets)
+    monitor.finish()
+    scores, flags, alarm_windows = monitor_scores([monitor])
     return OfflineSweep(
         scores=scores, flags=flags, alarm_windows=alarm_windows
     )
@@ -495,7 +384,6 @@ def serve_stream(
     tracer = get_tracer()
 
     counters = ServeCounters()
-    table = _ScoreTable()
     pool: ShardedMonitorPool | None = None
     resumed = False
     reworked = 0
@@ -537,7 +425,6 @@ def serve_stream(
                 )
             except ConfigError as exc:
                 raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
-            table = _table_from_payload(loaded.scores)
     except (CursorInvalid, SnapshotError) as exc:
         logger.warning(
             "cursor invalid on resume, restarting from stream head: %s", exc
@@ -550,7 +437,6 @@ def serve_stream(
             publisher.trigger_flight("cursor_invalid", commit_index=0)
         loaded = None
         pool = None
-        table = _ScoreTable()
     if loaded is not None and pool is not None:
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)
@@ -583,6 +469,7 @@ def serve_stream(
             timeout=timeout,
             fault_plan=fault_plan,
         )
+    active_pool = pool
 
     if status is not None:
         status.set_run_info(
@@ -600,8 +487,7 @@ def serve_stream(
             day_batches_consumed=day_batches_consumed,
             finished=already_finished,
         )
-        for customer_id in sorted(table.stability):
-            status.upsert_customer(customer_id, *table.row(customer_id))
+        _show_scores(status, active_pool)
 
     def make_cursor(base: int, finished: bool) -> ServeCursor:
         return ServeCursor(
@@ -617,7 +503,7 @@ def serve_stream(
         )
 
     def build_result(*, batches_this_run: int, finished: bool) -> ServeResult:
-        scores, flags, alarm_windows = _freeze_table(table)
+        scores, flags, alarm_windows = monitor_scores(active_pool.monitors)
         return ServeResult(
             scores=scores,
             flags=flags,
@@ -646,7 +532,6 @@ def serve_stream(
     # ------------------------------------------------------------------
     batches_this_run = 0
     interrupted = False
-    active_pool = pool
 
     def shard_context() -> dict[str, object]:
         """Per-shard table for the live plane (computed at publish
@@ -677,11 +562,7 @@ def serve_stream(
             journal=base is not None,
         ):
             if base is None:
-                checkpoint.write_state(
-                    commit_index,
-                    active_pool.snapshot_shards(),
-                    _table_to_payload(table),
-                )
+                checkpoint.write_state(commit_index, active_pool.snapshot_shards())
                 base = base_index = commit_index
             else:
                 checkpoint.write_state(
@@ -714,7 +595,7 @@ def serve_stream(
         registry.counter(obs_metrics.SERVE_INGESTED).inc(n_baskets)
         scored_before = counters.scored
         flagged_before = counters.flagged
-        _apply_reports(table, reports, counters, status)
+        _apply_reports(reports, counters, active_pool, status)
         registry.counter(obs_metrics.SERVE_SCORED).inc(
             counters.scored - scored_before
         )
@@ -780,7 +661,7 @@ def serve_stream(
             # committed state in place — a crash mid-seal must leave
             # the last data commit authoritative).
             final_reports = active_pool.finish()
-            _apply_reports(table, final_reports, counters, status)
+            _apply_reports(final_reports, counters, active_pool, status)
             commit_index += 1
             commit_state(finished=True, new_base=True)
             if status is not None:

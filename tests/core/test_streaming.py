@@ -6,11 +6,13 @@ import math
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
-from repro.core.streaming import StabilityMonitor
+from repro.core.streaming import StabilityMonitor, monitor_scores
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.errors import ConfigError, DataError
+from repro.runtime.snapshot import snapshot_monitor
 
 
 @pytest.fixture()
@@ -144,6 +146,57 @@ class TestAlarms:
         ranked = monitor.explain_alarm(1, top_k=3)
         assert ranked
         assert ranked[0][0] == 2
+
+
+    def test_alarm_log_holds_every_reported_alarm(self, calendar, small_dataset):
+        """The log is the reports' alarms in close order, and
+        ``monitor_scores`` reads each customer's last reported stability
+        and window-ordered alarms back from the columns."""
+        monitor = StabilityMonitor.from_config(
+            calendar, ExperimentConfig(), beta=0.6, first_alarm_window=2
+        )
+        reports = monitor.ingest_many(sorted(small_dataset.log, key=lambda b: b.day))
+        reports += monitor.finish()
+        alarms = [alarm for report in reports for alarm in report.alarms]
+        assert len({alarm.customer_id for alarm in alarms}) > 1
+        assert len({alarm.window_index for alarm in alarms}) > 1
+        columns = monitor._columns
+        assert columns["alarm_customers"].tolist() == [a.customer_id for a in alarms]
+        assert columns["alarm_windows"].tolist() == [a.window_index for a in alarms]
+        assert columns["alarm_stability"].tolist() == [a.stability for a in alarms]
+
+        last: dict[int, float] = {}
+        for report in reports:
+            last.update(report.stabilities)
+        expected = {
+            customer: tuple(
+                (a.window_index, a.stability) for a in alarms if a.customer_id == customer
+            )
+            for customer in sorted(last)
+        }
+        scores, flags, alarm_windows = monitor_scores([monitor])
+        assert list(scores) == sorted(last)
+        assert all(
+            scores[c] == value or (math.isnan(scores[c]) and math.isnan(value))
+            for c, value in last.items()
+        )
+        assert alarm_windows == expected
+        assert flags == {customer: bool(rows) for customer, rows in expected.items()}
+
+    def test_registered_customer_is_not_scored_before_a_close(self, grid):
+        monitor = StabilityMonitor(grid)
+        monitor.register(3)
+        monitor.ingest(_basket(1, 0, [1]))
+        # A snapshot gives the open window's customers rows, but no
+        # window has closed on them yet.
+        snapshot_monitor(monitor)
+        assert monitor._columns["customers"].tolist() == [1, 3]
+        assert monitor_scores([monitor]) == ({}, {}, {})
+        monitor.ingest(_basket(1, 15, [1]))
+        scores, flags, alarm_windows = monitor_scores([monitor])
+        assert list(scores) == [1, 3] and math.isnan(scores[3])
+        assert flags == {1: False, 3: False}
+        assert alarm_windows == {1: (), 3: ()}
 
 
 class TestRegistration:

@@ -172,6 +172,17 @@ def _swap_customers(payload: dict) -> None:
     payload["customers"] = ids[[1, 0, *range(2, len(ids))]]
 
 
+def _swap_first_alarms(payload: dict) -> None:
+    """Swap the customers of the first two alarms (the same window)."""
+    assert payload["alarm_windows"][0] == payload["alarm_windows"][1]
+    ids = payload["alarm_customers"]
+    payload["alarm_customers"] = ids[[1, 0, *range(2, len(ids))]]
+
+
+def _alarm_in_open_window(payload: dict) -> None:
+    _set("alarm_windows", -1, payload["current_window"])(payload)
+
+
 #: (corruption, the error it must raise) per malformed-column class.
 _MALFORMED = {
     "item offsets overrun their column": (_set("item_offsets", -1, 10**6), "span"),
@@ -190,6 +201,15 @@ _MALFORMED = {
     ),
     "unsorted customers": (_swap_customers, "'customers' is not strictly ascending"),
     "missing column": (lambda p: p.pop("first_seen"), "first_seen"),
+    "alarm stability one short": (_drop_last("alarm_stability"), "differ in length"),
+    "alarm windows one short": (_drop_last("alarm_windows"), "differ in length"),
+    "alarms out of order": (_swap_first_alarms, "alarm log.*not strictly ascending"),
+    "alarm repeated": (
+        lambda p: _set("alarm_customers", 1, p["alarm_customers"][0])(p),
+        "alarm log.*not strictly ascending",
+    ),
+    "alarm in the open window": (_alarm_in_open_window, "outside the closed windows"),
+    "missing alarm column": (lambda p: p.pop("alarm_windows"), "alarm_windows"),
 }
 
 
@@ -197,6 +217,7 @@ def test_malformed_columns_rejected(tiny_dataset):
     monitor = _monitor(tiny_dataset)
     baskets = _stream(tiny_dataset)
     monitor.ingest_many(baskets[: len(baskets) // 2])
+    assert len(monitor._columns["alarm_customers"]) >= 2
     for case, (corrupt, message) in _MALFORMED.items():
         payload = snapshot_monitor(monitor)
         corrupt(payload)

@@ -37,9 +37,7 @@ def _cursor(**overrides) -> ServeCursor:
 def _write_checkpoint(tmp_path, cursor: ServeCursor) -> ServeCheckpoint:
     checkpoint = ServeCheckpoint(tmp_path / "ckpt")
     checkpoint.write_state(
-        cursor.commit_index,
-        [{"shard": i} for i in range(cursor.n_shards)],
-        {"customers": {}},
+        cursor.commit_index, [{"shard": i} for i in range(cursor.n_shards)]
     )
     checkpoint.commit(cursor)
     return checkpoint
@@ -95,7 +93,7 @@ def _write_generation(tmp_path) -> ServeCheckpoint:
     """A base at commit 3 and journals 4 and 5 on top, all committed."""
     checkpoint = ServeCheckpoint(tmp_path / "ckpt")
     base = [_shard(30, (2, [1], 4, 0.25)), _shard(30)]
-    checkpoint.write_state(3, base, {"customers": {}})
+    checkpoint.write_state(3, base)
     checkpoint.commit(_cursor())
     journals = {
         4: [_entry(40, c2={5, 1}, c4={7, 3}), _entry(40, c1={9})],
@@ -161,13 +159,12 @@ class TestCommitProtocol:
         assert loaded is not None
         assert loaded.cursor == cursor
         assert loaded.shard_payloads == [{"shard": 0}, {"shard": 1}]
-        assert loaded.scores == {"customers": {}}
         assert not loaded.orphaned_state
 
     def test_commit_prunes_superseded_state(self, tmp_path):
         checkpoint = ServeCheckpoint(tmp_path / "ckpt")
         for commit in (1, 2, 3):
-            checkpoint.write_state(commit, [{}], {})
+            checkpoint.write_state(commit, [{}])
             checkpoint.commit(_cursor(commit_index=commit, n_shards=1))
         remaining = sorted(
             p.name for p in checkpoint.directory.glob("state-*")
@@ -178,9 +175,7 @@ class TestCommitProtocol:
         cursor = _cursor()
         checkpoint = _write_checkpoint(tmp_path, cursor)
         # A crash after write_state but before commit leaves this behind.
-        checkpoint.write_state(
-            cursor.commit_index + 1, [{}, {}], {"customers": {}}
-        )
+        checkpoint.write_state(cursor.commit_index + 1, [{}, {}])
         loaded = _load(checkpoint)
         assert loaded is not None
         assert loaded.orphaned_state
@@ -210,7 +205,7 @@ class TestCommitProtocol:
         pool = ShardedMonitorPool.create(WindowGrid.daily(30, 10), n_shards=2)
         pool.process_batch([DayBatch(0, (Basket.of(1, 0, [1, 2]),))])
         checkpoint = ServeCheckpoint(tmp_path / "ckpt")
-        checkpoint.write_state(3, pool.snapshot_shards(), {})
+        checkpoint.write_state(3, pool.snapshot_shards())
         checkpoint.commit(_cursor())
         batch = (Basket.of(6, 1, []), Basket.of(7, 1, [4]), Basket.of(8, 1, []))
         pool.process_batch([DayBatch(1, (*batch, Basket.of(1, 1, [])))])
@@ -241,7 +236,6 @@ class TestCommitProtocol:
         assert sorted(p.name for p in checkpoint.state_dir(3).iterdir()) == [
             "journal-000004.snap",
             "journal-000005.snap",
-            "scores.snap",
             "shard-0000.snap",
             "shard-0001.snap",
         ]
@@ -257,7 +251,7 @@ class TestCommitProtocol:
 
     def test_new_base_prunes_the_previous_generation(self, tmp_path):
         checkpoint = _write_generation(tmp_path)
-        checkpoint.write_state(6, [{}, {}], {"customers": {}})
+        checkpoint.write_state(6, [{}, {}])
         checkpoint.commit(_cursor(commit_index=6))
         checkpoint.write_state(7, [_entry(70), _entry(70)], base_index=6)
         checkpoint.commit(_cursor(commit_index=7, base_index=6))
@@ -313,10 +307,12 @@ class TestInvalidCursors:
         current = json.loads(checkpoint.cursor_path.read_text())
         # Version 1 had no base; version 2 named a base of JSON files;
         # version 3 kept the score table as JSON in its header; version
-        # 4 had no stream offset and kept journals in their header.
-        for version in (1, 2, 3, 4):
+        # 4 had no stream offset and kept journals in their header;
+        # version 5 kept the score table beside the shards.
+        for version in (1, 2, 3, 4, 5):
             payload = dict(current, version=version)
-            del payload["stream_offset"]
+            if version < 5:
+                del payload["stream_offset"]
             if version == 1:
                 del payload["base_index"]
             checkpoint.cursor_path.write_text(json.dumps(payload))

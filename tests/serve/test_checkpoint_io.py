@@ -57,7 +57,7 @@ class TestRetryBudget:
             io_fault=_flaky("write_state", 1),
         )
         with use_metrics(registry):
-            directory = checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
+            directory = checkpoint.write_state(1, [{"shard": 0}])
         assert (directory / checkpoint.shard_path(1, 0).name).exists()
         assert registry.counter_value(
             obs_metrics.SERVE_CHECKPOINT_IO_RETRIES
@@ -68,7 +68,7 @@ class TestRetryBudget:
             tmp_path, io_retries=1, io_backoff_s=0.0,
             io_fault=_flaky("commit", 1),
         )
-        checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
+        checkpoint.write_state(1, [{"shard": 0}])
         checkpoint.commit(_cursor(1))
         payload = json.loads(checkpoint.cursor_path.read_text())
         assert payload["commit_index"] == 1
@@ -79,19 +79,19 @@ class TestRetryBudget:
             io_fault=_flaky("write_state", 99),
         )
         with pytest.raises(CheckpointIOExhausted, match="3 attempt"):
-            checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
+            checkpoint.write_state(1, [{"shard": 0}])
 
     def test_exhausted_commit_leaves_previous_cursor_authoritative(
         self, tmp_path
     ):
         checkpoint = ServeCheckpoint(tmp_path, io_backoff_s=0.0)
-        checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
+        checkpoint.write_state(1, [{"shard": 0}])
         checkpoint.commit(_cursor(1))
         broken = ServeCheckpoint(
             tmp_path, io_retries=1, io_backoff_s=0.0,
             io_fault=_flaky("commit", 99),
         )
-        broken.write_state(2, [{"shard": 0}], {"s": 2})
+        broken.write_state(2, [{"shard": 0}])
         with pytest.raises(CheckpointIOExhausted):
             broken.commit(_cursor(2))
         # The commit point never moved: resume reworks exactly batch 2.
@@ -112,14 +112,14 @@ class TestRetryBudget:
             io_fault=_flaky("write_state", 1),
         )
         with pytest.raises(CheckpointIOExhausted, match="1 attempt"):
-            checkpoint.write_state(1, [{"shard": 0}], {"s": 1})
+            checkpoint.write_state(1, [{"shard": 0}])
 
     def test_hook_sees_operation_commit_and_attempt(self, tmp_path):
         hook = _flaky("write_state", 1)
         checkpoint = ServeCheckpoint(
             tmp_path, io_retries=2, io_backoff_s=0.0, io_fault=hook
         )
-        checkpoint.write_state(7, [{"shard": 0}], {"s": 1})
+        checkpoint.write_state(7, [{"shard": 0}])
         assert hook.seen[:2] == [
             ("write_state", 7, 0),
             ("write_state", 7, 1),

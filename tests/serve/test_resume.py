@@ -27,7 +27,6 @@ from repro.serve import (
     offline_sweep_stream,
     serve_stream,
 )
-from repro.serve.checkpoint import SCORES_NAME
 from repro.synth.scenarios import paper_scenario
 from repro.synth.stream import (
     read_stream_header,
@@ -267,7 +266,7 @@ class TestCursorFallback:
             registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
         )
 
-    @pytest.mark.parametrize("kind", ["shard", "scores", "journal"])
+    @pytest.mark.parametrize("kind", ["shard", "journal"])
     def test_altered_state_file_restarts_from_head(
         self, stream_path, serve_config, offline_reference, tmp_path, kind
     ):
@@ -284,7 +283,6 @@ class TestCursorFallback:
         assert cursor.base_index < cursor.commit_index
         target = {
             "shard": checkpoint.shard_path(cursor.base_index, 0),
-            "scores": checkpoint.state_dir(cursor.base_index) / SCORES_NAME,
             "journal": checkpoint.journal_path(
                 cursor.base_index, cursor.commit_index
             ),
@@ -397,33 +395,40 @@ class TestCursorFallback:
     def test_version_1_cursor_restarts_from_head(
         self, stream_path, serve_config, offline_reference, tmp_path, caplog
     ):
-        ckpt = tmp_path / "v1"
-        serve_stream(
-            stream_path,
-            ckpt,
-            config=serve_config,
-            batch_size=BATCH,
-            max_batches=3,
-        )
-        # A cursor from before base + journal generations.
-        cursor = json.loads((ckpt / "cursor.json").read_text())
-        cursor["version"] = 1
-        del cursor["base_index"]
-        (ckpt / "cursor.json").write_text(json.dumps(cursor))
-        registry = MetricsRegistry()
-        with use_metrics(registry), caplog.at_level(
-            logging.WARNING, logger="repro.serve.loop"
-        ):
-            result = serve_stream(
-                stream_path, ckpt, config=serve_config, batch_size=BATCH
+        # Version 1 had no base; version 5 kept the score table
+        # scores.snap beside shard snapshots without an alarm log.
+        for version in (1, 5):
+            ckpt = tmp_path / f"v{version}"
+            serve_stream(
+                stream_path,
+                ckpt,
+                config=serve_config,
+                batch_size=BATCH,
+                max_batches=3,
             )
-        assert not result.resumed
-        assert result.finished
-        assert result.fingerprint() == offline_reference.fingerprint()
-        assert any("version drift" in r.message for r in caplog.records)
-        assert (
-            registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
-        )
+            cursor = json.loads((ckpt / "cursor.json").read_text())
+            cursor["version"] = version
+            if version == 1:
+                del cursor["base_index"]
+            (ckpt / "cursor.json").write_text(json.dumps(cursor))
+            caplog.clear()
+            registry = MetricsRegistry()
+            with use_metrics(registry), caplog.at_level(
+                logging.WARNING, logger="repro.serve.loop"
+            ):
+                result = serve_stream(
+                    stream_path, ckpt, config=serve_config, batch_size=BATCH
+                )
+            assert not result.resumed
+            assert result.finished
+            assert result.fingerprint() == offline_reference.fingerprint()
+            assert any(
+                f"version drift: found version {version}" in r.message
+                for r in caplog.records
+            )
+            assert (
+                registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+            )
 
     def test_changed_config_restarts_from_head(
         self, stream_path, serve_config, tmp_path, caplog
@@ -605,6 +610,14 @@ class TestResumeAtEveryCommit:
             assert [encode_snapshot(shard) for shard in state] == [
                 encode_snapshot(shard) for shard in pool.snapshot_shards()
             ], f"commit {commit_index} (base {cursor.base_index})"
+            # The shards hold every count the cursor carries: one alarm
+            # row per flag, one closed window per score.
+            assert cursor.counters["flagged"] == sum(
+                len(shard["alarm_customers"]) for shard in state
+            ), commit_index
+            assert cursor.counters["scored"] == sum(
+                int(shard["n_windows_observed"].sum()) for shard in state
+            ), commit_index
             if cursor.base_index < commit_index:
                 journal_commits += 1
                 first_in_journal |= any(

@@ -162,22 +162,16 @@ class TestCommands:
                 "bench",
                 "--sizes", "4",
                 "--repeat", "1",
-                "--resilience-size", "8",
                 "--json", str(out),
             ]
         ) == 0
         stdout = capsys.readouterr().out
         assert "ms/customer" in stdout
-        assert "resilient executor" in stdout
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "stability_fit_scaling"
         assert payload["schema_version"] == 2
         assert payload["results"][0]["customers"] == 8
         assert payload["results"][0]["fit_seconds"] > 0
-        resilience = payload["resilient_executor"]
-        assert resilience["scenario"] == "resilient_executor_overhead"
-        assert resilience["bare_seconds"] > 0
-        assert resilience["resilient_seconds"] > 0
 
     def test_bench_single_backend(self, capsys):
         # The bench times the one kernel: a fit-time column, no
