@@ -92,9 +92,15 @@ def append_jsonl_line(path: str | Path, payload: object) -> Path:
     recordings — must keep using :func:`atomic_write_text`.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     line = json.dumps(payload, sort_keys=True) + "\n"
-    with open(path, "a") as handle:
+    try:
+        handle = open(path, "a")
+    except FileNotFoundError:
+        # Only the first line of a stream pays for the directory: a
+        # publisher appends a line on every publish.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "a")
+    with handle:
         handle.write(line)
         handle.flush()
     return path

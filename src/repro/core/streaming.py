@@ -31,10 +31,13 @@ restore adopts them.
   alarm the monitor raised, one row per alarm, appended in close order
   (so ``(window, customer)`` strictly ascends) and never dropped.
 
-Next to the columns the monitor keeps one dict of open-window item sets
-for the customers seen since the last close, so ingesting a basket is a
-set update.  A window close scores every row with one vectorised
-significance pass, then appends each customer's new items to its row.
+Next to the columns the monitor keeps the open window as a list of
+:class:`ItemUnion` parts, one per run of same-window days it ingested
+(:meth:`StabilityMonitor.ingest_days` takes a batch of days as columns
+and calls ``window_of_day`` once per day), merged into one at a window
+close or a snapshot.  A window close scores every row with one
+vectorised significance pass, then appends each customer's new items to
+its row.
 
 Memory is O(customers x items-ever-bought) plus one row per alarm raised,
 independent of history length otherwise — the property that makes the
@@ -49,10 +52,9 @@ the monitor produces exactly the same stability values as
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -67,7 +69,15 @@ if TYPE_CHECKING:
     from repro.config import ExperimentConfig
     from repro.data.calendar import StudyCalendar
 
-__all__ = ["STATE_COLUMNS", "WindowCloseReport", "StabilityMonitor", "monitor_scores"]
+__all__ = [
+    "STATE_COLUMNS",
+    "ItemUnion",
+    "item_union",
+    "merge_unions",
+    "WindowCloseReport",
+    "StabilityMonitor",
+    "monitor_scores",
+]
 
 #: The monitor's significance state: column name -> dtype (see the
 #: module docstring).
@@ -151,6 +161,56 @@ def customer_rows(columns: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray
     return rows
 
 
+class ItemUnion(NamedTuple):
+    """Item unions of some customers: ``customers`` ascending, customer
+    ``i`` owning ``items[item_offsets[i]:item_offsets[i + 1]]``,
+    ascending (an empty slice when all their baskets were empty)."""
+
+    customers: np.ndarray
+    item_offsets: np.ndarray
+    items: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_NO_INTS = _frozen(np.zeros(0, np.int64))
+_EMPTY_UNION = ItemUnion(_NO_INTS, _frozen(np.zeros(1, np.int64)), _NO_INTS)
+_ONE_EMPTY_SLICE = _frozen(np.zeros(2, np.int64))
+
+
+def item_union(customers: np.ndarray, sizes: np.ndarray, items: np.ndarray) -> ItemUnion:
+    """The item union of some baskets: basket ``j`` is customer
+    ``customers[j]`` buying the next ``sizes[j]`` of ``items`` (an item
+    may repeat, in a basket or across a customer's baskets)."""
+    ids, rows = np.unique(customers, return_inverse=True)
+    item_rows = np.repeat(rows, sizes)
+    # The first of each sorted (customer, item) key is the union, by
+    # customer, then item.
+    _, first = np.unique(pair_keys(item_rows, items), return_index=True)
+    return ItemUnion(ids, row_offsets(item_rows[first], len(ids)), items[first])
+
+
+def merge_unions(unions: Sequence[ItemUnion]) -> ItemUnion:
+    """One :class:`ItemUnion` of several."""
+    if len(unions) == 1:
+        return unions[0]
+    if not unions:
+        return _EMPTY_UNION
+    return item_union(
+        np.concatenate([union.customers for union in unions]),
+        np.concatenate([np.diff(union.item_offsets) for union in unions]),
+        np.concatenate([union.items for union in unions]),
+    )
+
+
+#: Baskets :meth:`StabilityMonitor.ingest_many` gathers, in whole days,
+#: before it feeds them on.
+_CHUNK_BASKETS = 4096
+
+
 def _empty_columns() -> dict[str, np.ndarray]:
     columns = {name: np.zeros(0, dtype) for name, dtype in STATE_COLUMNS.items()}
     columns["item_offsets"] = np.zeros(1, np.int64)
@@ -216,10 +276,11 @@ class StabilityMonitor:
 
     Usage
     -----
-    Feed baskets in non-decreasing day order via :meth:`ingest`; it
-    returns a :class:`WindowCloseReport` for every window that closed
-    because time advanced past it.  Call :meth:`finish` at end of stream
-    to close the remaining windows.
+    Feed baskets in non-decreasing day order via :meth:`ingest` (one
+    basket), :meth:`ingest_many` (an iterable) or :meth:`ingest_days`
+    (whole days as columns); each returns a :class:`WindowCloseReport`
+    for every window that closed because time advanced past it.  Call
+    :meth:`finish` at end of stream to close the remaining windows.
     """
 
     def __init__(
@@ -257,8 +318,10 @@ class StabilityMonitor:
         #: are replaced, never written in place, so a snapshot may share
         #: them.
         self._columns = _empty_columns()
-        #: Open-window item sets of the customers seen since the last close.
-        self._open: dict[int, set[int]] = {}
+        #: The open window: one item union per run of same-window days
+        #: ingested since the last close (see :meth:`ingest_days`), merged
+        #: into one at a close or a snapshot.
+        self._open: list[ItemUnion] = []
 
     @classmethod
     def from_config(
@@ -299,7 +362,17 @@ class StabilityMonitor:
 
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far."""
-        return sorted(self._open.keys() | set(self._columns["customers"].tolist()))
+        # A sort, not np.unique: the live plane lists every shard's
+        # customers on each publish, and np.unique takes several times
+        # as long on a few hundred ids.
+        ids = np.sort(np.concatenate(self._customer_columns()))
+        first = np.ones(len(ids), bool)
+        first[1:] = ids[1:] != ids[:-1]
+        return ids[first].tolist()
+
+    def _customer_columns(self) -> list[np.ndarray]:
+        """The customers with a row, then those of each open-window union."""
+        return [self._columns["customers"], *(union.customers for union in self._open)]
 
     def register(self, customer_id: int) -> None:
         """Pre-register a customer so silent ones are scored from window 0.
@@ -309,13 +382,14 @@ class StabilityMonitor:
         fully silent customer produce empty windows (and eventually
         alarms) instead of being invisible.
         """
-        self._open.setdefault(customer_id, set())
+        self._open.append(ItemUnion(np.array([customer_id], np.int64), _ONE_EMPTY_SLICE, _NO_INTS))
 
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
     def ingest(self, basket: Basket) -> list[WindowCloseReport]:
-        """Feed one basket; returns reports for any windows this closes.
+        """Feed one basket (a one-basket :meth:`ingest_days`); returns
+        reports for any windows this closes.
 
         Raises
         ------
@@ -323,55 +397,132 @@ class StabilityMonitor:
             If baskets arrive out of order, past the grid, or after
             :meth:`finish`.
         """
-        if self._finished:
-            raise DataError("monitor already finished")
-        window = self.grid.window_of_day(basket.day)
-        if window is None:
-            raise DataError(
-                f"basket day {basket.day} is outside the monitor's grid"
-            )
-        if window < self._current_window:
-            # Out-of-order across a window boundary: the earlier window
-            # has already been closed and scored, so folding this basket
-            # in would silently corrupt its assignment.  Refuse with
-            # enough context to find the offending record upstream.
-            raise DataError(
-                f"customer {basket.customer_id}: basket at day {basket.day} "
-                f"predates the open window {self._current_window} (which "
-                f"starts at day {self.grid.boundaries[self._current_window]}); "
-                f"window {window} is already closed and baskets must arrive "
-                f"in day order"
-            )
-        if basket.day < self._last_day_seen:
-            raise DataError(
-                f"customer {basket.customer_id}: baskets must arrive in day "
-                f"order: got day {basket.day} after day {self._last_day_seen}"
-            )
-        self._last_day_seen = basket.day
-
-        reports = []
-        while self._current_window < window:
-            reports.append(self._close_current_window())
-        items = self._open.get(basket.customer_id)
-        if items is None:
-            self._open[basket.customer_id] = set(basket.items)
-        else:
-            items |= basket.items
-        return reports
+        return self.ingest_many([basket])
 
     def ingest_many(self, baskets: Iterable[Basket]) -> list[WindowCloseReport]:
-        """Feed a day-ordered iterable of baskets."""
+        """Feed a day-ordered iterable of baskets: whole days, about
+        :data:`_CHUNK_BASKETS` baskets at a time, go to one
+        :meth:`ingest_days` call as columns, so there is no numpy call
+        per basket and memory stays bounded by one chunk.
+
+        Raises
+        ------
+        DataError
+            As :meth:`ingest_days`.
+        """
         reports: list[WindowCloseReport] = []
+        days: list[int] = []
+        day_ends: list[int] = []
+        customers: list[int] = []
+        sizes: list[int] = []
+        items: list[int] = []
+
+        def flush() -> None:
+            reports.extend(
+                self.ingest_days(
+                    days,
+                    day_ends,
+                    np.array(customers, np.int64),
+                    np.array(sizes, np.int64),
+                    np.array(items, np.int64),
+                )[0]
+            )
+            for column in (days, day_ends, customers, sizes, items):
+                column.clear()
+
         for basket in baskets:
-            reports.extend(self.ingest(basket))
+            if not days or basket.day != days[-1]:
+                if len(customers) >= _CHUNK_BASKETS:
+                    flush()
+                days.append(basket.day)
+                day_ends.append(0)
+            customers.append(basket.customer_id)
+            sizes.append(len(basket.items))
+            items.extend(basket.items)
+            day_ends[-1] = len(customers)
+        if days:
+            flush()
         return reports
+
+    def ingest_days(
+        self,
+        days: Sequence[int],
+        day_ends: Sequence[int],
+        customers: np.ndarray,
+        sizes: np.ndarray,
+        items: np.ndarray,
+    ) -> tuple[list[WindowCloseReport], list[ItemUnion]]:
+        """Feed consecutive days of baskets, as columns; returns the
+        reports of the windows this closes and the item unions it took.
+
+        Day ``days[i]`` holds baskets ``day_ends[i - 1]:day_ends[i]``
+        (from 0 for the first day); basket ``j`` is customer
+        ``customers[j]`` buying the next ``sizes[j]`` of ``items``
+        (see :func:`~repro.data.basket.day_columns`).  A day without
+        baskets only advances the clock.  Each run of consecutive days
+        in one window joins the open window as one :func:`item_union`,
+        after the windows before it are closed.  Every day is checked
+        before any is applied.
+
+        Raises
+        ------
+        DataError
+            If a day regresses, lies outside the grid, or holds baskets
+            for a window already closed, or the monitor is finished.
+        """
+        if self._finished:
+            raise DataError("monitor already finished")
+        runs: list[list[int]] = []  # [window, first basket, basket end]
+        current, last, start = self._current_window, self._last_day_seen, 0
+        for day, end in zip(days, day_ends, strict=True):
+            window = self.grid.window_of_day(day)
+            who = f"customer {int(customers[start])}: " if end > start else ""
+            if window is None:
+                raise DataError(f"{who}day {day} is outside the monitor's grid")
+            if who and window < current:
+                # Out-of-order across a window boundary: the earlier
+                # window has already been closed and scored, so folding
+                # this basket in would silently corrupt its assignment.
+                # Refuse with enough context to find the offending
+                # record upstream.
+                raise DataError(
+                    f"{who}basket at day {day} predates the open window "
+                    f"{current} (which starts at day "
+                    f"{self.grid.boundaries[current]}); window {window} is "
+                    f"already closed and baskets must arrive in day order"
+                )
+            if day < last:
+                raise DataError(
+                    f"{who}baskets must arrive in day order: got day {day} "
+                    f"after day {last}"
+                )
+            if runs and runs[-1][0] == window:
+                runs[-1][2] = end
+            else:
+                runs.append([window, start, end])
+            current, last, start = max(current, window), day, end
+        if not runs:
+            return [], []
+        self._last_day_seen = last
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        reports = []
+        unions = []
+        for window, lo, hi in runs:
+            while self._current_window < window:
+                reports.append(self._close_current_window())
+            if hi > lo:
+                union = item_union(customers[lo:hi], sizes[lo:hi], items[offsets[lo] : offsets[hi]])
+                self._open.append(union)
+                unions.append(union)
+        return reports, unions
 
     def advance_to_day(self, day: int) -> list[WindowCloseReport]:
         """Advance the stream clock to ``day`` without ingesting a basket.
 
         Closes (and scores) every window that ends on or before ``day``,
-        exactly as ingesting a basket dated ``day`` would, but leaves all
-        per-customer item sets untouched.  This is what keeps a pool of
+        exactly as ingesting a basket dated ``day`` would, but leaves the
+        open window's items untouched: an :meth:`ingest_days` of one day
+        without baskets.  This is what keeps a pool of
         customer-partitioned monitors aligned: every shard sees every
         day of the stream, even days on which none of *its* customers
         shopped, so all shards close the same windows at the same time
@@ -383,21 +534,7 @@ class StabilityMonitor:
             If ``day`` regresses, lies outside the grid, or the monitor
             is already finished.
         """
-        if self._finished:
-            raise DataError("monitor already finished")
-        window = self.grid.window_of_day(day)
-        if window is None:
-            raise DataError(f"day {day} is outside the monitor's grid")
-        if day < self._last_day_seen:
-            raise DataError(
-                f"the stream clock must advance in day order: got day "
-                f"{day} after day {self._last_day_seen}"
-            )
-        self._last_day_seen = day
-        reports = []
-        while self._current_window < window:
-            reports.append(self._close_current_window())
-        return reports
+        return self.ingest_days([day], [0], _NO_INTS, _NO_INTS, _NO_INTS)[0]
 
     def finish(self) -> list[WindowCloseReport]:
         """Close every remaining window and end the stream."""
@@ -424,12 +561,9 @@ class StabilityMonitor:
         DataError
             If the customer has never appeared in the stream.
         """
-        columns = self._columns
-        if (
-            customer_id not in self._open
-            and _row_of(columns["customers"], customer_id) is None
-        ):
+        if all(_row_of(ids, customer_id) is None for ids in self._customer_columns()):
             raise DataError(f"customer {customer_id} not in the stream")
+        columns = self._columns
         row = _row_of(columns["missing_customers"], customer_id)
         if row is None:
             return []
@@ -447,17 +581,19 @@ class StabilityMonitor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _open_union(self) -> ItemUnion:
+        """The open window's unions merged into one, which then stands
+        for them."""
+        union = merge_unions(self._open)
+        self._open = [union] if len(union.customers) else []
+        return union
+
     def _open_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The open window as ``(row, item)`` pairs sorted by row, then
         item, after giving each customer first seen in it a row."""
-        ids = np.fromiter(self._open, np.int64, len(self._open))
-        sizes = np.fromiter(map(len, self._open.values()), np.int64, len(ids))
-        items = np.fromiter(
-            chain.from_iterable(self._open.values()), np.int64, int(sizes.sum())
-        )
-        rows = np.repeat(customer_rows(self._columns, ids), sizes)
-        order = np.argsort(pair_keys(rows, items), kind="stable")
-        return rows[order], items[order]
+        union = self._open_union()
+        rows = customer_rows(self._columns, union.customers)
+        return np.repeat(rows, np.diff(union.item_offsets)), union.items
 
     def _state_columns(self) -> dict[str, np.ndarray]:
         """Every state column plus the open window as ``current_offsets``
@@ -570,7 +706,7 @@ class StabilityMonitor:
             missing_items=items[missing],
             missing_significance=significance[missing],
         )
-        self._open = {}
+        self._open = []
         self._current_window += 1
         return WindowCloseReport(
             window_index=window_index,

@@ -6,19 +6,21 @@ Item ids may be product ids or segment ids depending on the abstraction
 level of the log holding the basket; the stability model is agnostic, it
 only requires that the ids are consistent within a log.
 
-A :class:`DayBatch` holds all baskets of one calendar day: the unit the
-recorded stream (:mod:`repro.synth.stream`) stores and serving
+A :class:`DayBatch` holds all baskets of one calendar day as columns: the
+unit the recorded stream (:mod:`repro.synth.stream`) stores and serving
 (:mod:`repro.serve`) ingests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["Basket", "DayBatch", "iter_day_batches"]
+__all__ = ["Basket", "DayBatch", "iter_day_batches", "day_columns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,27 +90,75 @@ class Basket:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayBatch:
-    """All baskets of one calendar day, in stream order.
+    """All baskets of one calendar day, in stream order, as columns.
 
     The unit of ingestion for the serving layer
     (:mod:`repro.serve`): a day is atomic — a checkpoint batch never
     splits one, so the resume cursor can point just past a whole day.
+    Basket ``j`` is customer ``customers[j]`` buying
+    ``items[item_offsets[j]:item_offsets[j + 1]]`` for ``amounts[j]``
+    (int64 columns, ``amounts`` float64).  :attr:`baskets` builds the
+    :class:`Basket` objects from the columns on each access.
 
     ``end`` is the byte offset just past the day's line in the recorded
     stream it was read from (:func:`~repro.synth.stream.replay_stream`
-    resumes there), ``-1`` for a batch not read from a file.  It takes
-    no part in equality.
+    resumes there), ``-1`` for a batch not read from a file.  Equality
+    compares the day and the columns, not ``end``.
     """
 
     day: int
-    baskets: tuple[Basket, ...]
-    end: int = field(default=-1, compare=False)
+    customers: np.ndarray
+    item_offsets: np.ndarray
+    items: np.ndarray
+    amounts: np.ndarray
+    end: int = -1
+
+    @classmethod
+    def of(cls, day: int, baskets: Iterable[Basket], end: int = -1) -> DayBatch:
+        """The columns of ``baskets`` (all dated ``day``), each basket's
+        items ascending."""
+        baskets = tuple(baskets)
+        items = [sorted(basket.items) for basket in baskets]
+        return cls(
+            day=day,
+            customers=np.array([b.customer_id for b in baskets], np.int64),
+            item_offsets=np.cumsum([0, *map(len, items)], dtype=np.int64),
+            items=np.array([item for own in items for item in own], np.int64),
+            amounts=np.array([b.monetary for b in baskets], np.float64),
+            end=end,
+        )
 
     @property
     def n_baskets(self) -> int:
-        return len(self.baskets)
+        return len(self.customers)
+
+    @property
+    def baskets(self) -> tuple[Basket, ...]:
+        """The day's baskets, built from the columns."""
+        offsets = self.item_offsets.tolist()
+        items = self.items.tolist()
+        return tuple(
+            Basket(customer_id, self.day, frozenset(items[lo:hi]), monetary)
+            for customer_id, lo, hi, monetary in zip(
+                self.customers.tolist(),
+                offsets,
+                offsets[1:],
+                self.amounts.tolist(),
+                strict=False,
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DayBatch):
+            return NotImplemented
+        return self.day == other.day and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("customers", "item_offsets", "items", "amounts")
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def iter_day_batches(baskets: Iterable[Basket]) -> Iterator[DayBatch]:
@@ -131,9 +181,26 @@ def iter_day_batches(baskets: Iterable[Basket]) -> Iterator[DayBatch]:
                     f"{basket.day} regresses behind day {current_day}; "
                     f"day batches require a day-ordered stream"
                 )
-            yield DayBatch(day=current_day, baskets=tuple(acc))
+            yield DayBatch.of(current_day, acc)
             acc = []
             current_day = basket.day
         acc.append(basket)
     if current_day is not None:
-        yield DayBatch(day=current_day, baskets=tuple(acc))
+        yield DayBatch.of(current_day, acc)
+
+
+def day_columns(
+    batches: Sequence[DayBatch],
+) -> tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Consecutive day batches as one set of flat columns, the form
+    :meth:`~repro.core.streaming.StabilityMonitor.ingest_days` takes:
+    ``(days, day_ends, customers, sizes, items)``, day ``days[i]``
+    holding baskets ``day_ends[i - 1]:day_ends[i]`` and basket ``j``
+    buying the next ``sizes[j]`` of ``items``."""
+    return (
+        [batch.day for batch in batches],
+        np.cumsum([batch.n_baskets for batch in batches], dtype=np.int64).tolist(),
+        np.concatenate([batch.customers for batch in batches]),
+        np.concatenate([np.diff(batch.item_offsets) for batch in batches]),
+        np.concatenate([batch.items for batch in batches]),
+    )

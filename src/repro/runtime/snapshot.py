@@ -21,8 +21,8 @@ ascending id order:
   so ordering is part of bit-identical equality); customer ``i`` owns
   rows ``item_offsets[i]:item_offsets[i + 1]``;
 * ``current_items`` (sorted, sliced by ``current_offsets``) — the
-  open window's item union ``u_k``, flattened from the monitor's
-  open-window sets;
+  open window's item union ``u_k``, the monitor's per-batch unions
+  merged into one;
 * ``missing_customers`` / ``missing_offsets`` / ``missing_items`` /
   ``missing_significance`` — the last closed window's missing-item
   evidence, so ``explain_alarm`` keeps working across a restart;
@@ -31,8 +31,8 @@ ascending id order:
   ascending.
 
 :func:`restore_monitor` checks the columns with whole-array operations
-and hands them to the new monitor as they are; only the open-window
-sets are rebuilt, one per customer with an open-window item.
+and hands them to the new monitor as they are, the open window's two
+columns as its one open-window union.
 
 The scalars pin the window grid, the scoring configuration (``beta``,
 ``alpha``, counting scheme, burn-in) and the stream position (current
@@ -75,7 +75,7 @@ from repro.atomicio import atomic_write_bytes
 from repro.errors import SnapshotError
 
 if TYPE_CHECKING:
-    from repro.core.streaming import StabilityMonitor
+    from repro.core.streaming import ItemUnion, StabilityMonitor
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -312,8 +312,8 @@ _OPEN_COLUMNS = {"current_offsets": np.int64, "current_items": np.int64}
 
 def restore_monitor(payload: dict) -> StabilityMonitor:
     """Rebuild a monitor from a :func:`snapshot_monitor` payload: the
-    monitor adopts the state columns as they are and builds one item set
-    per customer with an open-window item.
+    monitor adopts the state columns as they are, and the open window's
+    ``current_offsets`` / ``current_items`` as one item union.
 
     Raises
     ------
@@ -389,18 +389,15 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
             )
     _check_alarm_log(columns, monitor.current_window)
     monitor._columns = {name: columns[name] for name in STATE_COLUMNS}
-    offsets = columns["current_offsets"]
-    touched = offsets[1:] > offsets[:-1]
-    current = columns["current_items"].tolist()
-    slices = map(slice, offsets[:-1][touched].tolist(), offsets[1:][touched].tolist())
-    monitor._open = dict(
-        zip(
-            columns["customers"][touched].tolist(),
-            map(set, map(current.__getitem__, slices)),
-            strict=True,
-        )
-    )
+    monitor._open = [_open_part(columns)]
     return monitor
+
+
+def _open_part(columns: Mapping[str, np.ndarray]) -> ItemUnion:
+    """The open window's columns as one item union over every customer."""
+    from repro.core.streaming import ItemUnion
+
+    return ItemUnion(columns["customers"], columns["current_offsets"], columns["current_items"])
 
 
 def fold_unions(
@@ -416,7 +413,7 @@ def fold_unions(
     The unions are those of some baskets, and the payload becomes the
     snapshot of the monitor after those baskets, provided they closed
     no window: such baskets only register customers, add to their
-    open-window item sets and move the clock to ``last_day_seen``.  So
+    open-window item unions and move the clock to ``last_day_seen``.  So
     only the open window's columns change, plus a fresh row for each
     customer first seen in ``ids`` — also one whose union is empty, as
     a customer's empty first basket registers them.  A customer or an
@@ -427,28 +424,26 @@ def fold_unions(
     SnapshotError, ValueError
         If the payload's columns are malformed.
     """
-    from repro.core.streaming import STATE_COLUMNS, customer_rows, pair_keys, row_offsets
+    from repro.core.streaming import (
+        STATE_COLUMNS,
+        customer_rows,
+        item_union,
+        merge_unions,
+        row_offsets,
+    )
 
     per_customer = ("customers", "n_windows_observed", "last_stability", "item_offsets")
     columns = payload_columns(
         payload, {**{name: STATE_COLUMNS[name] for name in per_customer}, **_OPEN_COLUMNS}
     )
-    added = np.repeat(customer_rows(columns, ids), sizes)
-    n_customers = len(columns["customers"])
-    rows = np.concatenate(
-        (np.repeat(np.arange(n_customers), np.diff(columns["current_offsets"])), added)
-    )
-    items = np.concatenate((columns["current_items"], items))
-    keys = pair_keys(rows, items)
-    # Stable: the payload's own pairs come sorted, so this is mostly a merge.
-    order = np.argsort(keys, kind="stable")
-    keys, rows, items = keys[order], rows[order], items[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    union = merge_unions([_open_part(columns), item_union(ids, sizes, items)])
+    rows = customer_rows(columns, union.customers)
     payload.update(
         columns,
-        current_offsets=row_offsets(rows[first], n_customers),
-        current_items=items[first],
+        current_offsets=row_offsets(
+            np.repeat(rows, np.diff(union.item_offsets)), len(columns["customers"])
+        ),
+        current_items=union.items,
         last_day_seen=int(last_day_seen),
     )
 

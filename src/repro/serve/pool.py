@@ -4,10 +4,13 @@ A serving deployment cannot hold 6M customers' incremental state behind
 one GIL: :class:`ShardedMonitorPool` partitions customers across
 ``n_shards`` independent :class:`~repro.core.streaming.StabilityMonitor`
 instances (``customer_id % n_shards``, so all of a customer's baskets
-land in one shard) and processes each checkpoint batch per shard —
+land in one shard).  It routes each checkpoint batch's columns to the
+shards in numpy and feeds each shard its slice in one
+:meth:`~repro.core.streaming.StabilityMonitor.ingest_days` call —
 serially in-process, or fanned out to worker processes through
 :func:`~repro.runtime.executor.run_sharded` with its full
-retry/degrade protocol.
+retry/degrade protocol.  The item unions the monitors take are the
+batch's checkpoint journal (:meth:`ShardedMonitorPool.journal_shards`).
 
 The pool preserves the serving layer's headline invariant — sharded
 scoring is **bit-identical** to a single monitor over the same stream —
@@ -37,8 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.detector import Alarm
-from repro.core.streaming import StabilityMonitor, WindowCloseReport, pair_keys
-from repro.data.basket import Basket, DayBatch
+from repro.core.streaming import ItemUnion, StabilityMonitor, WindowCloseReport, merge_unions
+from repro.data.basket import DayBatch, day_columns
 from repro.errors import ConfigError
 from repro.runtime.executor import ExecutionReport, run_sharded
 from repro.runtime.snapshot import (
@@ -55,17 +58,20 @@ if TYPE_CHECKING:
 
 __all__ = ["ShardedMonitorPool", "shard_of", "merge_reports"]
 
-#: Wire shapes shipped to worker processes: plain nested tuples and
-#: encoded snapshots only, so pickling never depends on dataclass/slots
-#: details across versions.
-_WireBasket = tuple[int, tuple[int, ...], float]
-_WireDay = tuple[int, tuple[_WireBasket, ...]]
+#: One shard's slice of a batch, as :meth:`StabilityMonitor.ingest_days`
+#: takes it: the days, each day's end in the shard's baskets, and the
+#: baskets' ``customers``, ``sizes`` and ``items`` columns.
+_ShardColumns = tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]
+#: Wire shapes shipped to and from worker processes: plain tuples,
+#: int64 arrays and encoded snapshots only, so pickling never depends
+#: on dataclass details across versions.
 _WireReport = tuple[
     int,
     tuple[tuple[int, float], ...],
     tuple[tuple[int, int, float], ...],
 ]
-_ShardTask = tuple[bytes, tuple[_WireDay, ...]]
+_WireUnion = tuple[np.ndarray, np.ndarray, np.ndarray]
+_ShardTask = tuple[bytes, _ShardColumns]
 
 
 def shard_of(customer_id: int, n_shards: int) -> int:
@@ -127,33 +133,47 @@ def _deserialize_report(wire: _WireReport) -> WindowCloseReport:
     )
 
 
-def _process_shard_batch(task: _ShardTask) -> tuple[bytes, tuple[_WireReport, ...]]:
-    """Worker: restore one shard, play one batch of days, snapshot back.
+def _process_shard_batch(
+    task: _ShardTask,
+) -> tuple[bytes, tuple[_WireReport, ...], _WireUnion]:
+    """Worker: restore one shard, play its slice of one batch, snapshot
+    back; the reports and the item union the slice added go with it.
 
     Pure in the :func:`run_sharded` sense — state in, state out, no side
     effects — so a timed-out attempt recomputed elsewhere cannot corrupt
     anything.
     """
-    blob, days = task
+    blob, columns = task
     monitor = restore_monitor(decode_snapshot(blob))
-    reports: list[WindowCloseReport] = []
-    for day, baskets in days:
-        for customer_id, items, monetary in baskets:
-            reports.extend(
-                monitor.ingest(
-                    Basket.of(
-                        customer_id=customer_id,
-                        day=day,
-                        items=list(items),
-                        monetary=monetary,
-                    )
-                )
-            )
-        reports.extend(monitor.advance_to_day(day))
+    reports, unions = monitor.ingest_days(*columns)
     return (
         encode_snapshot(snapshot_monitor(monitor)),
         tuple(_serialize_report(r) for r in reports),
+        tuple(merge_unions(unions)),
     )
+
+
+def _shard_columns(batches: Sequence[DayBatch], n_shards: int) -> list[_ShardColumns]:
+    """Each shard's slice of a group of day batches: every day, and the
+    baskets of the customers it owns (``customer_id % n_shards``)."""
+    days, day_ends, customers, sizes, items = day_columns(batches)
+    if n_shards == 1:
+        return [(days, day_ends, customers, sizes, items)]
+    owners = customers % n_shards  # shard_of, per basket
+    day_of_basket = np.repeat(np.arange(len(days)), np.diff(day_ends, prepend=0))
+    shards = []
+    for shard in range(n_shards):
+        owned = owners == shard
+        shards.append(
+            (
+                days,
+                np.cumsum(np.bincount(day_of_basket[owned], minlength=len(days))).tolist(),
+                customers[owned],
+                sizes[owned],
+                items[np.repeat(owned, sizes)],
+            )
+        )
+    return shards
 
 
 class ShardedMonitorPool:
@@ -193,9 +213,9 @@ class ShardedMonitorPool:
         #: Executor report of the most recent parallel batch (None until
         #: one ran); surfaces retry/degrade history for the manifest.
         self.last_report: ExecutionReport | None = None
-        #: The day batches of the most recent :meth:`process_batch`
-        #: (see :meth:`journal_shards`).
-        self._last_batches: tuple[DayBatch, ...] = ()
+        #: Per shard, the item unions the most recent
+        #: :meth:`process_batch` took (see :meth:`journal_shards`).
+        self._unions: list[list[ItemUnion]] = [[] for _ in self.monitors]
 
     @property
     def n_shards(self) -> int:
@@ -278,47 +298,25 @@ class ShardedMonitorPool:
 
     def journal_shards(self) -> list[dict]:
         """What the most recent :meth:`process_batch` added, per shard:
-        the shard clock ``last_day_seen`` and the batch's item unions as
-        int64 arrays — ``customers`` ascending, and ``items`` ascending
-        within each customer, customer ``i`` owning
-        ``items[item_offsets[i]:item_offsets[i + 1]]`` (an empty slice
-        when all their baskets were empty).
+        the shard clock ``last_day_seen`` and the item unions its
+        monitor took from the batch, as int64 arrays — ``customers``
+        ascending, and ``items`` ascending within each customer,
+        customer ``i`` owning ``items[item_offsets[i]:item_offsets[i + 1]]``
+        (an empty slice when all their baskets were empty).
 
         When that batch closed no window, this is the whole difference
         between the shard states before and after it (a checkpoint
         journal; see :mod:`repro.serve.checkpoint`).
         """
-        ids: list[int] = []
-        sizes: list[int] = []
-        items: list[int] = []
-        for batch in self._last_batches:
-            for basket in batch.baskets:
-                ids.append(basket.customer_id)
-                sizes.append(len(basket.items))
-                items.extend(basket.items)
-        customers, basket_rows = np.unique(
-            np.asarray(ids, dtype=np.int64), return_inverse=True
-        )
-        rows = np.repeat(basket_rows, sizes)
-        items_array = np.asarray(items, dtype=np.int64)
-        # One sorted key per (customer, item) pair: the first of each
-        # key is the union, by customer, then item.
-        _, first = np.unique(pair_keys(rows, items_array), return_index=True)
-        rows, items_array = rows[first], items_array[first]
-        counts = np.bincount(rows, minlength=len(customers))
-        customer_shards = customers % self.n_shards  # shard_of, per customer
-        item_shards = customer_shards[rows]
         entries = []
-        for shard, monitor in enumerate(self.monitors):
-            owned = customer_shards == shard
+        for monitor, unions in zip(self.monitors, self._unions, strict=True):
+            union = merge_unions(unions)
             entries.append(
                 {
                     "last_day_seen": monitor.last_day_seen,
-                    "customers": customers[owned],
-                    "item_offsets": np.concatenate(
-                        ([0], np.cumsum(counts[owned], dtype=np.int64))
-                    ),
-                    "items": items_array[item_shards == shard],
+                    "customers": union.customers,
+                    "item_offsets": union.item_offsets,
+                    "items": union.items,
                 }
             )
         return entries
@@ -338,7 +336,9 @@ class ShardedMonitorPool:
     ) -> list[WindowCloseReport]:
         """Play a group of day batches through every shard; merged reports.
 
-        The group is kept for :meth:`journal_shards`.
+        Each shard's monitor ingests its slice of the group in one
+        :meth:`~repro.core.streaming.StabilityMonitor.ingest_days` call,
+        and the item unions it took are kept for :meth:`journal_shards`.
 
         Raises
         ------
@@ -346,53 +346,23 @@ class ShardedMonitorPool:
             If the batches regress the stream clock or leave the grid
             (from the underlying monitors).
         """
-        self._last_batches = tuple(batches)
+        self._unions = [[] for _ in self.monitors]
         if not batches:
             return []
+        shards = _shard_columns(batches, self.n_shards)
         if self.parallel and self.n_shards > 1:
-            return self._process_parallel(batches)
-        return self._process_serial(batches)
-
-    def _process_serial(
-        self, batches: Sequence[DayBatch]
-    ) -> list[WindowCloseReport]:
-        per_shard: list[list[WindowCloseReport]] = [
-            [] for _ in self.monitors
-        ]
-        for batch in batches:
-            split: list[list[Basket]] = [[] for _ in self.monitors]
-            for basket in batch.baskets:
-                split[shard_of(basket.customer_id, self.n_shards)].append(
-                    basket
-                )
-            for shard, monitor in enumerate(self.monitors):
-                for basket in split[shard]:
-                    per_shard[shard].extend(monitor.ingest(basket))
-                per_shard[shard].extend(monitor.advance_to_day(batch.day))
+            return self._process_parallel(shards)
+        per_shard = []
+        for shard, (monitor, columns) in enumerate(zip(self.monitors, shards, strict=True)):
+            reports, self._unions[shard] = monitor.ingest_days(*columns)
+            per_shard.append(reports)
         return merge_reports(per_shard)
 
-    def _process_parallel(
-        self, batches: Sequence[DayBatch]
-    ) -> list[WindowCloseReport]:
-        tasks: list[_ShardTask] = []
-        for shard, monitor in enumerate(self.monitors):
-            days: tuple[_WireDay, ...] = tuple(
-                (
-                    batch.day,
-                    tuple(
-                        (
-                            basket.customer_id,
-                            tuple(sorted(basket.items)),
-                            basket.monetary,
-                        )
-                        for basket in batch.baskets
-                        if shard_of(basket.customer_id, self.n_shards)
-                        == shard
-                    ),
-                )
-                for batch in batches
-            )
-            tasks.append((encode_snapshot(snapshot_monitor(monitor)), days))
+    def _process_parallel(self, shards: list[_ShardColumns]) -> list[WindowCloseReport]:
+        tasks: list[_ShardTask] = [
+            (encode_snapshot(snapshot_monitor(monitor)), columns)
+            for monitor, columns in zip(self.monitors, shards, strict=True)
+        ]
         results, report = run_sharded(
             _process_shard_batch,
             tasks,
@@ -403,8 +373,9 @@ class ShardedMonitorPool:
         )
         self.last_report = report
         per_shard: list[list[WindowCloseReport]] = []
-        for shard, (blob, serialized) in enumerate(results):
+        for shard, (blob, serialized, union) in enumerate(results):
             self.monitors[shard] = restore_monitor(decode_snapshot(blob))
+            self._unions[shard] = [ItemUnion(*union)]
             per_shard.append([_deserialize_report(r) for r in serialized])
         return merge_reports(per_shard)
 

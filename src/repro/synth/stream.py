@@ -21,9 +21,9 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import operator
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -33,7 +33,7 @@ from repro.atomicio import AtomicBinaryWriter
 from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.data.calendar import StudyCalendar
 from repro.data.slabs import SlabChunk
-from repro.errors import ConfigError, DataError, SchemaError
+from repro.errors import ConfigError, SchemaError
 
 __all__ = [
     "synthetic_slab_stream",
@@ -363,15 +363,16 @@ class _Malformed(Exception):
 
 
 def _decode_day_line(line: bytes, end: int) -> DayBatch:
-    """One day line as a batch ending at byte ``end``; anything
-    malformed raises :class:`_Malformed`.
+    """One day line as a batch of columns ending at byte ``end``;
+    anything malformed raises :class:`_Malformed`.
 
-    Ids and items go through :func:`operator.index`, which refuses the
-    floats and strings that ``int()`` would silently truncate or parse.
-    A valid line holds no JSON ``true``/``false`` (the only strings are
-    its two keys), so one scan of the raw line refuses every boolean
-    without a per-value type check; ``NaN`` and ``Infinity`` amounts
-    fail the range check every amount takes.
+    The checks are whole-column ones: ids and items must read as an
+    int64 column (numpy infers ``float64``, ``uint64``, a string or an
+    object column for floats, strings, nesting or integers past int64),
+    and every amount as a number with ``0 <= amount < inf`` (which
+    ``NaN`` fails).  A valid line holds no JSON ``true``/``false`` (the
+    only strings are its two keys), so one scan of the raw line refuses
+    every boolean, which numpy would read as 0 or 1.
     """
     try:
         payload = json.loads(line)
@@ -386,25 +387,61 @@ def _decode_day_line(line: bytes, end: int) -> DayBatch:
     day = payload.get("day")
     if type(day) is not int or day < 0:
         raise _Malformed(f"day must be an integer >= 0, got {day!r}")
-    baskets = []
-    for record in payload["baskets"]:
-        try:
-            customer_id, items, monetary = record
-            if not 0 <= monetary < math.inf:
-                raise ValueError(
-                    f"amount must be a finite number >= 0, got {monetary!r}"
-                )
-            baskets.append(
-                Basket(
-                    operator.index(customer_id),
-                    day,
-                    frozenset(map(operator.index, items)),
-                    float(monetary),
-                )
-            )
-        except (TypeError, ValueError, OverflowError, DataError) as exc:
-            raise _Malformed(f"malformed basket record {record!r}: {exc}") from exc
-    return DayBatch(day=day, baskets=tuple(baskets), end=end)
+    records = payload["baskets"]
+    try:
+        ids, item_lists, amounts = zip(*records, strict=True) if records else ((), (), ())
+        offsets = np.fromiter(
+            accumulate(map(len, item_lists), initial=0), np.int64, len(ids) + 1
+        )
+    except (TypeError, ValueError) as exc:
+        raise _Malformed(
+            f"a basket record is not [customer id, [items...], amount]: {exc}"
+        ) from exc
+    return DayBatch(
+        day=day,
+        customers=_int64_column(ids, "customer id"),
+        item_offsets=offsets,
+        items=_int64_column(list(chain.from_iterable(item_lists)), "item"),
+        amounts=_amount_column(amounts),
+        end=end,
+    )
+
+
+def _int64_column(values: Sequence[object], what: str) -> np.ndarray:
+    """``values`` as an int64 column; :class:`_Malformed` naming the
+    first value that is not an integer in int64 otherwise."""
+    if not values:
+        return np.zeros(0, np.int64)
+    try:
+        column = np.array(values)
+    except (ValueError, OverflowError):
+        column = None
+    if column is None or column.dtype != np.int64 or column.ndim != 1:
+        bad = next(
+            (v for v in values if type(v) is not int or not -(2**63) <= v < 2**63),
+            None,
+        )
+        raise _Malformed(f"{what} {bad!r} is not an integer in int64")
+    return column
+
+
+def _amount_column(values: Sequence[object]) -> np.ndarray:
+    """``values`` as a float64 column of amounts ``0 <= amount < inf``."""
+    if not values:
+        return np.zeros(0, np.float64)
+    try:
+        column = np.array(values)
+    except (ValueError, OverflowError):
+        column = None
+    if column is None or column.dtype.kind not in "iuf" or column.ndim != 1:
+        raise _Malformed("amounts must be numbers, one per basket")
+    column = column.astype(np.float64)
+    bad = ~((column >= 0.0) & (column < math.inf))
+    if bad.any():
+        raise _Malformed(
+            f"amount must be a finite number >= 0, got {column[bad][0].item()!r}"
+        )
+    return column
 
 
 def stream_fingerprint(path: str | Path) -> str:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.atomicio import atomic_write_json
 from repro.config import ExperimentConfig
 from repro.core.significance import LinearSignificance
-from repro.core.streaming import StabilityMonitor, WindowCloseReport
+from repro.core.streaming import StabilityMonitor, WindowCloseReport, merge_unions
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.errors import SnapshotError
@@ -289,13 +289,24 @@ def test_container_round_trip_is_exact(monitor):
     restored = restore_monitor(decode_snapshot(blob))
     assert encode_snapshot(snapshot_monitor(restored)) == blob
     # The restored monitor holds the same columns, in the same order and
-    # of the same dtype, and the same non-empty open-window sets.
+    # of the same dtype, and the same non-empty open-window unions.
     for name, column in monitor._columns.items():
         other = restored._columns[name]
         assert other.dtype == column.dtype, name
         assert np.array_equal(other, column, equal_nan=column.dtype.kind == "f"), name
-    assert restored._open == {
-        customer_id: items for customer_id, items in monitor._open.items() if items
+    assert _open_window(restored) == _open_window(monitor)
+
+
+def _open_window(monitor: StabilityMonitor) -> dict[int, list[int]]:
+    """The open window's non-empty item unions, by customer."""
+    union = merge_unions(monitor._open)
+    offsets = union.item_offsets.tolist()
+    return {
+        customer_id: union.items[lo:hi].tolist()
+        for customer_id, lo, hi in zip(
+            union.customers.tolist(), offsets, offsets[1:], strict=False
+        )
+        if hi > lo
     }
 
 

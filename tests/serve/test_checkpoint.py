@@ -203,12 +203,12 @@ class TestCommitProtocol:
         # state after that batch, customers whose first basket is empty
         # included.
         pool = ShardedMonitorPool.create(WindowGrid.daily(30, 10), n_shards=2)
-        pool.process_batch([DayBatch(0, (Basket.of(1, 0, [1, 2]),))])
+        pool.process_batch([DayBatch.of(0, [Basket.of(1, 0, [1, 2])])])
         checkpoint = ServeCheckpoint(tmp_path / "ckpt")
         checkpoint.write_state(3, pool.snapshot_shards())
         checkpoint.commit(_cursor())
         batch = (Basket.of(6, 1, []), Basket.of(7, 1, [4]), Basket.of(8, 1, []))
-        pool.process_batch([DayBatch(1, (*batch, Basket.of(1, 1, [])))])
+        pool.process_batch([DayBatch.of(1, [*batch, Basket.of(1, 1, [])])])
         checkpoint.write_state(4, pool.journal_shards(), base_index=3)
         checkpoint.commit(_cursor(commit_index=4, base_index=3))
         loaded = _load(checkpoint)

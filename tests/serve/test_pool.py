@@ -10,7 +10,7 @@ from repro.core.streaming import StabilityMonitor
 from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
-from repro.serve.pool import _process_shard_batch  # noqa: PLC2701
+from repro.serve.pool import _process_shard_batch, _shard_columns  # noqa: PLC2701
 from repro.runtime.snapshot import encode_snapshot, snapshot_monitor
 
 
@@ -155,7 +155,7 @@ class TestSharding:
         days = list(iter_day_batches(day_ordered_baskets))[40:60]
         last = days[-1].day
         empty = (Basket.of(10**6, last, []), Basket.of(7, last, []))
-        days[-1] = DayBatch(last, (*days[-1].baskets, *empty))
+        days[-1] = DayBatch.of(last, [*days[-1].baskets, *empty])
         pool = ShardedMonitorPool.create(
             serve_config.grid(serve_dataset.calendar),
             n_shards=n_shards,
@@ -207,17 +207,14 @@ class TestWorkerPurity:
         monitor = StabilityMonitor.from_config(
             serve_dataset.calendar, serve_config
         )
-        days = tuple(
-            (
-                batch.day,
-                tuple(
-                    (b.customer_id, tuple(sorted(b.items)), b.monetary)
-                    for b in batch.baskets
-                ),
-            )
-            for batch in iter_day_batches(day_ordered_baskets[:200])
-        )
-        task = (encode_snapshot(snapshot_monitor(monitor)), days)
+        batches = list(iter_day_batches(day_ordered_baskets[:200]))
+        (columns,) = _shard_columns(batches, 1)
+        task = (encode_snapshot(snapshot_monitor(monitor)), columns)
         first = _process_shard_batch(task)
         second = _process_shard_batch(task)
-        assert first == second
+        blob, reports, union = first
+        assert blob == second[0] and reports == second[1]
+        assert [part.tolist() for part in union] == [part.tolist() for part in second[2]]
+        # The worker's state is the state of a monitor fed in-process.
+        monitor.ingest_many(day_ordered_baskets[:200])
+        assert blob == encode_snapshot(snapshot_monitor(monitor))

@@ -193,6 +193,8 @@ class TestRejection:
             '{"day": 6, "baskets": [[1, [2], true]]}',
             '{"day": 6, "baskets": [[1, [2], -Infinity]]}',
             '{"day": 6, "baskets": [[1, [2], 1e400]]}',
+            {"day": 6, "baskets": [[2**63, [1], 1.0]]},
+            {"day": 6, "baskets": [[3, [2**64], 1.0]]},
         ],
         ids=[
             "float-ids",
@@ -210,6 +212,8 @@ class TestRejection:
             "boolean-amount",
             "negative-infinite-amount",
             "amount-literal-past-float-range",
+            "id-past-int64",
+            "item-past-int64",
         ],
     )
     def test_malformed_day_line_names_line_number(

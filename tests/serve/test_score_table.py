@@ -33,7 +33,7 @@ def _pool() -> ShardedMonitorPool:
     ]
     for day, baskets in days:
         pool.process_batch(
-            [DayBatch(day, tuple(Basket.of(c, day, items) for c, items in baskets))]
+            [DayBatch.of(day, [Basket.of(c, day, items) for c, items in baskets])]
         )
     return pool
 
