@@ -27,11 +27,13 @@ typecheck:
 # The resilience suite under -W error: injected worker crashes, torn
 # checkpoint/snapshot files, interrupted-sweep resume, the serve
 # checkpoint's commit protocol, I/O retries and crash/corruption resume,
-# and hostile recorded-stream input.
+# hostile recorded-stream input, journals restored as open-window
+# unions, and served output against the oracle after a resume.
 test-faults:
 	PYTHONPATH=src python -m pytest tests/runtime \
 		tests/serve/test_checkpoint.py tests/serve/test_checkpoint_io.py \
 		tests/serve/test_resume.py tests/serve/test_record_replay.py \
+		tests/serve/test_batch_ingest.py tests/serve/test_parity.py \
 		-q -W error
 
 # End-to-end telemetry demo: a verbose, traced, checkpointed figure1

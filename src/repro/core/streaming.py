@@ -126,9 +126,8 @@ def pair_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def insert_customers(columns: dict[str, np.ndarray], ids: np.ndarray) -> None:
     """Give each customer in ``ids`` (none of them a row yet) an empty
-    row, in place: no items (in ``item_offsets`` and, when present,
-    ``current_offsets``), no windows observed, undefined stability — the
-    state of a customer registered in the open window."""
+    row, in place: no items, no windows observed, undefined stability —
+    the state of a customer registered in the open window."""
     old = columns["customers"]
     merged = np.union1d(old, ids)
     rows = np.searchsorted(merged, old)
@@ -136,16 +135,14 @@ def insert_customers(columns: dict[str, np.ndarray], ids: np.ndarray) -> None:
     n_windows[rows] = columns["n_windows_observed"]
     last_stability = np.full(len(merged), np.nan)
     last_stability[rows] = columns["last_stability"]
+    counts = np.zeros(len(merged), np.int64)
+    counts[rows] = np.diff(columns["item_offsets"])
     columns.update(
         customers=merged,
         n_windows_observed=n_windows,
         last_stability=last_stability,
+        item_offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
     )
-    for name in ("item_offsets", "current_offsets"):
-        if name in columns:
-            counts = np.zeros(len(merged), np.int64)
-            counts[rows] = np.diff(columns[name])
-            columns[name] = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 def customer_rows(columns: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:

@@ -32,7 +32,8 @@ ascending id order:
 
 :func:`restore_monitor` checks the columns with whole-array operations
 and hands them to the new monitor as they are, the open window's two
-columns as its one open-window union.
+columns as its first open-window union (any unions taken after the
+snapshot, such as a serve checkpoint's journals, follow it).
 
 The scalars pin the window grid, the scoring configuration (``beta``,
 ``alpha``, counting scheme, burn-in) and the stream position (current
@@ -82,7 +83,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "snapshot_monitor",
     "restore_monitor",
-    "fold_unions",
     "payload_columns",
     "check_columns",
     "check_span",
@@ -310,10 +310,16 @@ def _check_alarm_log(columns: Mapping[str, np.ndarray], current_window: int) -> 
 _OPEN_COLUMNS = {"current_offsets": np.int64, "current_items": np.int64}
 
 
-def restore_monitor(payload: dict) -> StabilityMonitor:
+def restore_monitor(payload: dict, unions: Sequence[ItemUnion] = ()) -> StabilityMonitor:
     """Rebuild a monitor from a :func:`snapshot_monitor` payload: the
-    monitor adopts the state columns as they are, and the open window's
-    ``current_offsets`` / ``current_items`` as one item union.
+    monitor adopts the state columns as they are, the open window's
+    ``current_offsets`` / ``current_items`` as its first open-window
+    item union, and ``unions`` after it.
+
+    ``unions`` are what baskets after the snapshot added, provided they
+    closed no window (a serve checkpoint's journals): such baskets only
+    grow open-window unions, so the monitor takes them as it takes the
+    unions it ingests, merged at its next window close or snapshot.
 
     Raises
     ------
@@ -326,7 +332,7 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
         strictly ascend or which names a window not yet closed.
     """
     from repro.core.significance import ExponentialSignificance
-    from repro.core.streaming import STATE_COLUMNS, StabilityMonitor
+    from repro.core.streaming import STATE_COLUMNS, ItemUnion, StabilityMonitor
     from repro.core.windowing import WindowGrid
 
     if not isinstance(payload, dict):
@@ -389,63 +395,13 @@ def restore_monitor(payload: dict) -> StabilityMonitor:
             )
     _check_alarm_log(columns, monitor.current_window)
     monitor._columns = {name: columns[name] for name in STATE_COLUMNS}
-    monitor._open = [_open_part(columns)]
+    # The snapshot's own union stays first: with ``unions`` after it the
+    # open window always merges (and so deduplicates) before a close.
+    monitor._open = [
+        ItemUnion(columns["customers"], columns["current_offsets"], columns["current_items"]),
+        *unions,
+    ]
     return monitor
-
-
-def _open_part(columns: Mapping[str, np.ndarray]) -> ItemUnion:
-    """The open window's columns as one item union over every customer."""
-    from repro.core.streaming import ItemUnion
-
-    return ItemUnion(columns["customers"], columns["current_offsets"], columns["current_items"])
-
-
-def fold_unions(
-    payload: dict,
-    ids: np.ndarray,
-    sizes: np.ndarray,
-    items: np.ndarray,
-    last_day_seen: int,
-) -> None:
-    """Fold open-window item unions into a snapshot payload, in place:
-    customer ``ids[i]`` bought the next ``sizes[i]`` of ``items``.
-
-    The unions are those of some baskets, and the payload becomes the
-    snapshot of the monitor after those baskets, provided they closed
-    no window: such baskets only register customers, add to their
-    open-window item unions and move the clock to ``last_day_seen``.  So
-    only the open window's columns change, plus a fresh row for each
-    customer first seen in ``ids`` — also one whose union is empty, as
-    a customer's empty first basket registers them.  A customer or an
-    item may repeat, or repeat one the payload holds.
-
-    Raises
-    ------
-    SnapshotError, ValueError
-        If the payload's columns are malformed.
-    """
-    from repro.core.streaming import (
-        STATE_COLUMNS,
-        customer_rows,
-        item_union,
-        merge_unions,
-        row_offsets,
-    )
-
-    per_customer = ("customers", "n_windows_observed", "last_stability", "item_offsets")
-    columns = payload_columns(
-        payload, {**{name: STATE_COLUMNS[name] for name in per_customer}, **_OPEN_COLUMNS}
-    )
-    union = merge_unions([_open_part(columns), item_union(ids, sizes, items)])
-    rows = customer_rows(columns, union.customers)
-    payload.update(
-        columns,
-        current_offsets=row_offsets(
-            np.repeat(rows, np.diff(union.item_offsets)), len(columns["customers"])
-        ),
-        current_items=union.items,
-        last_day_seen=int(last_day_seen),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,11 @@ class StatusBoard:
             "checkpointed": 0,
         }
         self._checkpoint: dict[str, object] = {}
-        self._customers: dict[int, dict[str, object]] = {}
+        #: The served scores as :func:`~repro.core.streaming.monitor_scores`
+        #: returns them; replaced whole, never changed in place.
+        self._scores: tuple[
+            dict[int, float], dict[int, bool], dict[int, tuple[tuple[int, float], ...]]
+        ] = ({}, {}, {})
         self._manifest: dict | None = None
         self._run: dict[str, object] = {}
         self._metrics_text: str | None = None
@@ -103,20 +107,19 @@ class StatusBoard:
                 "finished": finished,
             }
 
-    def upsert_customer(
+    def set_scores(
         self,
-        customer_id: int,
-        stability: float,
-        flagged: bool,
-        alarm_windows: tuple[tuple[int, float], ...] = (),
+        scores: dict[int, float],
+        flags: dict[int, bool],
+        alarm_windows: dict[int, tuple[tuple[int, float], ...]],
     ) -> None:
-        """Idempotent upsert of one customer's current score/flag."""
+        """Install the served scores: every scored customer's stability,
+        flag and ``(window, stability)`` alarms, keyed alike (the result
+        of :func:`~repro.core.streaming.monitor_scores`).  The board
+        keeps the dicts as they are, so the caller must not change them
+        afterwards."""
         with self._lock:
-            self._customers[int(customer_id)] = {
-                "stability": None if math.isnan(stability) else float(stability),
-                "flagged": bool(flagged),
-                "alarm_windows": [[w, s] for w, s in alarm_windows],
-            }
+            self._scores = (scores, flags, alarm_windows)
 
     def set_manifest(self, manifest: dict) -> None:
         with self._lock:
@@ -147,14 +150,24 @@ class StatusBoard:
                 "phase": self._phase,
                 "counters": dict(self._counters),
                 "checkpoint": dict(self._checkpoint),
-                "customers_tracked": len(self._customers),
+                "customers_tracked": len(self._scores[0]),
                 "run": dict(self._run),
             }
 
     def customer(self, customer_id: int) -> dict | None:
+        """One scored customer's stability, flag and alarm windows;
+        ``None`` until a window closed on them."""
         with self._lock:
-            record = self._customers.get(int(customer_id))
-            return dict(record) if record is not None else None
+            scores, flags, alarm_windows = self._scores
+        customer_id = int(customer_id)
+        if customer_id not in scores:
+            return None
+        stability = scores[customer_id]
+        return {
+            "stability": None if math.isnan(stability) else float(stability),
+            "flagged": bool(flags[customer_id]),
+            "alarm_windows": [[w, s] for w, s in alarm_windows[customer_id]],
+        }
 
     def handle(self, path: str) -> tuple[int, dict | str]:
         """Route one request path; returns ``(status_code, payload)``.

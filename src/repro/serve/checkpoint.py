@@ -19,9 +19,11 @@ closed no window writes only its journal: per shard, the batch's
 per-customer item unions and the shard clock.  A batch that closes a
 window, the first commit in a directory and the finish seal write a
 new base instead.  :meth:`ServeCheckpoint.load` decodes the cursor's
-base and folds its journals in, in commit order: a journal only adds
-to the open window, so the fold touches the open-window columns and
-the shard clock, all in numpy.  Every state file is one checksummed
+base and reads its journals, in commit order: a journal only adds to
+the open window, so a resume restores each shard from its base and
+appends the shard's journal unions to the open window (see
+:func:`~repro.runtime.snapshot.restore_monitor`), and moves the shard
+clock to the last journal's.  Every state file is one checksummed
 :func:`~repro.runtime.snapshot.encode_snapshot` container whose arrays
 are columns: a shard snapshot's, and a journal's unions (its header
 holds only its commit and the shard clocks).
@@ -58,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.atomicio import atomic_write_bytes, atomic_write_json
-from repro.core.streaming import pair_keys
+from repro.core.streaming import ItemUnion, pair_keys
 from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
@@ -66,7 +68,6 @@ from repro.runtime.snapshot import (
     check_span,
     decode_snapshot,
     encode_snapshot,
-    fold_unions,
     payload_columns,
 )
 
@@ -208,9 +209,15 @@ class LoadedCheckpoint:
     """Everything a resume needs, read back from a valid checkpoint."""
 
     cursor: ServeCursor
-    #: One snapshot payload per shard as of the cursor's commit: the
-    #: base with every journal after it folded in.
+    #: One snapshot payload per shard: the cursor's base as decoded, its
+    #: shard clock ``last_day_seen`` moved to the last journal's.
     shard_payloads: list[dict]
+    #: Per shard, the item union of each journal ``base_index + 1 …
+    #: commit_index``, in commit order: what those commits added to the
+    #: open window.  A payload restored with its shard's unions
+    #: (:meth:`~repro.serve.pool.ShardedMonitorPool.from_snapshots`) is
+    #: the shard's state at the cursor's commit.
+    shard_journals: list[list[ItemUnion]]
     #: State newer than the cursor exists (``state-<commit+1>/`` or
     #: ``journal-<commit+1>.snap``): a previous run crashed between its
     #: state write and the cursor commit, so the resumed run will
@@ -429,7 +436,7 @@ class ServeCheckpoint:
         n_shards: int,
     ) -> LoadedCheckpoint | None:
         """Read the committed checkpoint back for a resume: decode the
-        cursor's base, then fold in its journals in commit order.
+        cursor's base, then read and check its journals in commit order.
 
         Returns ``None`` when no cursor exists (a fresh start, not an
         error).
@@ -463,30 +470,27 @@ class ServeCheckpoint:
                 f"cursor has {cursor.n_shards} shard(s), resuming with "
                 f"{n_shards}"
             )
-        shard_payloads: list[dict] = []
-        for shard in range(n_shards):
-            shard_payloads.append(
-                self._read_state(self.shard_path(cursor.base_index, shard))
-            )
-        self._fold_journals(cursor, shard_payloads)
+        shard_payloads = [
+            self._read_state(self.shard_path(cursor.base_index, shard))
+            for shard in range(n_shards)
+        ]
+        shard_journals = self._read_journals(cursor, shard_payloads)
         after = cursor.commit_index + 1
         return LoadedCheckpoint(
             cursor=cursor,
             shard_payloads=shard_payloads,
+            shard_journals=shard_journals,
             orphaned_state=self.state_dir(after).exists()
             or self.journal_path(cursor.base_index, after).exists(),
         )
 
-    def _fold_journals(
+    def _read_journals(
         self, cursor: ServeCursor, shard_payloads: list[dict]
-    ) -> None:
-        """Fold journals ``base_index + 1 … commit_index`` into the
-        base's shard payloads: each shard's slices of every journal's
-        columns, and its last clock, fold into its open-window columns
-        in one :func:`~repro.runtime.snapshot.fold_unions` pass."""
-        n_shards = len(shard_payloads)
-        # Per shard: every journal's customers, union sizes and items.
-        unions: list[tuple[list, list, list]] = [([], [], []) for _ in range(n_shards)]
+    ) -> list[list[ItemUnion]]:
+        """Each shard's slice of journals ``base_index + 1 …
+        commit_index`` as an item union, in commit order, each journal
+        checked; the base's shard clocks move to the last journal's."""
+        journals: list[list[ItemUnion]] = [[] for _ in shard_payloads]
         clocks: list[int] = []
         for commit_index in range(
             cursor.base_index + 1, cursor.commit_index + 1
@@ -499,33 +503,24 @@ class ServeCheckpoint:
                     f"{journal.get('commit_index')!r}, expected {commit_index}"
                 )
             try:
-                clocks, columns = _journal_columns(journal, n_shards)
+                clocks, columns = _journal_columns(journal, len(shard_payloads))
             except (KeyError, TypeError, ValueError, SnapshotError) as exc:
                 raise CursorInvalid(
                     f"{path}: malformed journal: {exc!r}"
                 ) from exc
             shards = columns["shard_offsets"].tolist()
             offsets = columns["item_offsets"]
-            for (ids, sizes, items), lo, hi in zip(unions, shards, shards[1:]):
-                ids.append(columns["customers"][lo:hi])
-                sizes.append(np.diff(offsets[lo : hi + 1]))
-                items.append(columns["items"][offsets[lo] : offsets[hi]])
-        directory = self.state_dir(cursor.base_index)
-        try:
-            for payload, (ids, sizes, items), clock in zip(
-                shard_payloads, unions, clocks
-            ):
-                fold_unions(
-                    payload,
-                    np.concatenate(ids),
-                    np.concatenate(sizes),
-                    np.concatenate(items),
-                    clock,
+            for unions, lo, hi in zip(journals, shards, shards[1:]):
+                unions.append(
+                    ItemUnion(
+                        columns["customers"][lo:hi],
+                        offsets[lo : hi + 1] - offsets[lo],
+                        columns["items"][offsets[lo] : offsets[hi]],
+                    )
                 )
-        except (KeyError, TypeError, ValueError, IndexError, SnapshotError) as exc:
-            raise CursorInvalid(
-                f"{directory}: base does not take its journals: {exc!r}"
-            ) from exc
+        for payload, clock in zip(shard_payloads, clocks):
+            payload["last_day_seen"] = clock
+        return journals
 
     @staticmethod
     def _read_state(path: Path) -> dict:

@@ -201,16 +201,7 @@ def _apply_reports(
         counters.scored += len(report.stabilities)
         counters.flagged += len(report.alarms)
     if reports and status is not None:
-        _show_scores(status, pool)
-
-
-def _show_scores(status: StatusBoard, pool: ShardedMonitorPool) -> None:
-    """Put every scored customer's row on the status board."""
-    scores, flags, alarm_windows = monitor_scores(pool.monitors)
-    for customer_id, stability in scores.items():
-        status.upsert_customer(
-            customer_id, stability, flags[customer_id], alarm_windows[customer_id]
-        )
+        status.set_scores(*monitor_scores(pool.monitors))
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +401,7 @@ def serve_stream(
         if loaded is not None:
             pool = ShardedMonitorPool.from_snapshots(
                 loaded.shard_payloads,
+                loaded.shard_journals,
                 parallel=parallel,
                 retries=retries,
                 timeout=timeout,
@@ -487,7 +479,7 @@ def serve_stream(
             day_batches_consumed=day_batches_consumed,
             finished=already_finished,
         )
-        _show_scores(status, active_pool)
+        status.set_scores(*monitor_scores(active_pool.monitors))
 
     def make_cursor(base: int, finished: bool) -> ServeCursor:
         return ServeCursor(

@@ -261,21 +261,30 @@ class ShardedMonitorPool:
     def from_snapshots(
         cls,
         payloads: Sequence[dict],
+        journals: Sequence[Sequence[ItemUnion]] | None = None,
         *,
         parallel: bool = False,
         retries: int = 2,
         timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> ShardedMonitorPool:
-        """Restore a pool from per-shard snapshot payloads (a checkpoint).
+        """Restore a pool from per-shard snapshot payloads (a checkpoint),
+        each shard with its ``journals``: the open-window item unions
+        taken since its snapshot, in order (see
+        :func:`~repro.runtime.snapshot.restore_monitor`).
 
         Raises
         ------
         SnapshotError
             If any payload is corrupt or from an incompatible version.
         """
+        if journals is None:
+            journals = [()] * len(payloads)
         return cls(
-            [restore_monitor(payload) for payload in payloads],
+            [
+                restore_monitor(payload, unions)
+                for payload, unions in zip(payloads, journals, strict=True)
+            ],
             parallel=parallel,
             retries=retries,
             timeout=timeout,
@@ -320,13 +329,6 @@ class ShardedMonitorPool:
                 }
             )
         return entries
-
-    def customers(self) -> list[int]:
-        """Sorted ids of customers seen so far, across all shards."""
-        seen: set[int] = set()
-        for monitor in self.monitors:
-            seen.update(monitor.customers())
-        return sorted(seen)
 
     # ------------------------------------------------------------------
     # Batch processing

@@ -29,7 +29,7 @@ class TestStatusBoard:
     def test_handle_routes(self):
         board = StatusBoard()
         board.set_phase("serving")
-        board.upsert_customer(7, 0.25, True, ((4, 0.25),))
+        board.set_scores({7: 0.25}, {7: True}, {7: ((4, 0.25),)})
         code, payload = board.handle("/status")
         assert code == 200
         assert payload["phase"] == "serving"
@@ -54,7 +54,7 @@ class TestStatusBoard:
 
     def test_nan_stability_is_null(self):
         board = StatusBoard()
-        board.upsert_customer(1, float("nan"), False)
+        board.set_scores({1: float("nan")}, {1: False}, {1: ()})
         assert board.customer(1)["stability"] is None
 
     def test_manifest_route_after_set(self):
@@ -112,7 +112,7 @@ class TestHttpServer:
     def test_routes_over_real_sockets(self):
         board = StatusBoard()
         board.set_phase("serving")
-        board.upsert_customer(7, 0.83, True, ((4, 0.83),))
+        board.set_scores({7: 0.83}, {7: True}, {7: ((4, 0.83),)})
         with StatusServer(board, port=0) as server:
             assert server.port > 0
             base = f"http://127.0.0.1:{server.port}"

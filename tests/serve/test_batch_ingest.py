@@ -17,14 +17,9 @@ import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig
-from repro.core.streaming import StabilityMonitor, WindowCloseReport
+from repro.core.streaming import ItemUnion, StabilityMonitor, WindowCloseReport
 from repro.data.basket import Basket, iter_day_batches
-from repro.runtime.snapshot import (
-    decode_snapshot,
-    encode_snapshot,
-    fold_unions,
-    snapshot_monitor,
-)
+from repro.runtime.snapshot import decode_snapshot, encode_snapshot, snapshot_monitor
 from repro.serve import ShardedMonitorPool
 from tests.core.histories import seeded_log
 
@@ -114,9 +109,9 @@ def test_batch_ingest_matches_one_basket_at_a_time():
 
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_each_journal_folds_onto_the_previous_snapshot(n_shards):
-    """A batch that closes no window: its journal, folded with
-    ``fold_unions`` onto the snapshot before it, is the snapshot after
-    it, shard by shard."""
+    """A batch that closes no window: the snapshot before it, restored
+    with the batch's journal as an open-window union and the journal's
+    clock, is the snapshot after it, shard by shard."""
     folded = 0
     for seed in SEEDS:
         calendar, baskets = seeded_log(seed)
@@ -127,15 +122,15 @@ def test_each_journal_folds_onto_the_previous_snapshot(n_shards):
             reports = pool.process_batch(days[lo:hi])
             live = [encode_snapshot(payload) for payload in pool.snapshot_shards()]
             if not reports:
-                for payload, entry, now in zip(previous, pool.journal_shards(), live, strict=True):
-                    fold_unions(
-                        payload,
-                        entry["customers"],
-                        np.diff(entry["item_offsets"]),
-                        entry["items"],
-                        entry["last_day_seen"],
-                    )
-                    assert encode_snapshot(payload) == now, (seed, lo)
+                journals = []
+                for payload, entry in zip(previous, pool.journal_shards(), strict=True):
+                    payload["last_day_seen"] = entry["last_day_seen"]
+                    union = (entry["customers"], entry["item_offsets"], entry["items"])
+                    journals.append([ItemUnion(*union)])
+                restored = ShardedMonitorPool.from_snapshots(previous, journals)
+                assert [
+                    encode_snapshot(payload) for payload in restored.snapshot_shards()
+                ] == live, (seed, lo)
                 folded += 1
             previous = [decode_snapshot(blob) for blob in live]
     assert folded > 20

@@ -10,10 +10,11 @@ import re
 import numpy as np
 import pytest
 
+from repro.core.streaming import StabilityMonitor
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket, DayBatch
 from repro.runtime.faults import tear_file
-from repro.runtime.snapshot import decode_snapshot, encode_snapshot
+from repro.runtime.snapshot import decode_snapshot, encode_snapshot, snapshot_monitor
 from repro.serve import CursorInvalid, ServeCheckpoint, ServeCursor, ShardedMonitorPool
 from repro.serve.checkpoint import CURSOR_SCHEMA, CURSOR_VERSION
 
@@ -68,11 +69,12 @@ def _rewrite_journal(path, **changes) -> None:
 
 
 def _shard(day: int, *rows: tuple[int, list[int], int, float]) -> dict:
-    """One shard's columnar base payload: a ``(customer, current items,
-    windows observed, last stability)`` row per customer, none of them
-    with tracked items."""
+    """One shard's base payload: a fresh monitor's snapshot with a
+    ``(customer, current items, windows observed, last stability)`` row
+    per customer, none of them with tracked items."""
     current = [items for _, items, _, _ in rows]
     return {
+        **snapshot_monitor(StabilityMonitor(WindowGrid.daily(60, 10))),
         "last_day_seen": day,
         "customers": [row[0] for row in rows],
         "item_offsets": [0] * (len(rows) + 1),
@@ -85,7 +87,7 @@ def _shard(day: int, *rows: tuple[int, list[int], int, float]) -> dict:
     }
 
 
-#: A customer first seen mid-generation: registered by the fold.
+#: A customer first seen mid-generation: registered by the restore.
 _FRESH = 0, float("nan")
 
 
@@ -111,6 +113,12 @@ def _load(checkpoint: ServeCheckpoint, **overrides):
     )
     kwargs.update(overrides)
     return checkpoint.load(**kwargs)
+
+
+def _state(pool: ShardedMonitorPool) -> list[bytes]:
+    """The pool's shard snapshots as bytes, where a fresh customer's
+    ``nan`` equals ``nan`` and an array equals the list it holds."""
+    return [encode_snapshot(payload) for payload in pool.snapshot_shards()]
 
 
 class TestCursorCodec:
@@ -159,6 +167,7 @@ class TestCommitProtocol:
         assert loaded is not None
         assert loaded.cursor == cursor
         assert loaded.shard_payloads == [{"shard": 0}, {"shard": 1}]
+        assert loaded.shard_journals == [[], []]
         assert not loaded.orphaned_state
 
     def test_commit_prunes_superseded_state(self, tmp_path):
@@ -184,24 +193,36 @@ class TestCommitProtocol:
         loaded = _load(_write_generation(tmp_path))
         assert loaded is not None
         assert (loaded.cursor.base_index, loaded.cursor.commit_index) == (3, 5)
-        # Compared as encoded bytes, where a fresh customer's nan equals
-        # nan and a folded array equals the list it holds.
-        assert [encode_snapshot(p) for p in loaded.shard_payloads] == [
-            encode_snapshot(p)
-            for p in (
-                # Customer 4 is first seen mid-generation: only journal
-                # 4 has them.  Customer 6's only basket was empty, and
-                # registered them all the same.
-                _shard(50, (2, [1, 5], 4, 0.25), (4, [1, 3, 7], *_FRESH)),
-                _shard(50, (1, [9], *_FRESH), (6, [], *_FRESH)),
-            )
+        # Per shard, journal 4's union, then journal 5's.
+        assert [
+            [tuple(column.tolist() for column in union) for union in unions]
+            for unions in loaded.shard_journals
+        ] == [
+            [([2, 4], [0, 2, 4], [1, 5, 3, 7]), ([4], [0, 1], [1])],
+            [([1], [0, 1], [9]), ([6], [0, 0], [])],
         ]
+        restored = ShardedMonitorPool.from_snapshots(
+            loaded.shard_payloads, loaded.shard_journals
+        )
+        assert _state(restored) == _state(
+            ShardedMonitorPool.from_snapshots(
+                [
+                    # Customer 2 holds item 1 in the base's open window
+                    # and in journal 4.  Customer 4 is first seen
+                    # mid-generation: only journal 4 has them.  Customer
+                    # 6's only basket was empty, and registered them all
+                    # the same.
+                    _shard(50, (2, [1, 5], 4, 0.25), (4, [1, 3, 7], *_FRESH)),
+                    _shard(50, (1, [9], *_FRESH), (6, [], *_FRESH)),
+                ]
+            )
+        )
         assert not loaded.orphaned_state
 
     def test_live_journal_folds_to_the_live_state(self, tmp_path):
         # A pool's base plus its next batch's journal is the pool's
         # state after that batch, customers whose first basket is empty
-        # included.
+        # included, and stays it through the next window close.
         pool = ShardedMonitorPool.create(WindowGrid.daily(30, 10), n_shards=2)
         pool.process_batch([DayBatch.of(0, [Basket.of(1, 0, [1, 2])])])
         checkpoint = ServeCheckpoint(tmp_path / "ckpt")
@@ -213,9 +234,16 @@ class TestCommitProtocol:
         checkpoint.commit(_cursor(commit_index=4, base_index=3))
         loaded = _load(checkpoint)
         assert loaded is not None
-        assert [encode_snapshot(p) for p in loaded.shard_payloads] == [
-            encode_snapshot(p) for p in pool.snapshot_shards()
-        ]
+        restored = ShardedMonitorPool.from_snapshots(
+            loaded.shard_payloads, loaded.shard_journals
+        )
+        assert _state(restored) == _state(pool)
+        closed = ShardedMonitorPool.from_snapshots(
+            loaded.shard_payloads, loaded.shard_journals
+        )
+        closed.finish()
+        pool.finish()
+        assert _state(closed) == _state(pool)
 
     def test_journal_is_sorted_and_lives_in_its_base(self, tmp_path):
         checkpoint = _write_generation(tmp_path)

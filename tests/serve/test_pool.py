@@ -131,20 +131,6 @@ class TestSharding:
         actual.extend(second.finish())
         _assert_reports_identical(actual, expected)
 
-    def test_customers_unions_shards(
-        self, serve_dataset, day_ordered_baskets, serve_config
-    ):
-        pool = ShardedMonitorPool.create(
-            serve_config.grid(serve_dataset.calendar),
-            n_shards=3,
-            significance=serve_config.significance(),
-            counting=serve_config.counting,
-        )
-        pool.process_batch(list(iter_day_batches(day_ordered_baskets)))
-        assert pool.customers() == sorted(
-            {b.customer_id for b in day_ordered_baskets}
-        )
-
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_journal_shards_are_the_batch_unions(
         self, serve_dataset, day_ordered_baskets, serve_config, n_shards
@@ -174,6 +160,9 @@ class TestSharding:
             offsets = entry["item_offsets"].tolist()
             assert entry["last_day_seen"] == days[-1].day
             assert entry["customers"].tolist() == sorted(expected)
+            # The pool saw only these days, so they are every customer
+            # the shard's monitor has seen.
+            assert pool.monitors[shard].customers() == sorted(expected)
             assert [
                 entry["items"][lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])
             ] == [sorted(expected[c]) for c in sorted(expected)]

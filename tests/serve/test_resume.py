@@ -556,7 +556,9 @@ class TestResumeAtEveryCommit:
                 serve_fingerprint=cursor.serve_fingerprint,
                 n_shards=n_shards,
             )
-            pool = ShardedMonitorPool.from_snapshots(loaded.shard_payloads)
+            pool = ShardedMonitorPool.from_snapshots(
+                loaded.shard_payloads, loaded.shard_journals
+            )
             resumed[cursor.commit_index] = (cursor, pool.snapshot_shards())
 
         # One leg per batch: each stops after its commit and the next
