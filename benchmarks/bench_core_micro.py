@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.batch import Scoring, pair_significance, stability_matrix
 from repro.core.engines import customer_trajectory
+from repro.core.significance import ExponentialSignificance
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.data.population import PopulationFrame
@@ -29,16 +30,22 @@ def _synthetic_frame(n_windows: int, n_items: int, seed: int = 0) -> PopulationF
     return PopulationFrame.from_log(log, WindowGrid.daily(n_windows, 1))
 
 
+def _paper_scoring(frame: PopulationFrame) -> Scoring:
+    return Scoring.of(ExponentialSignificance(2.0), "paper", None, frame.n_windows)
+
+
 def test_pair_significance_throughput(benchmark):
     frame = _synthetic_frame(n_windows=50, n_items=200)
-    presence, prior, significance = benchmark(pair_significance, frame, Scoring())
-    assert significance.shape == (frame.n_pairs, 50)
-    assert (prior[:, -1] + presence[:, -1] == presence.sum(axis=1)).all()
+    presence, prior, significance = benchmark(
+        pair_significance, frame, _paper_scoring(frame)
+    )
+    assert significance.shape == (50, frame.n_pairs)
+    assert (prior[-1] + presence[-1] == presence.sum(axis=0)).all()
 
 
 def test_customer_trajectory_throughput(benchmark):
     frame = _synthetic_frame(n_windows=50, n_items=200)
     fit = stability_matrix(frame)
-    trajectory = benchmark(customer_trajectory, fit, 0, Scoring())
+    trajectory = benchmark(customer_trajectory, fit, 0, _paper_scoring(frame))
     assert len(trajectory) == 50
     assert trajectory.at(10).defined

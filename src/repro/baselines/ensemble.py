@@ -100,10 +100,10 @@ class StabilityMember:
         window_index: int | None = None,
     ) -> dict[int, float]:
         ids = list(customers)
-        missing = [c for c in ids if c not in set(self.model.customers())]
-        if missing:
+        fitted = set(self.model.customers())
+        if not fitted.issuperset(ids):
             # Extend the fit to cover newly requested customers.
-            self.model.fit(log, sorted(set(self.model.customers()) | set(ids)))
+            self.model.fit(log, sorted(fitted.union(ids)))
         index = window_index if window_index is not None else self.model.n_windows - 1
         return self.model.churn_scores(index, ids)
 

@@ -11,16 +11,18 @@ throughput:
   :class:`~repro.data.population.PopulationFrame` data plane, which
   also feeds the evaluation protocol and the RFM baselines;
 * significance and stability for **all customers × all windows** come out
-  of a handful of numpy segment operations
-  (:func:`stability_matrix`): per-pair shifted cumulative presence
-  counts ``c``, the significance of each count, and empty-segment-safe
-  ``reduceat`` sums over the customer axis;
-* the significance of a count is the paper's exponential rule in log
-  space (:func:`significance_from_counts`) for the paper configuration,
-  and for any other ``(c, l)`` rule or the ``"since-first-seen"``
-  counting scheme a table of the scalar rule over ``0..n_windows``
-  (:func:`significance_table`) indexed by the count matrices; an
-  optional item-weight column multiplies in (:class:`Scoring`);
+  of a handful of numpy segment operations (:func:`stability_matrix`)
+  over window-major ``(n_windows, n_pairs)`` matrices: presence counts
+  ``c`` accumulated one window at a time in the narrowest integer type
+  the grid allows, one ``take`` from the rule's ``(c, l)`` table, and
+  empty-segment-safe ``reduceat`` sums over each window's customer
+  segments;
+* every rule is a table over ``0..n_windows`` (:class:`Scoring`): the
+  paper's exponential rule is filled by the log-space
+  :func:`significance_from_counts`, so each cell holds the bits that
+  function gives for its count pair, and any other ``(c, l)`` rule by
+  the scalar rule (:func:`significance_table`); an optional item-weight
+  column multiplies in;
 * the customer axis shards across worker processes (``n_jobs``) for
   multi-core fits, behind the fault-isolating
   :func:`~repro.runtime.executor.run_sharded` protocol: a shard whose
@@ -37,9 +39,9 @@ throughput:
   worker maps the store itself, keeping fork/spawn payloads and
   per-worker RSS flat as the population grows.
 
-Tasks carry the :class:`Scoring` (``alpha``, the table, the weight
-column), never a rule object.  Agreement with the paper's equations is
-pinned by the oracle tests (``tests/core/oracle.py``).
+Tasks carry the :class:`Scoring` (the table, the counting scheme, the
+weight column), never a rule object.  Agreement with the paper's
+equations is pinned by the oracle tests (``tests/core/oracle.py``).
 """
 
 from __future__ import annotations
@@ -51,11 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.significance import (
-    ExponentialSignificance,
-    SignificanceFunction,
-    validate_alpha,
-)
+from repro.core.significance import ExponentialSignificance, SignificanceFunction
 from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
 from repro.obs import span, timed_stage
@@ -87,8 +85,9 @@ def significance_from_counts(
     ``c - l = 2c - k``.  The score is computed in log space with the same
     saturation cap as the scalar rule, and is 0 where ``c == 0``.
 
-    This is the paper configuration's significance in the kernel and in
-    the streaming monitor's window close.
+    It defines the exponential rule's ``(c, l)`` table
+    (:meth:`Scoring.of`), which the kernel and the streaming monitor's
+    window close read.
     """
     counts = np.asarray(counts, dtype=np.float64)
     margin = 2.0 * counts - np.asarray(n_prior_windows, dtype=np.float64)
@@ -114,18 +113,15 @@ def significance_table(
 class Scoring:
     """How the kernel turns prior counts into significance, as plain data.
 
-    ``table`` is ``None`` for the paper configuration (exponential rule at
-    ``alpha``, ``"paper"`` counting), which runs through
-    :func:`significance_from_counts`; otherwise ``table[c, l]`` holds the
-    rule (:func:`significance_table`) and ``since_first_seen`` selects
-    the counting scheme.  ``weight_items`` (ascending) and
-    ``weight_values`` are the item-weight column: an item's significance
-    is multiplied by its weight, 1 for unlisted items.  Sharded and slab
-    tasks carry this object, so a worker needs no rule object.
+    ``table[c, l]`` holds the rule's ``S`` for every count pair of the
+    grid (:meth:`of`), and ``since_first_seen`` selects the counting
+    scheme.  ``weight_items`` (ascending) and ``weight_values`` are the
+    item-weight column: an item's significance is multiplied by its
+    weight, 1 for unlisted items.  Sharded and slab tasks carry this
+    object, so a worker needs no rule object.
     """
 
-    alpha: float = 2.0
-    table: np.ndarray | None = None
+    table: np.ndarray
     since_first_seen: bool = False
     weight_items: np.ndarray | None = None
     weight_values: np.ndarray | None = None
@@ -139,21 +135,26 @@ class Scoring:
         n_windows: int,
     ) -> Scoring:
         """The scoring of a rule, counting scheme and item weighting on a
-        grid of ``n_windows`` windows."""
+        grid of ``n_windows`` windows.  The exponential rule's table is
+        :func:`significance_from_counts` at ``(c, c + l)``, 0 where
+        ``c + l > n_windows`` as in :func:`significance_table`."""
         weight_items = weight_values = None
         if item_weights:
             weight_items = np.array(sorted(item_weights), dtype=np.int64)
             weight_values = np.array(
                 [float(item_weights[item]) for item in weight_items.tolist()]
             )
-        if isinstance(significance, ExponentialSignificance) and counting == "paper":
-            return cls(
-                alpha=significance.alpha,
-                weight_items=weight_items,
-                weight_values=weight_values,
+        if isinstance(significance, ExponentialSignificance):
+            c, l = np.ogrid[: n_windows + 1, : n_windows + 1]
+            table = np.where(
+                c + l <= n_windows,
+                significance_from_counts(c, c + l, significance.alpha),
+                0.0,
             )
+        else:
+            table = significance_table(significance, n_windows)
         return cls(
-            table=significance_table(significance, n_windows),
+            table=table,
             since_first_seen=counting == "since-first-seen",
             weight_items=weight_items,
             weight_values=weight_values,
@@ -174,55 +175,71 @@ class Scoring:
 def pair_significance(
     population: PopulationFrame, scoring: Scoring
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(presence, prior, significance)``, each ``(n_pairs, n_windows)``.
+    """``(presence, prior, significance)``, each ``(n_windows, n_pairs)``.
 
-    ``presence[j, k]`` is 1 where pair ``j``'s item is in window ``k``,
-    ``prior[j, k]`` counts the windows before ``k`` that hold it (``c``),
-    and ``significance[j, k]`` is ``S(item, k)`` times the item's weight.
-    Under the paper scheme ``l = k - c``; under ``"since-first-seen"``
-    the windows before the item's first purchase do not count.
+    ``presence[k, j]`` (``bool``) is set where pair ``j``'s item is in
+    window ``k``, ``prior[k, j]`` counts the windows before ``k`` that
+    hold it (``c``, in the narrowest signed integer that holds
+    ``(n_windows + 1) ** 2``), and ``significance[k, j]`` (``float64``)
+    is ``S(item, k)`` times the item's weight, read from
+    ``scoring.table``.  Under the paper scheme ``l = k - c``; under
+    ``"since-first-seen"`` the windows before the item's first purchase
+    do not count.
+
+    The matrices are window-major so that every step runs along
+    contiguous rows of pairs: the counts accumulate one window at a
+    time, and the per-customer sums reduce each row's segments.
     """
     n_pairs, n_windows = population.n_pairs, population.n_windows
-    presence = np.zeros((n_pairs, n_windows), dtype=np.float64)
+    size = n_windows + 1
+    if scoring.table.shape != (size, size):
+        raise ConfigError(
+            f"scoring table {scoring.table.shape} does not fit a grid of "
+            f"{n_windows} windows"
+        )
+    # The narrowest signed integer that holds size ** 2, so the flat
+    # table index c * size + l cannot overflow.
+    dtype = np.min_scalar_type(-1 - size * size)
+    presence = np.zeros((n_windows, n_pairs), dtype=bool)
     if n_pairs:
-        presence[population.pair_rows(), population.triple_window] = 1.0
-    prior = np.zeros_like(presence)
-    prior[:, 1:] = np.cumsum(presence, axis=1)[:, :-1]
-    if scoring.table is None:
-        window_index = np.arange(n_windows, dtype=np.float64)
-        significance = significance_from_counts(prior, window_index, scoring.alpha)
-    else:
-        c = prior.astype(np.intp)
-        absent = np.arange(n_windows, dtype=np.intp) - c
-        if scoring.since_first_seen:
-            first_seen = population.triple_window[population.triple_offsets[:-1]]
-            absent -= first_seen.astype(np.intp)[:, None]
-        significance = scoring.table[c, np.where(c > 0, absent, 0)]
+        presence[population.triple_window, population.pair_rows()] = True
+    prior = np.zeros((n_windows, n_pairs), dtype=dtype)
+    for k in range(1, n_windows):
+        np.add(prior[k - 1], presence[k - 1], out=prior[k])
+    absent = np.arange(n_windows, dtype=dtype)[:, None] - prior
+    if scoring.since_first_seen:
+        first_seen = population.triple_window[population.triple_offsets[:-1]]
+        absent -= first_seen.astype(dtype)
+    # Row 0 of the table is 0, so where c == 0 any l in range reads the
+    # right value; the clamp keeps the since-first-seen negatives in range.
+    np.maximum(absent, 0, out=absent)
+    significance = scoring.table.take(prior * size + absent)
     if scoring.weight_items is not None:
-        significance = significance * scoring.pair_weights(population.pair_items)[:, None]
+        significance *= scoring.pair_weights(population.pair_items)
     return presence, prior, significance
 
 
 def _segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over contiguous row segments ``[offsets[i], offsets[i+1])``.
+    """Sum ``values`` over contiguous segments ``[offsets[i], offsets[i+1])``
+    of its last axis.
 
     Empty segments sum to 0 (plain ``np.add.reduceat`` would repeat the
-    boundary row instead).  Each segment is summed independently
-    left-to-right, so huge (saturated) values in one customer cannot
+    boundary element instead).  Each segment is reduced on its own, in
+    the order ``np.add.reduce`` uses, which does not depend on the
+    memory layout, so huge (saturated) values in one customer cannot
     contaminate another's sum — which a cumsum-and-subtract scheme would
     do through catastrophic cancellation.
     """
     starts = offsets[:-1]
-    out_shape = (len(starts),) + values.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float64)
-    # reduceat over the non-empty starts only: segments tile the row axis,
-    # so each non-empty start's successor in the index list is exactly its
+    out = np.zeros(values.shape[:-1] + (len(starts),), dtype=np.float64)
+    # reduceat over the non-empty starts only: segments tile the axis, so
+    # each non-empty start's successor in the index list is exactly its
     # own end (empty segments collapse to the same boundary), and the last
     # one runs to the end of the array.  Feeding empty starts to reduceat
-    # instead would repeat boundary rows and corrupt neighbouring sums.
+    # instead would repeat boundary elements and corrupt neighbouring sums.
     nonempty = starts < offsets[1:]
     if nonempty.any():
-        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
+        out[..., nonempty] = np.add.reduceat(values, starts[nonempty], axis=-1)
     return out
 
 
@@ -273,10 +290,12 @@ def _stability_kernel(
         presence, _prior, significance = pair_significance(population, scoring)
     with timed_stage(STAGE_NORMALIZE, customers=population.n_customers):
         total = _segment_sum(significance, population.pair_offsets)
-        kept = _segment_sum(significance * presence, population.pair_offsets)
+        significance *= presence  # now the kept significance
+        kept = _segment_sum(significance, population.pair_offsets)
         with np.errstate(invalid="ignore", divide="ignore"):
             stability = np.where(total > 0.0, kept / total, np.nan)
-    return stability, kept, total
+    # Window-major sums; the fit's matrices are customers x windows.
+    return stability.T, kept.T, total.T
 
 
 def _shard_worker(
@@ -423,7 +442,9 @@ def stability_matrix(
     (:class:`~repro.runtime.faults.FaultPlan`).
     """
     if scoring is None:
-        scoring = Scoring(alpha=validate_alpha(alpha))
+        scoring = Scoring.of(
+            ExponentialSignificance(alpha), "paper", None, population.n_windows
+        )
     n_jobs = _resolve_n_jobs(n_jobs)
     n_customers = population.n_customers
     slab_backed = population.store_path is not None

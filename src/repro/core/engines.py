@@ -79,8 +79,8 @@ def customer_trajectory(
     items = customer.pair_items.tolist()
     records = []
     for k, window in enumerate(windows):
-        seen = np.flatnonzero(prior[:, k] > 0.0).tolist()
-        column = significance[:, k].tolist()
+        seen = np.flatnonzero(prior[k]).tolist()
+        column = significance[k].tolist()
         records.append(
             WindowStability(
                 window=window,

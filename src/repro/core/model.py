@@ -249,7 +249,7 @@ class StabilityModel:
 
     def customers(self) -> list[int]:
         """Sorted fitted customers."""
-        return [int(c) for c in self._fitted().customer_ids]
+        return self._fitted().customer_ids.tolist()
 
     def trajectory(self, customer_id: int) -> StabilityTrajectory:
         """Stability trajectory of one fitted customer.
@@ -279,29 +279,26 @@ class StabilityModel:
 
         Higher means more likely defecting; undefined stability maps to a
         neutral 0.5 (see :meth:`StabilityTrajectory.churn_score`).  The
-        whole population is read off the stability matrix in one
-        vectorised slice.
+        ids and the window's stability column are read as two lists, so
+        a memory-mapped fit is not read one scalar per customer.
         """
         batch = self._fitted()
-        selected = list(customers) if customers is not None else self.customers()
         self._check_window(window_index)
-        ids = np.asarray(selected, dtype=np.int64)
         known = batch.customer_ids
-        rows = np.searchsorted(known, ids)
-        rows_safe = np.minimum(rows, len(known) - 1) if len(known) else rows
-        if not len(known) or (known[rows_safe] != ids).any():
-            missing = (
-                selected[0]
-                if not len(known)
-                else int(ids[known[rows_safe] != ids][0])
-            )
-            raise DataError(f"customer {missing} was not fitted")
-        stability = batch.stability[rows_safe, window_index]
+        if customers is None:
+            ids = known.tolist()
+            stability = batch.stability[:, window_index]
+        else:
+            wanted = np.asarray(list(customers), dtype=np.int64)
+            rows = np.searchsorted(known, wanted)
+            fitted = rows < len(known)
+            fitted[fitted] = known[rows[fitted]] == wanted[fitted]
+            if not fitted.all():
+                raise DataError(f"customer {wanted[~fitted][0]} was not fitted")
+            ids = wanted.tolist()
+            stability = batch.stability[rows, window_index]
         churn = np.where(np.isnan(stability), 0.5, 1.0 - stability)
-        return {
-            int(customer_id): float(score)
-            for customer_id, score in zip(ids, churn, strict=True)
-        }
+        return dict(zip(ids, churn.tolist(), strict=True))
 
     def explain(
         self, customer_id: int, window_index: int, top_k: int = 5

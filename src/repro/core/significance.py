@@ -14,8 +14,8 @@ The exponential form is the paper's choice; the ablation study (DESIGN.md
 A1) compares it against alternatives, so the scoring rule is a small
 strategy interface: callables from ``(c, l)`` to a non-negative score.
 The columnar kernel (:mod:`repro.core.batch`) counts ``c`` and ``l`` for
-every customer and window at once and scores them through a table of the
-rule (:func:`~repro.core.batch.significance_table`).
+every customer and window at once and scores them through a ``(c, l)``
+table of the rule (:meth:`~repro.core.batch.Scoring.of`).
 
 Two counting schemes are supported:
 

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.core.batch import Scoring, _segment_sum, significance_from_counts
+from repro.core.batch import Scoring, _segment_sum
 from repro.core.detector import Alarm
 from repro.core.significance import COUNTING_SCHEMES, ExponentialSignificance, SignificanceFunction
 from repro.core.windowing import WindowGrid
@@ -305,8 +305,7 @@ class StabilityMonitor:
         )
         self.counting = counting
         self.first_alarm_window = int(first_alarm_window)
-        #: The kernel's scoring: ``alpha`` for the paper configuration,
-        #: else the rule's ``(c, l)`` table over the grid.
+        #: The kernel's scoring: the rule's ``(c, l)`` table over the grid.
         self._scoring = Scoring.of(self.significance, counting, None, grid.n_windows)
         self._current_window = 0
         self._last_day_seen = -1
@@ -616,14 +615,10 @@ class StabilityMonitor:
         """
         columns = self._columns
         presence = columns["presence"]
-        n_windows = columns["n_windows_observed"][item_rows]
-        table = self._scoring.table
-        if table is None:
-            return significance_from_counts(presence, n_windows, self._scoring.alpha)
-        absent = n_windows - presence
+        absent = columns["n_windows_observed"][item_rows] - presence
         if self._scoring.since_first_seen:
             absent = absent - columns["first_seen"]
-        return table[presence, absent]
+        return self._scoring.table[presence, absent]
 
     def _close_current_window(self) -> WindowCloseReport:
         """Score every customer on the window being closed, then fold its

@@ -453,8 +453,9 @@ def stream_fingerprint(path: str | Path) -> str:
     restart-from-head fallback) instead of resuming into the wrong data.
     """
     digest = hashlib.sha1()
-    path = Path(path)
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with Path(path).open("rb") as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()[:16]

@@ -101,6 +101,23 @@ class TestEnsemble:
         diffs = [abs(scores_heavy[c] - stability_scores[c]) for c in customers]
         assert max(diffs) < 0.1  # heavy weighting ~ the member itself
 
+    def test_member_reads_the_fitted_customers_once(self, small_dataset):
+        """Scoring n ids must not rebuild the fitted-customer list per id."""
+        model = StabilityModel(small_dataset.calendar, window_months=2)
+        member = StabilityMember(model).fit(small_dataset.log, small_dataset.cohorts, 0)
+        calls = []
+        fitted_customers = model.customers
+
+        def counted() -> list[int]:
+            calls.append(1)
+            return fitted_customers()
+
+        model.customers = counted  # type: ignore[method-assign]
+        ids = small_dataset.cohorts.all_customers()
+        scores = member.churn_scores(small_dataset.log, ids)
+        assert list(scores) == list(ids)
+        assert len(calls) == 1
+
     def test_validation(self, small_dataset):
         stability = StabilityMember(
             StabilityModel(small_dataset.calendar, window_months=2)

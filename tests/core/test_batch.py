@@ -3,16 +3,18 @@
 The differential tests assert that the kernel agrees with the
 paper-equation oracle (``oracle.py``) on every (customer, window) cell —
 including all-NaN prefixes, single-item customers and empty windows —
-and that its two significance paths (the paper's log-space rule and the
-table of the scalar rule) agree with each other.  Histories long enough
-to hit the ``_MAX_LOG`` saturation cap, where ``alpha ** (c - l)``
-overflows the oracle's floats, are checked against the hand-computed
-values.
+and that the exponential rule's two tables (filled in log space by
+``significance_from_counts``, and by the scalar rule) agree with each
+other.  Histories long enough to hit the ``_MAX_LOG`` saturation cap,
+where ``alpha ** (c - l)`` overflows the oracle's floats, are checked
+against the hand-computed values.  ``TestKernelBits`` pins the bytes of
+the kernel's matrices, which the oracle's 1e-12 tolerance cannot see.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 import math
 import random
 
@@ -21,18 +23,26 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.batch import (
+    BatchStability,
     Scoring,
     _segment_sum,
+    pair_significance,
     significance_from_counts,
     significance_table,
     stability_matrix,
 )
 from repro.core.model import StabilityModel
-from repro.core.significance import ExponentialSignificance
+from repro.core.significance import (
+    COUNTING_SCHEMES,
+    ExponentialSignificance,
+    FrequencyRatioSignificance,
+    LinearSignificance,
+)
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.data.calendar import StudyCalendar
 from repro.data.population import PopulationFrame
+from repro.data.slabs import build_slab_store, chunks_from_baskets
 from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError, ConfigWarning, DataError
 from tests.core import oracle
@@ -68,8 +78,8 @@ def _assert_cell_equal(fast: float, reference: float) -> None:
 
 
 def _table_scoring(alpha: float, n_windows: int) -> Scoring:
-    """The exponential rule through the table path instead of the
-    log-space paper path."""
+    """The exponential rule through a table of the scalar rule instead of
+    the log-space table :meth:`Scoring.of` fills."""
     return Scoring(table=significance_table(ExponentialSignificance(alpha), n_windows))
 
 
@@ -145,6 +155,18 @@ class TestDifferential:
         assert result.stability[0, 1500] == 0.5
         assert np.isfinite(result.total_mass[0, 1:]).all()
         assert result.total_mass[0, 1500] == 2 * math.exp(700.0)
+
+    def test_wide_grid_needs_an_int32_index(self):
+        """201 windows: ``202 ** 2`` does not fit an int16 table index."""
+        rng = random.Random(181)
+        log = _random_log(rng, n_customers=4, n_days=201, item_pool=4, max_baskets=120)
+        grid = WindowGrid.daily(total_days=201, days_per_window=1)
+        scoring = Scoring.of(ExponentialSignificance(1.5), "paper", None, grid.n_windows)
+        _presence, prior, _significance = pair_significance(
+            PopulationFrame.from_log(log, grid), scoring
+        )
+        assert prior.dtype == np.int32
+        _assert_all_backends_agree(log, grid, 1.5)
 
     def test_lexsort_fallback_for_huge_item_ids(self):
         """Item ids too large for the packed-key fast path."""
@@ -225,16 +247,28 @@ class TestSegmentSum:
         )
 
     def test_all_empty(self):
-        out = _segment_sum(np.empty((0, 4)), np.array([0, 0, 0]))
-        assert out.shape == (2, 4)
+        out = _segment_sum(np.empty((4, 0)), np.array([0, 0, 0]))
+        assert out.shape == (4, 2)
         assert (out == 0).all()
 
     def test_two_dimensional(self):
-        values = np.arange(8, dtype=float).reshape(4, 2)
+        """Segments run along the last axis, one sum per row."""
+        values = np.arange(8, dtype=float).reshape(4, 2).T
         offsets = np.array([0, 1, 4])
         np.testing.assert_array_equal(
-            _segment_sum(values, offsets), np.array([[0.0, 1.0], [12.0, 15.0]])
+            _segment_sum(values, offsets), np.array([[0.0, 12.0], [1.0, 15.0]])
         )
+
+    def test_order_does_not_depend_on_the_layout(self):
+        """Row-major and column-major copies of the same values sum to
+        the same bits, segments of up to 300 elements included."""
+        rng = np.random.default_rng(5)
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(0, 300, 40))])
+        values = rng.random((6, offsets[-1])) * 10.0 ** rng.integers(-8, 8, (6, offsets[-1]))
+        got = _segment_sum(values, offsets)
+        assert _segment_sum(np.asfortranarray(values), offsets).tobytes() == got.tobytes()
+        rows = [_segment_sum(row, offsets) for row in values]
+        assert np.vstack(rows).tobytes() == got.tobytes()
 
 
 class TestSignificanceKernel:
@@ -256,6 +290,49 @@ class TestSignificanceKernel:
         huge = significance_from_counts(np.array([2000.0]), 0, alpha=2.0)
         assert np.isfinite(huge[0])
         assert huge[0] == math.exp(700.0)
+
+    @pytest.mark.parametrize("counting", COUNTING_SCHEMES)
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 4.0])
+    def test_exponential_table_is_the_log_space_rule(self, alpha, counting):
+        """Cell by cell the table is ``significance_from_counts`` at
+        ``(c, c + l)``; row 0 and the unreachable cells are 0."""
+        n_windows = 30
+        table = Scoring.of(
+            ExponentialSignificance(alpha), counting, None, n_windows
+        ).table
+        assert table.shape == (n_windows + 1, n_windows + 1)
+        c, l = np.indices(table.shape)
+        reachable = c + l <= n_windows
+        want = significance_from_counts(c[reachable], (c + l)[reachable], alpha)
+        assert table[reachable].tobytes() == want.tobytes()
+        assert not table[0].any()
+        assert not table[~reachable].any()
+
+    def test_prior_counts_are_narrow(self):
+        """Presence is bool; counts take the narrowest signed integer
+        that holds ``(n_windows + 1) ** 2``."""
+        log = TransactionLog()
+        log.add(Basket.of(customer_id=1, day=0, items=[1]))
+        for n_windows, dtype in ((10, np.int8), (14, np.int16), (180, np.int16), (181, np.int32)):
+            grid = WindowGrid.daily(total_days=n_windows, days_per_window=1)
+            scoring = Scoring.of(ExponentialSignificance(), "paper", None, n_windows)
+            presence, prior, significance = pair_significance(
+                PopulationFrame.from_log(log, grid), scoring
+            )
+            assert presence.dtype == np.bool_
+            assert prior.dtype == dtype, n_windows
+            assert significance.dtype == np.float64
+            assert prior[:, 0].tolist() == [0] + [1] * (n_windows - 1)
+
+    def test_table_for_another_grid_rejected(self):
+        """A flat index into a larger table would read the wrong cells."""
+        log = TransactionLog()
+        log.add(Basket.of(customer_id=1, day=0, items=[1]))
+        frame = PopulationFrame.from_log(log, WindowGrid.daily(total_days=14, days_per_window=1))
+        for n_windows in (13, 15):
+            scoring = Scoring.of(ExponentialSignificance(), "paper", None, n_windows)
+            with pytest.raises(ConfigError, match="does not fit a grid of 14 windows"):
+                stability_matrix(frame, scoring=scoring)
 
 
 class TestBatchChurnScores:
@@ -323,6 +400,82 @@ class TestParallelFit:
         population = PopulationFrame.from_log(log, grid)
         result = stability_matrix(population, n_jobs=8)  # falls back to serial
         assert result.stability.shape == (1, 2)
+
+
+#: ``(rule, counting, item weights)`` per pinned scoring case.
+BITS_CASES = {
+    "alpha-2": (ExponentialSignificance(2.0), "paper", None),
+    "alpha-4": (ExponentialSignificance(4.0), "paper", None),
+    "alpha-2-weighted": (ExponentialSignificance(2.0), "paper", {1: 2.5, 3: 0.25, 7: 4.0}),
+    "frequency-ratio-since-first-seen": (FrequencyRatioSignificance(), "since-first-seen", None),
+    "linear": (LinearSignificance(), "paper", None),
+}
+
+#: sha256 (first 16 hex digits) of the stability, kept and total bytes of
+#: each case on :func:`_bits_log`, fixed before the kernel read every rule
+#: from one table.
+PINNED_BITS = {
+    "alpha-2": "1317ba5ba4ead9de",
+    "alpha-4": "ef988ffc6b16a803",
+    "alpha-2-weighted": "4e5de29dd3370078",
+    "frequency-ratio-since-first-seen": "7ca91947fc01082c",
+    "linear": "68ad29d301a7b9f7",
+}
+
+
+def _bits_log() -> tuple[TransactionLog, WindowGrid]:
+    """Forty customers with habits: each buys up to 14 items, each item
+    with its own probability per visit, about twice a 15-day window.
+    Habitual items reach the margins (7 at alpha 2, 13 at alpha 4) where
+    ``np.exp`` and ``math.exp`` round apart, and customers with more
+    than 9 items take ``reduceat``'s pairwise sum."""
+    rng = random.Random(2016)
+    log = TransactionLog()
+    for customer in range(40):
+        habits = {item: rng.random() for item in rng.sample(range(14), rng.randint(1, 14))}
+        for visit in range(0, 300, 5):
+            if rng.random() < 0.6:
+                items = [item for item, p in habits.items() if rng.random() < p]
+                log.add(Basket.of(customer_id=customer, day=visit + rng.randrange(5), items=items))
+    return log, WindowGrid.daily(total_days=300, days_per_window=15)
+
+
+def _bits(result: BatchStability) -> str:
+    digest = hashlib.sha256()
+    for matrix in (result.stability, result.kept_mass, result.total_mass):
+        digest.update(np.ascontiguousarray(matrix, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestKernelBits:
+    """The kernel's output bytes, in RAM and slab-backed, serial and
+    sharded: a last-ulp change to any rule fails here."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, tmp_path_factory) -> dict[str, PopulationFrame]:
+        log, grid = _bits_log()
+        store = build_slab_store(
+            chunks_from_baskets(log, chunk_baskets=64),
+            grid,
+            tmp_path_factory.mktemp("bits-store"),
+            fingerprint="kernel-bits",
+            customers_per_shard=7,
+            n_buckets=2,
+        )
+        return {"in-ram": PopulationFrame.from_log(log, grid), "slab": store.frame()}
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("source", ["in-ram", "slab"])
+    def test_pinned(self, frames, source, n_jobs):
+        frame = frames[source]
+        for case, (rule, counting, weights) in BITS_CASES.items():
+            scoring = Scoring.of(rule, counting, weights, frame.n_windows)
+            result = stability_matrix(frame, n_jobs=n_jobs, scoring=scoring)
+            assert _bits(result) == PINNED_BITS[case], case
+
+    def test_alpha_argument_is_the_paper_scoring(self, frames):
+        result = stability_matrix(frames["in-ram"], alpha=4.0)
+        assert _bits(result) == PINNED_BITS["alpha-4"]
 
 
 class TestAlphaValidation:

@@ -10,7 +10,11 @@ import repro.core.engines as engines
 from repro.config import ExperimentConfig
 from repro.core.batch import Scoring, stability_matrix
 from repro.core.model import StabilityModel
-from repro.core.significance import FrequencyRatioSignificance, LinearSignificance
+from repro.core.significance import (
+    ExponentialSignificance,
+    FrequencyRatioSignificance,
+    LinearSignificance,
+)
 from repro.core.windowing import windowed_history
 from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
@@ -114,6 +118,10 @@ class TestFitEntry:
         assert model.stability_at(1, 1) == 1.0
 
 
+def _paper_scoring(frame: PopulationFrame) -> Scoring:
+    return Scoring.of(ExponentialSignificance(2.0), "paper", None, frame.n_windows)
+
+
 class TestCustomerTrajectory:
     def test_windows_equal_the_log_path(self, small_dataset):
         config = ExperimentConfig()
@@ -122,7 +130,7 @@ class TestCustomerTrajectory:
         fit = stability_matrix(frame)
         for row in (0, frame.n_customers // 2, frame.n_customers - 1):
             customer = int(frame.customer_ids[row])
-            built = engines.customer_trajectory(fit, row, Scoring())
+            built = engines.customer_trajectory(fit, row, _paper_scoring(frame))
             want = windowed_history(small_dataset.log.history(customer), grid)
             assert [r.window for r in built.records] == want
             assert built.customer_id == customer
@@ -133,7 +141,7 @@ class TestCustomerTrajectory:
         fit = stability_matrix(
             PopulationFrame.from_log(log, ExperimentConfig(window_months=1).grid(calendar))
         )
-        trajectory = engines.customer_trajectory(fit, 0, Scoring())
+        trajectory = engines.customer_trajectory(fit, 0, _paper_scoring(fit.population))
         for k in range(len(windows)):
             want = oracle.significances(windows, k, 2.0)
             got = trajectory.at(k).significances

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -105,6 +107,15 @@ class TestRecordReplay:
             calendar=serve_dataset.calendar,
         )
         assert stream_fingerprint(other) != stream_fingerprint(stream_path)
+
+    @pytest.mark.parametrize("size", [0, 1 << 20, (5 << 19) + 7])
+    def test_fingerprint_digests_every_byte(self, tmp_path, size):
+        """Whole buffers, a partial last one and an empty file all hash
+        to the digest of the file's bytes."""
+        path = tmp_path / "bytes.bin"
+        path.write_bytes(random.Random(size).randbytes(size))
+        want = hashlib.sha1(path.read_bytes()).hexdigest()[:16]
+        assert stream_fingerprint(path) == want
 
 
 class TestRejection:
