@@ -1,7 +1,8 @@
 """SEQ001 — the cursor seal is ordered after every shard-state write.
 
 The serving checkpoint protocol (DESIGN.md §10) has one commit point:
-``ServeCheckpoint.commit`` atomically replacing ``cursor.json``.  Its
+``ServeCheckpoint.commit`` atomically writing the commit's
+``cursor-<commit>.json`` under a fresh name.  Its
 crash-safety argument — at most one batch of rework after a kill —
 holds *only* because every per-shard state write happens before the
 seal on every non-exceptional path.  PR 7 probes that dynamically with

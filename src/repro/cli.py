@@ -825,12 +825,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.eval.benchmarking import (
+        merge_scaling_json,
         protocol_telemetry,
         render_scaling,
         scaling_telemetry,
         slab_grid_telemetry,
         telemetry_overhead,
-        write_scaling_json,
     )
 
     telemetry = scaling_telemetry(
@@ -857,7 +857,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"stability fit scaling (best-of-{args.repeat} wall clock)")
     print(render_scaling(telemetry))
     if args.json is not None:
-        write_scaling_json(args.json, telemetry)
+        # Merge: the artifact also carries the slab grid, which
+        # benchmarks/bench_slab_grid.py refreshes and this run keeps.
+        merge_scaling_json(args.json, telemetry)
         print(f"wrote telemetry to {args.json}")
     return 0
 

@@ -20,7 +20,6 @@ from repro.eval.benchmarking import (
     render_scaling,
     scaling_telemetry,
     time_fit,
-    write_scaling_json,
 )
 from repro.eval.campaign import CampaignComparison, CampaignPoint, compare_models
 from repro.eval.customer_report import (
@@ -76,7 +75,6 @@ __all__ = [
     "render_scaling",
     "scaling_telemetry",
     "time_fit",
-    "write_scaling_json",
     "detection_delay",
     "mechanism_crossover",
     "vacation_sensitivity",

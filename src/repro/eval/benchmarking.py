@@ -29,7 +29,6 @@ __all__ = [
     "slab_grid_telemetry",
     "protocol_telemetry",
     "telemetry_overhead",
-    "write_scaling_json",
     "merge_scaling_json",
     "render_scaling",
 ]
@@ -389,11 +388,6 @@ def telemetry_overhead(
         "recording_seconds": recording,
         "overhead_pct": (recording - disabled) / disabled * 100.0,
     }
-
-
-def write_scaling_json(path: Path | str, telemetry: dict) -> None:
-    """Persist telemetry as indented JSON (stable key order for diffs)."""
-    atomic_write_json(path, telemetry, indent=2)
 
 
 def merge_scaling_json(path: Path | str, updates: dict) -> dict:

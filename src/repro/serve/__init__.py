@@ -16,7 +16,8 @@ Layout
 :mod:`repro.serve.checkpoint`
     :class:`ServeCheckpoint` — state generations (a full base at each
     window close, a per-batch journal in between) sealed by an atomic
-    ``cursor.json`` (the single commit point);
+    ``cursor-<commit>.json`` under a fresh name per commit (the single
+    commit point; the newest cursor wins);
     :class:`CursorInvalid` signals an unusable cursor and triggers the
     restart-from-head fallback.
 :mod:`repro.serve.loop`

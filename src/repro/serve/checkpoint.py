@@ -5,9 +5,22 @@ batch* — is carried entirely by the write ordering here:
 
 1. :meth:`ServeCheckpoint.write_state` writes the batch's state, each
    file atomically, where the current cursor does not reference it yet;
-2. :meth:`ServeCheckpoint.commit` atomically replaces ``cursor.json``
-   — the single commit point — with a cursor referencing that state,
-   then prunes superseded generations.
+2. :meth:`ServeCheckpoint.commit` atomically writes a cursor
+   referencing that state under a fresh name, ``cursor-<commit>.json``
+   — the single commit point — then removes the previous commit's
+   cursor, and prunes superseded generations when the commit moved the
+   base.
+
+No commit replaces a file: renaming onto an existing name cost tens of
+times a rename onto a fresh one (DESIGN.md §10.2), so every state file
+and every cursor lands under a name nothing holds yet.  The
+newest cursor wins (:meth:`ServeCheckpoint.read_cursor`): a crash
+between a cursor's rename and its predecessor's removal leaves two, and
+the older one is dead.  A run's first commit removes every other
+cursor — whatever its index, and any cursor temp file — before it
+prunes, so a stale cursor an abandoned run left behind (say a torn
+``cursor-000006.json`` after a fallback to the stream head) cannot win
+a later load, and no surviving cursor names a pruned generation.
 
 State is kept as one *generation* per ``state-<base>/`` directory: a
 **base** (one snapshot file ``shard-<i>.snap`` per shard and nothing
@@ -38,8 +51,10 @@ rework in telemetry.
 A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
-torn/corrupt cursor, a torn, missing, altered (checksum mismatch) or
-misnumbered state file, or a malformed journal — raises
+torn/corrupt cursor, one whose file name is not its commit's (a
+leftover version-6 ``cursor.json`` among them), a torn, missing,
+altered (checksum mismatch) or misnumbered state file, or a malformed
+journal — raises
 :class:`CursorInvalid`, and
 the loop falls back to restarting from the stream head (Snippet-2
 semantics: the fresh shards re-derive every score and alarm, warning
@@ -51,6 +66,7 @@ from __future__ import annotations
 import json
 import logging
 import operator
+import re
 import shutil
 import time
 from collections.abc import Callable
@@ -72,7 +88,6 @@ from repro.runtime.snapshot import (
 )
 
 __all__ = [
-    "CURSOR_NAME",
     "CURSOR_SCHEMA",
     "CURSOR_VERSION",
     "CursorInvalid",
@@ -89,9 +104,16 @@ logger = logging.getLogger(__name__)
 #: :class:`OSError` to simulate ENOSPC/EACCES on the checkpoint volume.
 IOFaultHook = Callable[[str, int, int], None]
 
-CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 6
+CURSOR_VERSION = 7
+
+#: A cursor file: ``cursor-<commit>.json``, or the ``cursor.json`` that
+#: cursor versions up to 6 replaced in place (older than any numbered
+#: one, and never its commit's name).
+_CURSOR_FILE = re.compile(r"cursor(?:-(\d+))?\.json")
+#: What an interrupted cursor write leaves behind (the temp file of
+#: :func:`~repro.atomicio.atomic_write_bytes`).
+_CURSOR_TEMP = re.compile(r"\.cursor(?:-\d+)?\.json\.tmp-\d+")
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
 _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
@@ -228,6 +250,9 @@ class LoadedCheckpoint:
 class ServeCheckpoint:
     """One serving run's checkpoint directory (see module docstring).
 
+    An instance commits for one run: its first :meth:`commit` sweeps
+    whatever cursors and generations earlier runs left behind.
+
     Parameters
     ----------
     directory:
@@ -265,10 +290,26 @@ class ServeCheckpoint:
         self.io_retries = int(io_retries)
         self.io_backoff_s = float(io_backoff_s)
         self.io_fault = io_fault
+        #: The last cursor this instance committed (None: this run has
+        #: not committed yet, so its first commit sweeps the directory).
+        self._committed: ServeCursor | None = None
 
     @property
-    def cursor_path(self) -> Path:
-        return self.directory / CURSOR_NAME
+    def cursor_path(self) -> Path | None:
+        """The newest cursor file — the highest-numbered
+        ``cursor-<commit>.json``, or a leftover ``cursor.json`` when
+        there is none — or ``None`` when the directory holds no cursor.
+        This lists the directory."""
+        ranked = [
+            (int(match[1] or -1), path)
+            for path in self.directory.glob("cursor*.json")
+            if (match := _CURSOR_FILE.fullmatch(path.name))
+        ]
+        return max(ranked)[1] if ranked else None
+
+    def cursor_file(self, commit_index: int) -> Path:
+        """The cursor file commit ``commit_index`` writes."""
+        return self.directory / f"cursor-{commit_index:06d}.json"
 
     def state_dir(self, base_index: int) -> Path:
         """The generation directory whose base commit ``base_index`` wrote."""
@@ -379,54 +420,86 @@ class ServeCheckpoint:
         return self._with_io_retry("write_state", commit_index, write)
 
     def commit(self, cursor: ServeCursor) -> Path:
-        """Atomically advance the cursor, then prune every generation
-        but the cursor's.
+        """Atomically write the cursor under its commit's name, then
+        remove the previous commit's cursor.
 
-        The cursor replace is the commit point; it rides the same
-        bounded I/O retry as the state write (re-attempting an atomic
-        replace is idempotent)."""
+        The cursor's rename is the commit point; it rides the same
+        bounded I/O retry as the state write (re-attempting the write
+        is idempotent).  A crash before the removal leaves the previous
+        cursor beside the new one, which wins.  Only a commit that
+        moved the base, or this instance's first commit, lists the
+        directory: it prunes every generation but the cursor's, and the
+        first commit removes every other cursor and cursor temp file
+        before it prunes."""
+        path = self.cursor_file(cursor.commit_index)
 
         def write() -> Path:
-            return atomic_write_json(self.cursor_path, cursor.to_payload())
+            return atomic_write_json(path, cursor.to_payload())
 
-        path = self._with_io_retry("commit", cursor.commit_index, write)
-        self._prune(keep=cursor.base_index)
+        self._with_io_retry("commit", cursor.commit_index, write)
+        previous, self._committed = self._committed, cursor
+        if previous is None:
+            self._prune(cursor, cursors=True)
+        else:
+            if previous.commit_index != cursor.commit_index:
+                self.cursor_file(previous.commit_index).unlink(missing_ok=True)
+            if previous.base_index != cursor.base_index:
+                self._prune(cursor, cursors=False)
         return path
 
-    def _prune(self, keep: int) -> None:
-        kept = self.state_dir(keep)
-        for candidate in sorted(self.directory.glob("state-*")):
-            if candidate.is_dir() and candidate != kept:
-                shutil.rmtree(candidate, ignore_errors=True)
+    def _prune(self, cursor: ServeCursor, *, cursors: bool) -> None:
+        """Remove every generation but ``cursor``'s; with ``cursors``,
+        first every cursor file but ``cursor``'s and every cursor temp
+        file, so that no surviving cursor names a pruned generation."""
+        entries = sorted(self.directory.iterdir())
+        if cursors:
+            kept = self.cursor_file(cursor.commit_index)
+            for entry in entries:
+                if entry != kept and (
+                    _CURSOR_FILE.fullmatch(entry.name)
+                    or _CURSOR_TEMP.fullmatch(entry.name)
+                ):
+                    entry.unlink(missing_ok=True)
+        kept = self.state_dir(cursor.base_index)
+        for entry in entries:
+            if entry.name.startswith("state-") and entry != kept and entry.is_dir():
+                shutil.rmtree(entry, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
     def read_cursor(self) -> ServeCursor | None:
-        """The committed cursor, unchecked against any run; ``None``
-        when none was ever committed.
+        """The newest committed cursor (see :attr:`cursor_path`),
+        unchecked against any run; ``None`` when none was ever
+        committed.
 
         Raises
         ------
         CursorInvalid
-            If the cursor file is unreadable, torn, or fails
-            :meth:`ServeCursor.from_payload`.
+            If the cursor file is unreadable, torn, fails
+            :meth:`ServeCursor.from_payload`, or is not named for its
+            ``commit_index``.
         """
-        if not self.cursor_path.exists():
+        path = self.cursor_path
+        if path is None:
             return None
         try:
-            text = self.cursor_path.read_text()
+            text = path.read_text()
         except OSError as exc:
-            raise CursorInvalid(
-                f"{self.cursor_path}: cannot read cursor: {exc}"
-            ) from exc
+            raise CursorInvalid(f"{path}: cannot read cursor: {exc}") from exc
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CursorInvalid(
-                f"{self.cursor_path}: torn or corrupt cursor (invalid JSON)"
+                f"{path}: torn or corrupt cursor (invalid JSON)"
             ) from exc
-        return ServeCursor.from_payload(payload)
+        cursor = ServeCursor.from_payload(payload)
+        if path.name != self.cursor_file(cursor.commit_index).name:
+            raise CursorInvalid(
+                f"{path}: cursor names commit {cursor.commit_index}, not "
+                "the commit of its file name"
+            )
+        return cursor
 
     def load(
         self,

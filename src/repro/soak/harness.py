@@ -518,24 +518,24 @@ class _LoopRunner:
         self._after_leg(result, cell.batch)
         committed_before = self.committed
         checkpoint = ServeCheckpoint(self.checkpoint_dir)
+        cursor = checkpoint.read_cursor()
+        if cursor is None:
+            raise SoakError(
+                f"no committed cursor to tear after batch {cell.batch}"
+            )
+        # Tear the newest cursor, the one a resume reads, or the newest
+        # committed state file: the journal when the last commit wrote
+        # one, else its base's first shard (a window close, the first
+        # commit, or the finish seal when the cell lands on the stream's
+        # final batch).
+        base = cursor.base_index
         if cell.site == SITE_TEAR_CURSOR:
-            torn = tear_file(checkpoint.cursor_path, keep_fraction=0.5)
+            target = checkpoint.cursor_file(cursor.commit_index)
+        elif cursor.commit_index == base:
+            target = checkpoint.shard_path(base, 0)
         else:
-            # Tear the newest committed state file: the journal when the
-            # last commit wrote one, else its base's first shard (a
-            # window close, the first commit, or the finish seal when the
-            # cell lands on the stream's final batch).
-            cursor = checkpoint.read_cursor()
-            if cursor is None:
-                raise SoakError(
-                    f"no committed cursor to tear after batch {cell.batch}"
-                )
-            base = cursor.base_index
-            if cursor.commit_index == base:
-                target = checkpoint.shard_path(base, 0)
-            else:
-                target = checkpoint.journal_path(base, cursor.commit_index)
-            torn = tear_file(target, keep_fraction=0.5)
+            target = checkpoint.journal_path(base, cursor.commit_index)
+        torn = tear_file(target, keep_fraction=0.5)
         before_invalid = self.registry.counter_value(
             obs_metrics.SERVE_CURSOR_INVALID
         )

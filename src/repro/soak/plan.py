@@ -22,8 +22,9 @@ Two plans, both immutable and validated at construction:
   ``kill_resume``           the serving process dies *between* the batch's
                             state write and its cursor commit — the
                             worst-case crash point
-  ``tear_cursor``           ``cursor.json`` is truncated mid-byte after the
-                            batch commits (external corruption)
+  ``tear_cursor``           the newest cursor (``cursor-<batch>.json``) is
+                            truncated mid-byte after the batch commits
+                            (external corruption)
   ``tear_state``            the newest committed state file (the batch's
                             journal, or its base's first shard file) is
                             truncated after the batch commits
@@ -110,8 +111,8 @@ class ChaosSchedule:
         Batches killed between state write and cursor commit; the
         harness verifies the resume reworks exactly one batch.
     torn_cursors:
-        Batches after whose commit ``cursor.json`` is torn; the harness
-        verifies the next leg falls back to the stream head.
+        Batches after whose commit the newest cursor is torn; the
+        harness verifies the next leg falls back to the stream head.
     torn_state:
         Batches after whose commit one shard state file is torn; same
         fallback contract as a torn cursor.

@@ -158,7 +158,9 @@ class TestCursorCodec:
 
 class TestCommitProtocol:
     def test_fresh_directory_loads_none(self, tmp_path):
-        assert _load(ServeCheckpoint(tmp_path / "nothing")) is None
+        checkpoint = ServeCheckpoint(tmp_path / "nothing")
+        assert checkpoint.cursor_path is None
+        assert _load(checkpoint) is None
 
     def test_commit_then_load_round_trips(self, tmp_path):
         cursor = _cursor()
@@ -336,8 +338,9 @@ class TestInvalidCursors:
         # Version 1 had no base; version 2 named a base of JSON files;
         # version 3 kept the score table as JSON in its header; version
         # 4 had no stream offset and kept journals in their header;
-        # version 5 kept the score table beside the shards.
-        for version in (1, 2, 3, 4, 5):
+        # version 5 kept the score table beside the shards; version 6
+        # replaced one cursor.json in place.
+        for version in (1, 2, 3, 4, 5, 6):
             payload = dict(current, version=version)
             if version < 5:
                 del payload["stream_offset"]
@@ -428,3 +431,138 @@ class TestInvalidCursors:
         checkpoint.cursor_path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(CursorInvalid, match="not a JSON object"):
             _load(checkpoint)
+
+
+def _cursor_names(checkpoint: ServeCheckpoint) -> list[str]:
+    return sorted(p.name for p in checkpoint.directory.glob("cursor*.json"))
+
+
+class _Crash(RuntimeError):
+    """A simulated kill inside a commit."""
+
+
+class TestCursorFiles:
+    """Every commit writes ``cursor-<commit>.json``; the newest wins."""
+
+    def test_each_commit_leaves_only_its_cursor(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        assert _cursor_names(checkpoint) == ["cursor-000005.json"]
+        assert checkpoint.cursor_path == checkpoint.cursor_file(5)
+        payload = json.loads(checkpoint.cursor_path.read_text())
+        assert payload == _cursor(commit_index=5, base_index=3).to_payload()
+        assert payload["version"] == CURSOR_VERSION == 7
+
+    def test_newest_of_two_cursors_wins_and_the_next_commit_leaves_one(
+        self, tmp_path, monkeypatch
+    ):
+        checkpoint = _write_generation(tmp_path)
+        checkpoint.write_state(6, [_entry(60), _entry(60)], base_index=3)
+
+        def crash(path, missing_ok=False):
+            raise _Crash(f"killed before removing {path.name}")
+
+        # Killed between cursor 6's rename and cursor 5's removal.
+        with monkeypatch.context() as patch:
+            patch.setattr(type(checkpoint.directory), "unlink", crash)
+            with pytest.raises(_Crash, match="cursor-000005.json"):
+                checkpoint.commit(_cursor(commit_index=6, base_index=3))
+        assert _cursor_names(checkpoint) == [
+            "cursor-000005.json",
+            "cursor-000006.json",
+        ]
+        resumed = ServeCheckpoint(checkpoint.directory)
+        loaded = _load(resumed)
+        assert loaded is not None
+        assert loaded.cursor.commit_index == 6
+        assert not loaded.orphaned_state
+        resumed.write_state(7, [_entry(70), _entry(70)], base_index=3)
+        resumed.commit(_cursor(commit_index=7, base_index=3))
+        assert _cursor_names(resumed) == ["cursor-000007.json"]
+
+    def test_cursor_named_for_another_commit_is_invalid(self, tmp_path):
+        checkpoint = _write_generation(tmp_path)
+        checkpoint.cursor_file(5).rename(checkpoint.cursor_file(9))
+        with pytest.raises(
+            CursorInvalid, match="cursor-000009.json: cursor names commit 5"
+        ):
+            _load(checkpoint)
+
+    def test_leftover_version_6_cursor_is_version_drift(self, tmp_path):
+        # Version 6 replaced one cursor.json in place.
+        checkpoint = _write_checkpoint(tmp_path, _cursor())
+        legacy = checkpoint.directory / "cursor.json"
+        checkpoint.cursor_file(3).rename(legacy)
+        payload = json.loads(legacy.read_text())
+        legacy.write_text(json.dumps(dict(payload, version=6)))
+        assert checkpoint.cursor_path == legacy
+        with pytest.raises(
+            CursorInvalid,
+            match=f"found version 6, expected version {CURSOR_VERSION}",
+        ):
+            _load(checkpoint)
+        # Even at the current version it names no commit.
+        legacy.write_text(json.dumps(payload))
+        with pytest.raises(CursorInvalid, match="cursor.json: cursor names"):
+            _load(checkpoint)
+        # Any numbered cursor is newer, and the first commit removes it.
+        checkpoint = ServeCheckpoint(checkpoint.directory)
+        checkpoint.write_state(4, [{}, {}])
+        checkpoint.commit(_cursor(commit_index=4))
+        assert _load(checkpoint).cursor.commit_index == 4
+        assert _cursor_names(checkpoint) == ["cursor-000004.json"]
+
+    def test_first_commit_removes_every_other_cursor_before_pruning(
+        self, tmp_path
+    ):
+        # What an abandoned run can leave: a newer cursor (say torn
+        # before a fallback to the stream head), the version-6 cursor,
+        # cursor temp files, and generations.
+        checkpoint = _write_generation(tmp_path)
+        directory = checkpoint.directory
+        checkpoint.cursor_file(5).rename(checkpoint.cursor_file(9))
+        tear_file(checkpoint.cursor_file(9), keep_fraction=0.5)
+        (directory / "cursor.json").write_text("{}")
+        leftovers = [".cursor-000010.json.tmp-4242", ".cursor.json.tmp-7"]
+        for name in leftovers:
+            (directory / name).write_text("{")
+        (directory / "manifest.json").write_text("{}")
+        restarted = ServeCheckpoint(directory)
+        restarted.write_state(1, [{}, {}])
+        restarted.commit(_cursor(commit_index=1))
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "cursor-000001.json",
+            "manifest.json",
+            "state-000001",
+        ]
+        assert _load(restarted).cursor.commit_index == 1
+
+    def test_journal_commit_lists_no_directory(self, tmp_path, monkeypatch):
+        import os
+
+        listed = []
+        for name in ("scandir", "listdir"):
+            original = getattr(os, name)
+
+            def recording(*args, _original=original, _name=name, **kwargs):
+                listed.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, recording)
+        checkpoint = ServeCheckpoint(tmp_path / "ckpt")
+        checkpoint.write_state(3, [{}, {}])
+        checkpoint.commit(_cursor())
+        assert listed, "the first commit sweeps the directory"
+        listed.clear()
+        for commit in (4, 5):
+            checkpoint.write_state(
+                commit, [_entry(commit), _entry(commit)], base_index=3
+            )
+            checkpoint.commit(_cursor(commit_index=commit, base_index=3))
+        assert listed == []
+        checkpoint.write_state(6, [{}, {}])
+        checkpoint.commit(_cursor(commit_index=6))
+        assert listed, "a commit that moves the base prunes"
+        assert sorted(p.name for p in checkpoint.directory.iterdir()) == [
+            "cursor-000006.json",
+            "state-000006",
+        ]

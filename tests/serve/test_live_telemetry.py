@@ -24,7 +24,7 @@ from repro.obs import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.tail import read_snapshot_stream
 from repro.runtime.faults import tear_file
-from repro.serve import StatusBoard
+from repro.serve import ServeCheckpoint, StatusBoard
 from repro.serve.loop import serve_stream
 
 BATCH = 64
@@ -198,7 +198,7 @@ class TestFlightOnCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        tear_file(ckpt / "cursor.json", keep_fraction=0.4)
+        tear_file(ServeCheckpoint(ckpt).cursor_path, keep_fraction=0.4)
         publisher, _, flight = _plane(tmp_path)
         registry = MetricsRegistry()
         with use_metrics(registry):

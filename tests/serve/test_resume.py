@@ -10,9 +10,11 @@ without double-counting.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -196,7 +198,7 @@ class TestCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        tear_file(ckpt / "cursor.json", keep_fraction=0.4)
+        tear_file(ServeCheckpoint(ckpt).cursor_path, keep_fraction=0.4)
         registry = MetricsRegistry()
         with use_metrics(registry), caplog.at_level(
             logging.WARNING, logger="repro.serve.loop"
@@ -225,7 +227,7 @@ class TestCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        base = json.loads((ckpt / "cursor.json").read_text())["base_index"]
+        base = ServeCheckpoint(ckpt).read_cursor().base_index
         state_dir = ckpt / f"state-{base:06d}"
         assert state_dir.exists(), partial
         tear_file(ServeCheckpoint(ckpt).shard_path(base, 0), keep_fraction=0.3)
@@ -247,9 +249,9 @@ class TestCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        cursor = json.loads((ckpt / "cursor.json").read_text())
-        assert cursor["base_index"] < cursor["commit_index"] == 3
-        journal = ServeCheckpoint(ckpt).journal_path(cursor["base_index"], 3)
+        cursor = ServeCheckpoint(ckpt).read_cursor()
+        assert cursor.base_index < cursor.commit_index == 3
+        journal = ServeCheckpoint(ckpt).journal_path(cursor.base_index, 3)
         tear_file(journal, keep_fraction=0.3)
         registry = MetricsRegistry()
         with use_metrics(registry), caplog.at_level(
@@ -343,10 +345,11 @@ class TestCursorFallback:
         serve_stream(
             stream_path, ckpt, config=serve_config, batch_size=BATCH, max_batches=3
         )
-        cursor = json.loads((ckpt / "cursor.json").read_text())
+        path = ServeCheckpoint(ckpt).cursor_path
+        cursor = json.loads(path.read_text())
         ends = [batch.end for batch in replay_stream(stream_path)]
         cursor["stream_offset"] = ends[ends.index(cursor["stream_offset"]) + shift]
-        (ckpt / "cursor.json").write_text(json.dumps(cursor))
+        path.write_text(json.dumps(cursor))
         with caplog.at_level(logging.WARNING, logger="repro.serve.loop"):
             result = serve_stream(
                 stream_path, ckpt, config=serve_config, batch_size=BATCH
@@ -372,11 +375,12 @@ class TestCursorFallback:
         serve_stream(
             stream_path, ckpt, config=serve_config, batch_size=BATCH, max_batches=3
         )
-        cursor = json.loads((ckpt / "cursor.json").read_text())
+        path = ServeCheckpoint(ckpt).cursor_path
+        cursor = json.loads(path.read_text())
         cursor["stream_offset"] = mangle(
             cursor["stream_offset"], stream_path.stat().st_size
         )
-        (ckpt / "cursor.json").write_text(json.dumps(cursor))
+        path.write_text(json.dumps(cursor))
         registry = MetricsRegistry()
         with use_metrics(registry), caplog.at_level(
             logging.WARNING, logger="repro.serve.loop"
@@ -406,11 +410,12 @@ class TestCursorFallback:
                 batch_size=BATCH,
                 max_batches=3,
             )
-            cursor = json.loads((ckpt / "cursor.json").read_text())
+            path = ServeCheckpoint(ckpt).cursor_path
+            cursor = json.loads(path.read_text())
             cursor["version"] = version
             if version == 1:
                 del cursor["base_index"]
-            (ckpt / "cursor.json").write_text(json.dumps(cursor))
+            path.write_text(json.dumps(cursor))
             caplog.clear()
             registry = MetricsRegistry()
             with use_metrics(registry), caplog.at_level(
@@ -451,6 +456,149 @@ class TestCursorFallback:
             )
         assert not result.resumed
         assert result.finished
+
+
+def _cursor_files(ckpt: Path) -> list[str]:
+    return sorted(p.name for p in ckpt.glob("cursor*.json"))
+
+
+def _generations(ckpt: Path) -> list[str]:
+    return sorted(p.name for p in ckpt.glob("state-*"))
+
+
+class TestCursorFiles:
+    """Each commit writes ``cursor-<commit>.json`` and removes its
+    predecessor; a run's first commit sweeps every other cursor."""
+
+    @pytest.fixture()
+    def serve(self, stream_path, serve_config, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        return ckpt, functools.partial(
+            serve_stream, stream_path, ckpt, config=serve_config, batch_size=BATCH
+        )
+
+    def test_torn_newest_cursor_falls_back_then_the_next_leg_resumes(
+        self, serve, offline_reference
+    ):
+        ckpt, run = serve
+        run(max_batches=6)
+        newest = ServeCheckpoint(ckpt).cursor_path
+        assert newest.name == "cursor-000006.json"
+        tear_file(newest, keep_fraction=0.4)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            fallback = run(max_batches=2)
+            assert not fallback.resumed
+            assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+            # The fallback's first commit removed the torn cursor.
+            assert _cursor_files(ckpt) == ["cursor-000002.json"]
+            assert len(_generations(ckpt)) == 1
+            resumed = run(max_batches=1)
+        assert resumed.resumed and not resumed.batches_reworked
+        assert resumed.counters.checkpointed == 3
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        assert _cursor_files(ckpt) == ["cursor-000003.json"]
+        assert len(_generations(ckpt)) == 1
+        finished = run()
+        assert finished.resumed and finished.finished
+        assert finished.fingerprint() == offline_reference.fingerprint()
+
+    def test_cursor_named_for_another_commit_restarts_from_head(
+        self, serve, offline_reference, caplog
+    ):
+        ckpt, run = serve
+        run(max_batches=3)
+        checkpoint = ServeCheckpoint(ckpt)
+        checkpoint.cursor_file(3).rename(checkpoint.cursor_file(4))
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = run()
+        assert not result.resumed
+        assert result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert any("cursor names commit 3" in r.message for r in caplog.records)
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        assert _cursor_files(ckpt) == [checkpoint.cursor_path.name]
+        assert checkpoint.read_cursor().finished
+
+    def test_leftover_version_6_cursor_restarts_from_head_and_is_removed(
+        self, serve, caplog
+    ):
+        # Version 6 replaced one cursor.json in place.
+        ckpt, run = serve
+        run(max_batches=3)
+        newest = ServeCheckpoint(ckpt).cursor_path
+        cursor = json.loads(newest.read_text())
+        newest.unlink()
+        (ckpt / "cursor.json").write_text(json.dumps(dict(cursor, version=6)))
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = run(max_batches=1)
+        assert not result.resumed
+        assert any(
+            "version drift: found version 6" in r.message for r in caplog.records
+        )
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        assert _cursor_files(ckpt) == ["cursor-000001.json"]
+
+    def test_one_cursor_and_one_generation_after_every_commit(
+        self, serve, offline_reference, monkeypatch
+    ):
+        ckpt, run = serve
+        seen = []
+        commit = ServeCheckpoint.commit
+
+        def checked_commit(self, cursor):
+            path = commit(self, cursor)
+            seen.append(
+                (
+                    cursor.commit_index,
+                    _cursor_files(ckpt),
+                    _generations(ckpt),
+                )
+            )
+            return path
+
+        monkeypatch.setattr(ServeCheckpoint, "commit", checked_commit)
+        run(max_batches=3)
+        # Killed between commit 5's state write and its cursor.
+        hook, _ = _crash_on(2)
+        with pytest.raises(_Boom):
+            run(on_state_written=hook)
+        result = run()
+        assert result.batches_reworked == 1
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert [commit for commit, _, _ in seen] == list(
+            range(1, result.counters.checkpointed + 2)
+        )
+        for commit_index, cursors, generations in seen:
+            assert cursors == [f"cursor-{commit_index:06d}.json"], commit_index
+            assert len(generations) == 1, (commit_index, generations)
+
+    def test_fresh_run_replaces_no_existing_file(
+        self, serve, offline_reference, monkeypatch
+    ):
+        import os
+
+        ckpt, run = serve
+        renames = []
+        replace = os.replace
+
+        def recording_replace(src, dst, *args, **kwargs):
+            renames.append((Path(dst), Path(dst).exists()))
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        result = run()
+        assert result.fingerprint() == offline_reference.fingerprint()
+        under = [(dst, existed) for dst, existed in renames if ckpt in dst.parents]
+        # Each commit renames its state and its cursor into place.
+        assert len(under) >= 2 * (result.counters.checkpointed + 1)
+        assert [dst for dst, existed in under if existed] == []
 
 
 class TestFaultyWorkers:

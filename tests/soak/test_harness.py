@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, use_metrics
 from repro.obs import metrics as obs_metrics
+from repro.serve import ServeCheckpoint
 from repro.soak import (
     ChaosSchedule,
     SoakPlan,
@@ -239,7 +240,7 @@ class TestSerialChaos:
             config=soak_config,
             keep_checkpoints=True,
         )
-        assert (tmp_path / "soak" / "loop-000" / "cursor.json").exists()
+        assert ServeCheckpoint(tmp_path / "soak" / "loop-000").cursor_path.exists()
         assert report.passed
         # And without the flag the scratch dirs are pruned.
         report2 = run_soak(

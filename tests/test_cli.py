@@ -173,6 +173,21 @@ class TestCommands:
         assert payload["results"][0]["customers"] == 8
         assert payload["results"][0]["fit_seconds"] > 0
 
+    def test_bench_json_keeps_the_slab_grid_block(self, tmp_path):
+        import json
+
+        # bench_slab_grid.py merges its block into the same artifact.
+        out = tmp_path / "BENCH_scaling.json"
+        slab_grid = {"scenario": "slab_grid", "cells": [{"customers": 1000}]}
+        out.write_text(json.dumps({"slab_grid": slab_grid}))
+        assert main(
+            [*ARGS, "bench", "--sizes", "4", "--repeat", "1", "--json", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["slab_grid"] == slab_grid
+        assert payload["benchmark"] == "stability_fit_scaling"
+        assert payload["results"][0]["customers"] == 8
+
     def test_bench_single_backend(self, capsys):
         # The bench times the one kernel: a fit-time column, no
         # per-backend columns and no speedup ratio.
