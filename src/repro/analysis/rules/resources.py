@@ -1,14 +1,15 @@
 """RES001 — resources in serve/obs/soak are released on every path.
 
 The serving loop, telemetry plane and soak harness are the long-lived
-parts of the stack: a file handle, socket, mmap or HTTP server leaked
-on an exception path accumulates across batches/legs until the process
-dies of fd exhaustion — precisely the slow failure the chaos harness
-(DESIGN.md §11) exists to rule out.
+parts of the stack: a file handle, socket, mmap, HTTP server or thread
+leaked on an exception path accumulates across batches/legs until the
+process dies of fd exhaustion — precisely the slow failure the chaos
+harness (DESIGN.md §11) exists to rule out.  A thread left running also
+outlives the call that started it, into the next leg or a fork.
 
 A resource acquisition (``open``, ``socket.socket``, ``mmap.mmap``,
-``ThreadingHTTPServer`` / ``StatusServer``) is considered *managed*
-when:
+``ThreadingHTTPServer`` / ``StatusServer``, ``threading.Thread``) is
+considered *managed* when:
 
 * it is a ``with`` item (directly or wrapped, e.g.
   ``contextlib.closing(...)`` or ``stack.enter_context(...)``);
@@ -48,6 +49,7 @@ _ACQUIRERS = {
     "memmap": "memmap handle",
     "ThreadingHTTPServer": "HTTP server",
     "StatusServer": "status server",
+    "Thread": "thread",
 }
 
 _RELEASERS = frozenset(
@@ -98,9 +100,10 @@ class ResourceDiscipline(ProjectRule):
 
     rule_id = "RES001"
     summary = (
-        "file/socket/mmap/server handles in serve, obs and soak are "
-        "released on every exception path (with-statement, self-owned, "
-        "or a finally block) — long-lived loops must not leak fds"
+        "file/socket/mmap/server handles and threads in serve, obs and "
+        "soak are released on every exception path (with-statement, "
+        "self-owned, or a finally block) — long-lived loops must not "
+        "leak fds or threads"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:

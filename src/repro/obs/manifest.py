@@ -190,6 +190,9 @@ def write_manifest(directory: str | Path, manifest: RunManifest) -> Path:
 
     ``directory`` may also be a full file path; either way the write is
     temp-then-rename so a kill mid-write never leaves a torn manifest.
+    A manifest already there is removed first, so the rename lands on a
+    free name (a rename over an existing file costs tens of times more,
+    DESIGN.md §10.2): the file is whole or absent, never torn.
     """
     target = Path(directory)
     if target.suffix != ".json":
@@ -197,6 +200,7 @@ def write_manifest(directory: str | Path, manifest: RunManifest) -> Path:
         target = target / MANIFEST_NAME
     else:
         target.parent.mkdir(parents=True, exist_ok=True)
+    target.unlink(missing_ok=True)
     return atomic_write_json(target, manifest.to_dict(), indent=2)
 
 

@@ -50,11 +50,14 @@ rework in telemetry.
 
 A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
-and the shard count are all pinned inside it.  Any mismatch — or a
-torn/corrupt cursor, one whose file name is not its commit's (a
-leftover version-6 ``cursor.json`` among them), a torn, missing,
-altered (checksum mismatch) or misnumbered state file, or a malformed
-journal — raises
+and the shard count are all pinned inside it.  :meth:`ServeCheckpoint.load`
+checks the config and the shard count; the stream's digest is the
+loop's to compute, so it checks the stream pin itself
+(:meth:`ServeCursor.check_stream`) once the digest is ready.  Any
+mismatch — or a torn/corrupt cursor, one whose file name is not its
+commit's (a leftover version-6 ``cursor.json`` among them), a torn,
+missing, altered (checksum mismatch) or misnumbered state file, or a
+malformed journal — raises
 :class:`CursorInvalid`, and
 the loop falls back to restarting from the stream head (Snippet-2
 semantics: the fresh shards re-derive every score and alarm, warning
@@ -224,6 +227,22 @@ class ServeCursor:
                 f"[0, commit {cursor.commit_index}]"
             )
         return cursor
+
+    def check_stream(self, stream_fingerprint: str) -> None:
+        """Check that the cursor was recorded over the stream whose
+        :func:`~repro.synth.stream.stream_fingerprint` is given.
+
+        Raises
+        ------
+        CursorInvalid
+            Naming both fingerprints, if they differ.
+        """
+        if self.stream_fingerprint != stream_fingerprint:
+            raise CursorInvalid(
+                f"cursor was recorded over stream "
+                f"{self.stream_fingerprint}, resuming over "
+                f"{stream_fingerprint}"
+            )
 
 
 @dataclass(frozen=True)
@@ -503,35 +522,29 @@ class ServeCheckpoint:
 
     def load(
         self,
+        cursor: ServeCursor,
         *,
-        stream_fingerprint: str,
         serve_fingerprint: str,
         n_shards: int,
-    ) -> LoadedCheckpoint | None:
-        """Read the committed checkpoint back for a resume: decode the
-        cursor's base, then read and check its journals in commit order.
+    ) -> LoadedCheckpoint:
+        """Read the state of ``cursor`` — the committed cursor
+        :meth:`read_cursor` returned — back for a resume: check the
+        cursor against the run being resumed, decode its base, then read
+        and check its journals in commit order.
 
-        Returns ``None`` when no cursor exists (a fresh start, not an
-        error).
+        The cursor's stream fingerprint is not checked here: the caller
+        compares it with the stream's digest
+        (:meth:`ServeCursor.check_stream`) before it replays anything,
+        so the digest can be computed while the state is read.
 
         Raises
         ------
         CursorInvalid
             If the cursor or its referenced state cannot be trusted:
             torn, altered or missing files, a journal missing from the
-            generation or naming another commit, schema or version
-            drift, or a stream/config/shard mismatch with the run being
-            resumed.
+            generation or naming another commit, or a config or shard
+            mismatch with the run being resumed.
         """
-        cursor = self.read_cursor()
-        if cursor is None:
-            return None
-        if cursor.stream_fingerprint != stream_fingerprint:
-            raise CursorInvalid(
-                f"cursor was recorded over stream "
-                f"{cursor.stream_fingerprint}, resuming over "
-                f"{stream_fingerprint}"
-            )
         if cursor.serve_fingerprint != serve_fingerprint:
             raise CursorInvalid(
                 f"cursor was recorded under serving config "

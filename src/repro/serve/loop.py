@@ -29,6 +29,14 @@ cost of a commit follows the batch, not the population.  The FeedForward streami
   ``serve.cursor_invalid`` and restarts from the stream head with fresh
   shards, which re-derive every score and alarm.
 
+A cursor is pinned to the stream's content digest
+(:func:`~repro.synth.stream.stream_fingerprint`, SHA-1 of every byte).
+A fresh start hashes the stream before it serves.  A resume hashes it on
+a second thread while this one reads the checkpoint back, restores the
+shards and checks the resume offset (``hashlib`` releases the GIL while
+it hashes), then joins the thread — on every path out of the resume —
+and compares the digest with the cursor's before it replays any batch.
+
 The headline invariant — pinned by the parity tests and checkable via
 :func:`score_fingerprint` — is that serving a recorded stream to
 completion is **bit-identical** to :func:`offline_sweep` (one
@@ -45,6 +53,7 @@ import json
 import logging
 import math
 from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -61,6 +70,7 @@ from repro.serve.checkpoint import (
     ServeCursor,
 )
 from repro.serve.pool import ShardedMonitorPool
+from repro.synth import stream as synth_stream
 from repro.synth.stream import (
     check_replay_start,
     read_stream_header,
@@ -356,7 +366,6 @@ def serve_stream(
     config = config if config is not None else ExperimentConfig()
     header = read_stream_header(stream)
     calendar = stream_calendar(header)
-    stream_fp = stream_fingerprint(stream)
     serve_fp = config_fingerprint(
         {
             **dataclasses.asdict(config),
@@ -392,31 +401,46 @@ def serve_stream(
     # Resume (or fall back to the stream head on an invalid cursor).
     # ------------------------------------------------------------------
     loaded = None
+    #: The stream digest the resume computed (None: it computed none).
+    resume_fp: str | None = None
     try:
-        loaded = checkpoint.load(
-            stream_fingerprint=stream_fp,
-            serve_fingerprint=serve_fp,
-            n_shards=n_shards,
-        )
-        if loaded is not None:
-            pool = ShardedMonitorPool.from_snapshots(
-                loaded.shard_payloads,
-                loaded.shard_journals,
-                parallel=parallel,
-                retries=retries,
-                timeout=timeout,
-                fault_plan=fault_plan,
-            )
-            # The shards are aligned, so one clock: the day of the line
-            # that ends at the cursor's offset.
-            try:
-                check_replay_start(
-                    stream,
-                    loaded.cursor.stream_offset,
-                    last_day=pool.monitors[0].last_day_seen,
-                )
-            except ConfigError as exc:
-                raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
+        cursor = checkpoint.read_cursor()
+        if cursor is not None:
+            # Hash the stream on a second thread while this one reads
+            # the state back; leaving the with-block joins the thread.
+            # It calls stream_fingerprint through repro.synth.stream,
+            # never this module's binding, which a layer tracer wraps
+            # with spans on one stack.
+            with ThreadPoolExecutor(1, "repro-stream-digest") as hasher:
+                digest = hasher.submit(synth_stream.stream_fingerprint, stream)
+                try:
+                    loaded = checkpoint.load(
+                        cursor, serve_fingerprint=serve_fp, n_shards=n_shards
+                    )
+                    pool = ShardedMonitorPool.from_snapshots(
+                        loaded.shard_payloads,
+                        loaded.shard_journals,
+                        parallel=parallel,
+                        retries=retries,
+                        timeout=timeout,
+                        fault_plan=fault_plan,
+                    )
+                    # The shards are aligned, so one clock: the day of
+                    # the line that ends at the cursor's offset.
+                    try:
+                        check_replay_start(
+                            stream,
+                            cursor.stream_offset,
+                            last_day=pool.monitors[0].last_day_seen,
+                        )
+                    except ConfigError as exc:
+                        raise CursorInvalid(
+                            f"cursor stream_offset: {exc}"
+                        ) from exc
+                finally:
+                    # A hashing error wins over a state error.
+                    resume_fp = digest.result()
+            cursor.check_stream(resume_fp)
     except (CursorInvalid, SnapshotError) as exc:
         logger.warning(
             "cursor invalid on resume, restarting from stream head: %s", exc
@@ -429,6 +453,9 @@ def serve_stream(
             publisher.trigger_flight("cursor_invalid", commit_index=0)
         loaded = None
         pool = None
+    # A fresh start (or an unreadable cursor) has nothing to overlap
+    # the digest with.
+    stream_fp = resume_fp if resume_fp is not None else stream_fingerprint(stream)
     if loaded is not None and pool is not None:
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)

@@ -1,6 +1,7 @@
 """Serving-layer code with every handle released on all paths."""
 
 import socket
+import threading
 from contextlib import closing
 
 
@@ -46,3 +47,13 @@ def serve_once(host, port):
         return repr(server)
     finally:
         server.stop()
+
+
+def hash_in_background(digest, path):
+    # Bound name joined in a finally block.
+    worker = threading.Thread(target=digest.update, args=(path,))
+    worker.start()
+    try:
+        return digest.result()
+    finally:
+        worker.join()

@@ -138,7 +138,8 @@ def test_res001_fires_on_leaky_handles():
     findings = lint_fixture("res_fire", "RES001")
     assert all(f.rule == "RES001" for f in findings)
     lines = fired_lines(findings, "stream.py")
-    assert len(lines) == 2  # the open() and the socket()
+    assert len(lines) == 3  # the open(), the socket() and the Thread()
+    assert any("acquires a thread" in f.message for f in findings)
 
 
 def test_res001_silent_on_managed_forms():

@@ -108,11 +108,14 @@ def _write_generation(tmp_path) -> ServeCheckpoint:
 
 
 def _load(checkpoint: ServeCheckpoint, **overrides):
-    kwargs = dict(
-        stream_fingerprint="aaaa", serve_fingerprint="bbbb", n_shards=2
-    )
+    """What a resume reads: the newest cursor (``None``: a fresh
+    start), then that cursor's state."""
+    cursor = checkpoint.read_cursor()
+    if cursor is None:
+        return None
+    kwargs = dict(serve_fingerprint="bbbb", n_shards=2)
     kwargs.update(overrides)
-    return checkpoint.load(**kwargs)
+    return checkpoint.load(cursor, **kwargs)
 
 
 def _state(pool: ShardedMonitorPool) -> list[bytes]:
@@ -306,9 +309,15 @@ class TestInvalidCursors:
             _load(checkpoint)
 
     def test_stream_mismatch(self, tmp_path):
+        # load() leaves the stream pin to the loop, which compares the
+        # cursor with the stream's digest once the digest is ready.
         checkpoint = _write_checkpoint(tmp_path, _cursor())
-        with pytest.raises(CursorInvalid, match="recorded over stream"):
-            _load(checkpoint, stream_fingerprint="zzzz")
+        cursor = _load(checkpoint).cursor
+        cursor.check_stream("aaaa")
+        with pytest.raises(
+            CursorInvalid, match="recorded over stream aaaa, resuming over zzzz"
+        ):
+            cursor.check_stream("zzzz")
 
     def test_config_mismatch(self, tmp_path):
         checkpoint = _write_checkpoint(tmp_path, _cursor())

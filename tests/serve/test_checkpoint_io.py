@@ -98,9 +98,7 @@ class TestRetryBudget:
         payload = json.loads(checkpoint.cursor_path.read_text())
         assert payload["commit_index"] == 1
         loaded = checkpoint.load(
-            stream_fingerprint="stream-fp",
-            serve_fingerprint="serve-fp",
-            n_shards=1,
+            checkpoint.read_cursor(), serve_fingerprint="serve-fp", n_shards=1
         )
         assert loaded is not None
         assert loaded.cursor.commit_index == 1

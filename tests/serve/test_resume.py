@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import shutil
 import struct
+import threading
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ from repro.serve import (
     offline_sweep_stream,
     serve_stream,
 )
+from repro.synth import stream as synth_stream
 from repro.synth.scenarios import paper_scenario
 from repro.synth.stream import (
     read_stream_header,
@@ -435,6 +438,53 @@ class TestCursorFallback:
                 registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
             )
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("where", ["consumed", "unconsumed"])
+    def test_changed_stream_restarts_from_head(
+        self,
+        stream_path,
+        serve_config,
+        offline_reference,
+        tmp_path,
+        caplog,
+        where,
+        n_shards,
+    ):
+        # One byte of one day line changes after a commit and the line
+        # stays valid, so only the stream digest can tell: inside the
+        # prefix the cursor consumed, or past its offset.
+        stream = tmp_path / "stream.jsonl"
+        shutil.copyfile(stream_path, stream)
+        ckpt = tmp_path / "ckpt"
+        run = functools.partial(
+            serve_stream,
+            stream,
+            ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+            n_shards=n_shards,
+        )
+        run(max_batches=3)
+        days = list(replay_stream(stream))
+        consumed = [day.end for day in days].index(
+            ServeCheckpoint(ckpt).read_cursor().stream_offset
+        ) + 1
+        changed_day = consumed // 2 if where == "consumed" else consumed + 1
+        _move_first_basket(stream, days, changed_day)
+        changed = offline_sweep_stream(stream, config=serve_config)
+        if where == "consumed":
+            assert changed.fingerprint() != offline_reference.fingerprint()
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = run()
+        assert not result.resumed
+        assert result.finished
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        assert any("recorded over stream" in r.message for r in caplog.records)
+        assert result.fingerprint() == changed.fingerprint()
+
     def test_changed_config_restarts_from_head(
         self, stream_path, serve_config, tmp_path, caplog
     ):
@@ -456,6 +506,21 @@ class TestCursorFallback:
             )
         assert not result.resumed
         assert result.finished
+
+
+def _move_first_basket(stream: Path, days: list, index: int) -> None:
+    """Give day line ``index``'s first basket to another customer, in
+    place: the customer id's last digit changes, one byte, and the line
+    stays valid."""
+    data = bytearray(stream.read_bytes())
+    start = days[index - 1].end if index else data.index(b"\n") + 1
+    # A day line reads {"baskets": [[customer, [item, ...], amount], ...
+    position = data.index(b"[[", start) + 2
+    while chr(data[position + 1]).isdigit():
+        position += 1
+    assert position < days[index].end
+    data[position] = ord("0") + (data[position] - ord("0") + 1) % 10
+    stream.write_bytes(bytes(data))
 
 
 def _cursor_files(ckpt: Path) -> list[str]:
@@ -580,7 +645,7 @@ class TestCursorFiles:
             assert len(generations) == 1, (commit_index, generations)
 
     def test_fresh_run_replaces_no_existing_file(
-        self, serve, offline_reference, monkeypatch
+        self, serve, stream_path, serve_config, offline_reference, monkeypatch
     ):
         import os
 
@@ -599,6 +664,158 @@ class TestCursorFiles:
         # Each commit renames its state and its cursor into place.
         assert len(under) >= 2 * (result.counters.checkpointed + 1)
         assert [dst for dst, existed in under if existed] == []
+
+        # A resumed leg lands on free names too, its manifest included,
+        # though the leg before it left one.
+        resumed_ckpt = ckpt.parent / "resumed"
+        resume = functools.partial(
+            serve_stream,
+            stream_path,
+            resumed_ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+        )
+        resume(max_batches=3)
+        assert (resumed_ckpt / "manifest.json").exists()
+        renames.clear()
+        resumed = resume()
+        assert resumed.resumed and resumed.finished
+        assert resumed.fingerprint() == offline_reference.fingerprint()
+        under = [dst for dst, _ in renames if resumed_ckpt in dst.parents]
+        assert resumed_ckpt / "manifest.json" in under
+        assert [dst for dst, existed in renames if existed] == []
+
+
+class TestStreamDigest:
+    """A resume hashes the stream on a second thread while it reads the
+    checkpoint back, and joins it before it replays anything."""
+
+    @pytest.fixture()
+    def partial(self, stream_path, serve_config, tmp_path):
+        """A two-shard checkpoint three batches in, and its next leg."""
+        ckpt = tmp_path / "ckpt"
+        run = functools.partial(
+            serve_stream,
+            stream_path,
+            ckpt,
+            config=serve_config,
+            batch_size=BATCH,
+            n_shards=2,
+        )
+        run(max_batches=3)
+        return ckpt, run
+
+    @staticmethod
+    def _tear_base(ckpt: Path) -> None:
+        checkpoint = ServeCheckpoint(ckpt)
+        base = checkpoint.read_cursor().base_index
+        tear_file(checkpoint.shard_path(base, 0), keep_fraction=0.3)
+
+    @pytest.mark.parametrize("leg", ["resume", "fallback", "finished", "crash"])
+    def test_no_thread_outlives_the_call(self, partial, leg):
+        ckpt, run = partial
+        if leg == "fallback":
+            self._tear_base(ckpt)
+        elif leg == "finished":
+            run()
+        before = threading.active_count()
+        if leg == "crash":
+            hook, seen = _crash_on(1)
+            with pytest.raises(_Boom):
+                run(on_state_written=hook)
+            assert seen["n"] == 1
+        else:
+            result = run(max_batches=2)
+            assert result.resumed == (leg != "fallback")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_digest_finishes_before_the_first_batch(
+        self, partial, offline_reference, monkeypatch, parallel
+    ):
+        ckpt, run = partial
+        caller = threading.get_ident()
+        events = []
+        fingerprint = synth_stream.stream_fingerprint
+
+        def recording_fingerprint(path):
+            digest = fingerprint(path)
+            events.append(("digest", threading.get_ident()))
+            return digest
+
+        process_batch = ShardedMonitorPool.process_batch
+
+        def recording_process_batch(self, batches):
+            alive = [t.name for t in threading.enumerate()]
+            digesting = any(n.startswith("repro-stream-digest") for n in alive)
+            events.append(("batch", digesting))
+            return process_batch(self, batches)
+
+        monkeypatch.setattr(synth_stream, "stream_fingerprint", recording_fingerprint)
+        monkeypatch.setattr(
+            ShardedMonitorPool, "process_batch", recording_process_batch
+        )
+        result = run(parallel=parallel)
+        assert result.resumed and result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        (kind, thread), *batches = events
+        assert kind == "digest" and thread != caller
+        assert batches and batches == [("batch", False)] * len(batches)
+
+    @pytest.mark.parametrize("leg", ["fresh", "resume", "torn-state"])
+    def test_a_hashing_error_propagates(self, partial, monkeypatch, leg):
+        import repro.serve.loop as loop
+
+        ckpt, run = partial
+
+        def failing(path):
+            raise OSError(5, "Input/output error", str(path))
+
+        if leg == "fresh":
+            shutil.rmtree(ckpt)
+        elif leg == "torn-state":
+            # The state fails first, but the stream cannot be read:
+            # that is no cursor fallback.
+            self._tear_base(ckpt)
+        monkeypatch.setattr(loop, "stream_fingerprint", failing)
+        monkeypatch.setattr(synth_stream, "stream_fingerprint", failing)
+        before = threading.active_count()
+        registry = MetricsRegistry()
+        with use_metrics(registry), pytest.raises(OSError, match="Input/output"):
+            run()
+        assert threading.active_count() == before
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 0
+
+    def test_the_loop_binding_runs_on_the_calling_thread_only(
+        self, partial, offline_reference, monkeypatch
+    ):
+        # A layer tracer wraps repro.serve.loop.stream_fingerprint with
+        # spans on one stack, so only the calling thread may call it: a
+        # fresh start and an unreadable cursor hash inline, and a resume
+        # (also one that falls back) through repro.synth.stream.
+        import repro.serve.loop as loop
+
+        ckpt, run = partial
+        caller = threading.get_ident()
+        threads = []
+        fingerprint = loop.stream_fingerprint
+
+        def recording(path):
+            threads.append(threading.get_ident())
+            return fingerprint(path)
+
+        monkeypatch.setattr(loop, "stream_fingerprint", recording)
+        assert run(max_batches=1).resumed
+        self._tear_base(ckpt)
+        assert not run(max_batches=1).resumed
+        assert threads == []
+        tear_file(ServeCheckpoint(ckpt).cursor_path, keep_fraction=0.4)
+        assert not run(max_batches=1).resumed
+        shutil.rmtree(ckpt)
+        result = run()
+        assert not result.resumed
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert threads == [caller, caller]
 
 
 class TestFaultyWorkers:
@@ -700,9 +917,7 @@ class TestResumeAtEveryCommit:
         def observe() -> None:
             cursor = ckpt.read_cursor()
             loaded = ckpt.load(
-                stream_fingerprint=cursor.stream_fingerprint,
-                serve_fingerprint=cursor.serve_fingerprint,
-                n_shards=n_shards,
+                cursor, serve_fingerprint=cursor.serve_fingerprint, n_shards=n_shards
             )
             pool = ShardedMonitorPool.from_snapshots(
                 loaded.shard_payloads, loaded.shard_journals
