@@ -1,7 +1,7 @@
 # Developer entry points. The offline environment lacks the `wheel`
 # package, so `install` uses the legacy setuptools path.
 
-.PHONY: install test test-faults lint typecheck trace-demo serve-demo soak-smoke bench bench-pytest bench-slab-smoke bench-serve-scaling examples figures all clean
+.PHONY: install test test-faults lint typecheck loc trace-demo serve-demo soak-smoke bench bench-pytest bench-slab-smoke bench-serve-scaling examples figures all clean
 
 install:
 	python setup.py develop
@@ -16,6 +16,11 @@ test:
 # non-zero on any finding not grandfathered in lint-baseline.json.
 lint:
 	PYTHONPATH=src python -m repro.analysis
+
+# Lines of Python under src/repro: the count ROADMAP.md and CHANGES.md
+# quote, so every change measures it the same way.
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l
 
 # Gradual strict typing gate over the fully annotated packages
 # (configured under [tool.mypy] in pyproject.toml).  Requires mypy;

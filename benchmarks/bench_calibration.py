@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import save_artifact
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.eval.protocol import EvaluationProtocol
 from repro.eval.reporting import format_table
@@ -25,9 +26,9 @@ EVAL_MONTH = 22
 def _scores(dataset):
     protocol = EvaluationProtocol(dataset.bundle)
     fit_ids, eval_ids = protocol.train_test_split(seed=0)
-    model = StabilityModel(dataset.calendar, window_months=2).fit(
-        dataset.log, fit_ids + eval_ids
-    )
+    model = StabilityModel(
+        dataset.calendar, config=ExperimentConfig(window_months=2)
+    ).fit(dataset.log, fit_ids + eval_ids)
     window = next(
         k for k in range(model.n_windows) if model.window_month(k) == EVAL_MONTH
     )

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from benchmarks.conftest import save_artifact
 from repro.core.characterization import profile_population
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.eval.reporting import format_table
 
 
 def _profiles(dataset):
-    model = StabilityModel(dataset.calendar, window_months=2).fit(dataset.log)
+    model = StabilityModel(
+        dataset.calendar, config=ExperimentConfig(window_months=2)
+    ).fit(dataset.log)
     loyal = profile_population(
         (model.trajectory(c) for c in sorted(dataset.cohorts.loyal)),
         min_share=0.03,

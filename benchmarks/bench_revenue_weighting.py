@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import save_artifact
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.eval.reporting import format_table
 from repro.ml.metrics import auroc
@@ -25,7 +26,9 @@ BUDGET = 0.10
 def _evaluate(dataset, item_weights):
     customers = dataset.cohorts.all_customers()
     model = StabilityModel(
-        dataset.calendar, window_months=2, alpha=2.0, item_weights=item_weights
+        dataset.calendar,
+        item_weights=item_weights,
+        config=ExperimentConfig(window_months=2, alpha=2.0),
     ).fit(dataset.log, customers)
     y = dataset.cohorts.label_vector(customers)
 

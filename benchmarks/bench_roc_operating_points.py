@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import save_artifact
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.eval.reporting import format_table
 from repro.ml.bootstrap import bootstrap_auroc_ci
@@ -24,9 +25,9 @@ EVAL_MONTH = 20
 
 def _stability_scores(dataset):
     customers = dataset.cohorts.all_customers()
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0).fit(
-        dataset.log, customers
-    )
+    model = StabilityModel(
+        dataset.calendar, config=ExperimentConfig(window_months=2, alpha=2.0)
+    ).fit(dataset.log, customers)
     window = next(
         k for k in range(model.n_windows) if model.window_month(k) == EVAL_MONTH
     )

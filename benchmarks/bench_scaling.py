@@ -33,8 +33,8 @@ SEED = 13
 
 
 def _fit_stability(dataset):
-    model = StabilityModel.from_config(
-        dataset.calendar, ExperimentConfig(window_months=2, alpha=2.0)
+    model = StabilityModel(
+        dataset.calendar, config=ExperimentConfig(window_months=2, alpha=2.0)
     )
     model.fit(dataset.log)
     return model

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from benchmarks.conftest import save_artifact
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.core.streaming import StabilityMonitor
 from repro.core.windowing import WindowGrid
@@ -35,9 +36,9 @@ def test_streaming_monitor(benchmark, bench_dataset, output_dir):
     )
 
     # Equivalence with the batch model on a sample of customers.
-    model = StabilityModel(bench_dataset.calendar, window_months=2).fit(
-        bench_dataset.log
-    )
+    model = StabilityModel(
+        bench_dataset.calendar, config=ExperimentConfig(window_months=2)
+    ).fit(bench_dataset.log)
     by_window = {r.window_index: r for r in reports}
     checked = 0
     for customer in bench_dataset.log.customers()[::25]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.data.io import iter_log_csv, write_log_csv
 from repro.data.quality import profile_log, render_quality_report
 from repro.data.slabs import build_slab_store, chunks_from_baskets
@@ -43,10 +43,11 @@ def main() -> None:
         # --- 2. receipt CSV -> slab store -> batch fit ----------------------
         export = workdir / "receipts.csv"
         write_log_csv(dataset.log, export)
-        model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+        config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+        model = StabilityModel(dataset.calendar, config=config)
         store = build_slab_store(
             chunks_from_baskets(iter_log_csv(export), chunk_baskets=1024),
-            model.config.grid(dataset.calendar),
+            config.grid(dataset.calendar),
             workdir / "slabs",
             fingerprint=dataset.bundle.fingerprint(),
             customers_per_shard=16,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.eval import EvaluationProtocol
 from repro.eval.reporting import format_table
 from repro.ml.calibration import (
@@ -31,7 +31,8 @@ def main() -> None:
     protocol = EvaluationProtocol(dataset.bundle)
     fit_ids, eval_ids = protocol.train_test_split(seed=1)
 
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
     window = next(
         k for k in range(model.n_windows) if model.window_month(k) == EVAL_MONTH

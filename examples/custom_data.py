@@ -18,7 +18,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import ScenarioConfig, StabilityModel, generate_dataset
+from repro import ExperimentConfig, ScenarioConfig, StabilityModel, generate_dataset
 from repro.data import Taxonomy
 from repro.data.io import (
     read_catalog_jsonl,
@@ -69,7 +69,8 @@ def main() -> None:
     )
 
     # --- 4. fit and inspect ----------------------------------------------
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(segment_log)
     customer = segment_log.customers()[0]
     trajectory = model.trajectory(customer)

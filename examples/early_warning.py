@@ -12,7 +12,7 @@ happened afterwards.
 
 from __future__ import annotations
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.core.trend import forecast_stability, rank_by_risk
 from repro.eval.reporting import format_table
 
@@ -23,7 +23,8 @@ CALL_LIST_SIZE = 12
 
 def main() -> None:
     dataset = paper_scenario(n_loyal=50, n_churners=50, seed=19)
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
 
     decision_window = next(

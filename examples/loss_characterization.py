@@ -12,14 +12,15 @@ management view of churn.
 
 from __future__ import annotations
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.core.characterization import profile_population
 from repro.eval.reporting import format_table
 
 
 def main() -> None:
     dataset = paper_scenario(n_loyal=50, n_churners=50, seed=27)
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
 
     cohorts = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro import StabilityModel, ThresholdDetector, paper_scenario
+from repro import ExperimentConfig, StabilityModel, ThresholdDetector, paper_scenario
 
 BETA = 0.75
 BURN_IN_MONTH = 12
@@ -22,7 +22,8 @@ TOP_LOST_SEGMENTS = 5
 
 def main() -> None:
     dataset = paper_scenario(n_loyal=50, n_churners=50, seed=17)
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
     detector = ThresholdDetector(beta=BETA)
 

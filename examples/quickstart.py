@@ -7,7 +7,7 @@ Runs in a few seconds:
 
 from __future__ import annotations
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 
 
 def main() -> None:
@@ -21,7 +21,8 @@ def main() -> None:
     )
 
     # 2. The paper's model: 2-month windows, alpha = 2.
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
 
     # 3. Score everyone at the window ending at month 22 (after the onset).

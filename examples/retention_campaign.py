@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.ml.metrics import lift_at_fraction
 
 CAMPAIGN_FRACTION = 0.15
@@ -27,7 +27,8 @@ TOP_SEGMENTS_PER_OFFER = 3
 
 def main() -> None:
     dataset = paper_scenario(n_loyal=60, n_churners=60, seed=9)
-    model = StabilityModel(dataset.calendar, window_months=2, alpha=2.0)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(dataset.calendar, config=config)
     model.fit(dataset.log)
 
     # Score everyone at the window ending at month 22.

@@ -3,14 +3,17 @@
 The batch model refits from the whole log; a production system sees
 receipts stream in and must alert the retention team the moment a window
 closes with a customer below threshold.  This example replays a dataset
-through the online :class:`~repro.core.streaming.StabilityMonitor` and
-prints the alert feed a retention team would consume, each alert carrying
-its explanation (the products whose loss triggered it).
+through the online :class:`~repro.core.streaming.StabilityMonitor`, one
+day of receipts at a time, and prints the alert feed a retention team
+would consume, each alert carrying its explanation (the products whose
+loss triggered it).
 
     python examples/streaming_alerts.py
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from repro import paper_scenario
 from repro.core.streaming import StabilityMonitor
@@ -35,8 +38,8 @@ def main() -> None:
     baskets = sorted(dataset.log, key=lambda basket: basket.day)
     n_alerts = 0
     alerted: set[int] = set()
-    for basket in baskets:
-        for report in monitor.ingest(basket):
+    for __, day in groupby(baskets, key=lambda basket: basket.day):
+        for report in monitor.ingest_many(day):
             month = grid.end_month(report.window_index, dataset.calendar)
             for alarm in report.alarms:
                 n_alerts += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import StabilityModel, paper_scenario
+from repro import ExperimentConfig, StabilityModel, paper_scenario
 from repro.data import DatasetBundle, build_cohorts
 from repro.data.io import read_log_csv, write_log_csv
 from repro.eval import EvaluationProtocol
@@ -56,7 +56,8 @@ def main() -> None:
         cohorts=cohorts,
     )
     protocol = EvaluationProtocol(bundle)
-    model = StabilityModel(hidden.calendar, window_months=2, alpha=2.0).fit(log)
+    config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+    model = StabilityModel(hidden.calendar, config=config).fit(log)
     series = protocol.evaluate_stability_model(model)
     print("\nAUROC against behavioural labels:")
     print(

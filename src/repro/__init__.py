@@ -19,17 +19,17 @@ everything it needs to be evaluated end to end:
 
 Quickstart
 ----------
->>> from repro import StabilityModel, paper_scenario
+>>> from repro import ExperimentConfig, StabilityModel, paper_scenario
 >>> dataset = paper_scenario(n_loyal=20, n_churners=20)
->>> model = StabilityModel(dataset.calendar, window_months=2, alpha=2)
->>> model = model.fit(dataset.log)
+>>> config = ExperimentConfig(window_months=2, alpha=2.0)  # the paper's values
+>>> model = StabilityModel(dataset.calendar, config=config).fit(dataset.log)
 >>> scores = model.churn_scores(window_index=9)  # window ending month 20
 """
 
 import logging as _logging
 
 from repro.baselines import RFMModel
-from repro.config import DEFAULT_BETA_GRID, ExperimentConfig
+from repro.config import ExperimentConfig
 from repro.core import (
     ExponentialSignificance,
     StabilityModel,
@@ -61,7 +61,6 @@ __all__ = [
     "Basket",
     "Catalog",
     "CohortLabels",
-    "DEFAULT_BETA_GRID",
     "DatasetBundle",
     "ExperimentConfig",
     "ExponentialSignificance",

@@ -12,7 +12,8 @@ A resource acquisition (``open``, ``socket.socket``, ``mmap.mmap``,
 considered *managed* when:
 
 * it is a ``with`` item (directly or wrapped, e.g.
-  ``contextlib.closing(...)`` or ``stack.enter_context(...)``);
+  ``contextlib.closing(...)`` or ``stack.enter_context(...)``), or an
+  argument of a call that takes ownership of it;
 * it is assigned to ``self.<attr>`` — ownership moves to the object,
   whose own lifecycle (``stop`` / ``close``) releases it;
 * it is returned directly (a factory hands ownership to its caller);
@@ -20,7 +21,9 @@ considered *managed* when:
   function releases (``close`` / ``stop`` / ``shutdown`` /
   ``server_close`` / ``abort`` / ``terminate`` / ``join``).
 
-Anything else is reachable-leak-on-raise and fires.
+A method call on the acquisition itself (``Thread(...).start()``,
+``open(path).read()``) is use, not management: it fires.  Anything
+else is reachable-leak-on-raise and fires too.
 """
 
 from __future__ import annotations
@@ -143,7 +146,13 @@ class ResourceDiscipline(ProjectRule):
                 break
             if isinstance(parent, ast.withitem):
                 return True  # with open(...) [as f], possibly wrapped
-            if isinstance(parent, ast.Call):
+            if isinstance(parent, ast.Attribute):
+                # A method call on the resource (Thread(...).start(),
+                # open(path).read()) uses it; nothing releases it.
+                return False
+            if isinstance(parent, ast.Call) and (
+                node in parent.args or node in parent.keywords
+            ):
                 # Argument of a managing combinator such as
                 # contextlib.closing(...) or stack.enter_context(...).
                 return True

@@ -300,16 +300,13 @@ class RFMModel:
     ----------
     calendar:
         Study calendar of the transaction log.
-    window_months:
-        Window span in months; kept equal to the stability model's span
-        so both models are compared at identical decision points.
-        Deprecated in favour of ``config``.
     l2:
         Regularisation strength of the logistic regression.
     config:
-        Shared :class:`~repro.config.ExperimentConfig`; its
-        ``window_months`` defines the grid and its validation guards the
-        entry point.
+        Shared :class:`~repro.config.ExperimentConfig` (default:
+        ``ExperimentConfig()``); its ``window_months`` defines the grid,
+        kept equal to the stability model's so both models are compared
+        at identical decision points.
     """
 
     #: The evaluation protocol passes a PopulationFrame instead of a log.
@@ -318,12 +315,11 @@ class RFMModel:
     def __init__(
         self,
         calendar: StudyCalendar,
-        window_months: int = 2,
+        *,
         l2: float = 1e-2,
         config: ExperimentConfig | None = None,
     ) -> None:
-        if config is None:
-            config = ExperimentConfig(window_months=window_months)
+        config = config if config is not None else ExperimentConfig()
         self.config = config
         self.calendar = calendar
         self.window_months = config.window_months

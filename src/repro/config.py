@@ -1,16 +1,13 @@
 """The one validated experiment configuration: :class:`ExperimentConfig`.
 
-Before this module existed every layer re-declared the same knobs as
-loose keyword arguments — ``alpha`` and ``window_months`` appeared in the
-model, the evaluation protocol, the figures, the ablations, the RFM
-baseline and the CLI, each with its own (or no) validation.
-:class:`ExperimentConfig` is the single frozen dataclass they all share:
-construct it once, validate it once, and pass it by reference down the
-data → core → eval → baselines → cli spine.
-
-The legacy keyword arguments still work everywhere for one release (they
-are folded into a config internally); new code should build a config
-explicitly::
+:class:`ExperimentConfig` is the single frozen dataclass every layer
+shares for the paper's knobs (``window_months``, ``alpha``, the
+evaluation months) and the kernel's (``n_jobs``, ``retries``,
+``counting``): construct it once, validate it once, and pass it as
+``config=`` down the data → core → eval → baselines → cli spine.  The
+model, the RFM baseline, the evaluation protocol and the figures take
+nothing else; ``config=None`` means ``ExperimentConfig()``, the paper's
+values::
 
     >>> config = ExperimentConfig(window_months=2, alpha=2.0, backend="batch")
     >>> config.window_months
@@ -33,10 +30,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep repro.config
     from repro.core.windowing import WindowGrid
     from repro.data.calendar import StudyCalendar
 
-__all__ = ["ExperimentConfig", "DEFAULT_BETA_GRID"]
+__all__ = ["ExperimentConfig"]
 
-#: Default alarm-threshold sweep used by ROC-style analyses.
-DEFAULT_BETA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -50,15 +45,13 @@ class ExperimentConfig:
         Base of the exponential significance rule (the paper uses 2);
         validated through :func:`~repro.core.significance.validate_alpha`
         (``alpha <= 0`` raises, ``alpha <= 1`` warns).
-    beta_grid:
-        Alarm thresholds swept by ROC / detection-delay analyses, each in
-        ``[0, 1]``, strictly increasing.
     first_month, last_month:
         Inclusive month range of the evaluation axis (paper: 12 to 24).
     backend:
         Name of the stability kernel: ``"batch"``, the columnar kernel of
-        :mod:`repro.core.batch` and the only legal value (kept so
-        existing configs still construct).
+        :mod:`repro.core.batch` and the only legal value.  The field
+        stays only because the benchmark's inputs
+        (``perfbench/inputs.py``) pass it; it goes once they do not.
     n_jobs:
         Worker processes for the kernel (``-1`` = all cores).
     retries:
@@ -76,7 +69,6 @@ class ExperimentConfig:
 
     window_months: int = 2
     alpha: float = 2.0
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     first_month: int = 12
     last_month: int = 24
     backend: str = "batch"
@@ -92,13 +84,6 @@ class ExperimentConfig:
                 f"window_months must be positive, got {self.window_months}"
             )
         validate_alpha(self.alpha)
-        if not self.beta_grid:
-            raise ConfigError("beta_grid must not be empty")
-        object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
-            raise ConfigError(f"beta_grid values must be in [0, 1], got {self.beta_grid}")
-        if any(b >= e for b, e in zip(self.beta_grid, self.beta_grid[1:], strict=False)):
-            raise ConfigError("beta_grid must be strictly increasing")
         if self.first_month > self.last_month:
             raise ConfigError(
                 f"first_month {self.first_month} > last_month {self.last_month}"

@@ -30,7 +30,7 @@ from repro.core import engines
 from repro.core.batch import BatchStability, Scoring
 from repro.core.detector import Alarm, ThresholdDetector
 from repro.core.explanation import DropExplanation, explain_window
-from repro.core.significance import ExponentialSignificance, SignificanceFunction
+from repro.core.significance import SignificanceFunction
 from repro.core.stability import StabilityTrajectory
 from repro.data.calendar import StudyCalendar
 from repro.data.population import PopulationFrame
@@ -51,14 +51,9 @@ class StabilityModel:
     ----------
     calendar:
         Study calendar the transaction log's day offsets refer to.
-    window_months:
-        Window span ``w`` in whole months (the paper uses 2).
-    alpha:
-        Base of the exponential significance rule (the paper uses 2).
-        Ignored when ``significance`` is given explicitly.
     significance:
         Custom significance rule, any function of ``(c, l)``; overrides
-        ``alpha``.
+        the config's ``alpha`` for scoring.
     item_weights:
         Optional per-item multiplicative weights (default 1.0 for every
         item), each positive.  With segment prices as weights the model
@@ -68,9 +63,8 @@ class StabilityModel:
     config:
         The validated :class:`~repro.config.ExperimentConfig` carrying
         ``window_months`` / ``alpha`` / ``n_jobs`` / ``retries`` /
-        ``counting`` in one object.  When given, ``window_months`` and
-        ``alpha`` must be left at their defaults
-        (:class:`~repro.errors.ConfigError` otherwise).
+        ``counting`` in one object (default: ``ExperimentConfig()``,
+        the paper's ``w = 2`` months and ``alpha = 2``).
 
     Every rule, counting scheme and weighting fits through the one
     columnar kernel (:func:`~repro.core.batch.stability_matrix`),
@@ -78,13 +72,15 @@ class StabilityModel:
 
     Examples
     --------
+    >>> from repro.config import ExperimentConfig
     >>> from repro.data import Basket, StudyCalendar, TransactionLog
     >>> calendar = StudyCalendar.paper()
     >>> log = TransactionLog()
     >>> for month in range(6):
     ...     day = calendar.month_start_day(month)
     ...     log.add(Basket.of(customer_id=7, day=day, items=[1, 2]))
-    >>> model = StabilityModel(calendar, window_months=2, alpha=2).fit(log)
+    >>> config = ExperimentConfig(window_months=2, alpha=2.0)
+    >>> model = StabilityModel(calendar, config=config).fit(log)
     >>> model.trajectory(7).at(2).stability
     1.0
     """
@@ -92,37 +88,12 @@ class StabilityModel:
     def __init__(
         self,
         calendar: StudyCalendar,
-        window_months: int = 2,
-        alpha: float = 2.0,
+        *,
         significance: SignificanceFunction | None = None,
         item_weights: dict[int, float] | None = None,
         config: ExperimentConfig | None = None,
     ) -> None:
-        if config is None:
-            # Convenience construction: fold the loose kwargs into the
-            # canonical config.  When a non-exponential rule is supplied,
-            # alpha is meaningless — keep the config's default so it
-            # cannot trip validation.
-            if significance is not None and not isinstance(
-                significance, ExponentialSignificance
-            ):
-                alpha = 2.0
-            elif isinstance(significance, ExponentialSignificance):
-                alpha = significance.alpha
-            config = ExperimentConfig(
-                window_months=window_months,
-                alpha=alpha,
-            )
-        else:
-            for name, value, default in (
-                ("window_months", window_months, 2),
-                ("alpha", alpha, 2.0),
-            ):
-                if value != default:
-                    raise ConfigError(
-                        f"{name}={value!r} given beside a config; set it "
-                        f"on the ExperimentConfig instead"
-                    )
+        config = config if config is not None else ExperimentConfig()
         if item_weights is not None:
             bad = {i: w for i, w in item_weights.items() if not w > 0}
             if bad:
@@ -146,13 +117,6 @@ class StabilityModel:
         self._batch: BatchStability | None = None
         #: Trajectories built so far, by customer (cleared by ``fit``).
         self._trajectories: dict[int, StabilityTrajectory] = {}
-
-    @classmethod
-    def from_config(
-        cls, calendar: StudyCalendar, config: ExperimentConfig
-    ) -> StabilityModel:
-        """The model a validated config describes."""
-        return cls(calendar, config=config)
 
     # ------------------------------------------------------------------
     # Fitting

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.data.cohorts import CohortLabels
 from repro.data.calendar import StudyCalendar
@@ -121,8 +122,8 @@ def tune_stability_model(
     models: dict[tuple[int, float], StabilityModel] = {}
     for window_months in window_grid:
         for alpha in alpha_grid:
-            model = StabilityModel(calendar, window_months=window_months, alpha=alpha)
-            model.fit(log, customers)
+            config = ExperimentConfig(window_months=window_months, alpha=alpha)
+            model = StabilityModel(calendar, config=config).fit(log, customers)
             models[(int(window_months), float(alpha))] = model
 
     def score_fn(params: dict, train: np.ndarray, test: np.ndarray) -> float:

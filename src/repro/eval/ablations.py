@@ -86,11 +86,14 @@ def _auroc_at_month(
     eval_month: int,
     customers: Sequence[int],
 ) -> float:
+    window_months = model.config.window_months
     protocol = EvaluationProtocol(
         bundle,
-        window_months=model.config.window_months,
-        first_month=eval_month,
-        last_month=eval_month + model.config.window_months,
+        config=ExperimentConfig(
+            window_months=window_months,
+            first_month=eval_month,
+            last_month=eval_month + window_months,
+        ),
     )
     series = protocol.evaluate_stability_model(model, customers)
     return series.points[0].auroc
@@ -126,8 +129,8 @@ def alpha_sweep(
             frame = PopulationFrame.from_log(
                 bundle.log, base.grid(bundle.calendar), customers
             )
-        model = StabilityModel.from_config(
-            bundle.calendar, base.evolve(alpha=alpha)
+        model = StabilityModel(
+            bundle.calendar, config=base.evolve(alpha=alpha)
         ).fit(frame)
         return _auroc_at_month(bundle, model, eval_month, customers)
 
@@ -179,7 +182,7 @@ def window_sweep(
 
     def fit_and_score(window_months: int) -> float:
         config = ExperimentConfig(window_months=window_months, alpha=alpha)
-        model = StabilityModel.from_config(bundle.calendar, config).fit(
+        model = StabilityModel(bundle.calendar, config=config).fit(
             PopulationFrame.from_log(
                 bundle.log, config.grid(bundle.calendar), customers
             )
@@ -241,7 +244,9 @@ def significance_function_sweep(
     points = []
     for function in functions:
         model = StabilityModel(
-            bundle.calendar, window_months=window_months, significance=function
+            bundle.calendar,
+            significance=function,
+            config=ExperimentConfig(window_months=window_months),
         ).fit(bundle.log, customers)
         points.append(
             AblationPoint(
@@ -276,9 +281,10 @@ def explanation_quality(
     """Score the paper's explanations against the generator's ground truth."""
     bundle = dataset.bundle
     churners = sorted(bundle.cohorts.churners)
-    model = StabilityModel(
-        bundle.calendar, window_months=window_months, alpha=alpha
-    ).fit(bundle.log, churners)
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
+    model = StabilityModel(bundle.calendar, config=config).fit(
+        bundle.log, churners
+    )
 
     hits = 0
     predicted_total = 0

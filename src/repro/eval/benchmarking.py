@@ -6,8 +6,10 @@ takes to fit — so a future PR that touches the hot path has a baseline
 to compare against.  Both the ``bench`` CLI subcommand and
 ``benchmarks/bench_scaling.py`` build their payloads here.
 
-Timing protocol: best-of-``repeat`` wall-clock on a freshly constructed
-model (so no run benefits from caches), dataset generation excluded.
+Timing protocol: best-of-``repeat`` wall-clock of the kernel's fit on
+a freshly constructed model (so no run benefits from caches); dataset
+generation and the log's one encoding into a
+:class:`~repro.data.population.PopulationFrame` are excluded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from repro.atomicio import atomic_write_json
 from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
+from repro.data.population import PopulationFrame
 from repro.data.validation import DatasetBundle
 from repro.errors import ConfigError
 from repro.synth import ScenarioConfig, SyntheticDataset, generate_dataset
@@ -41,19 +44,21 @@ def time_fit(
     window_months: int = 2,
     alpha: float = 2.0,
 ) -> float:
-    """Best-of-``repeat`` seconds to fit the model on a dataset."""
+    """Best-of-``repeat`` seconds to fit the model on a dataset.
+
+    The log is encoded into a
+    :class:`~repro.data.population.PopulationFrame` once, outside the
+    timed region, so the figure is the kernel's, not the encoder's.
+    """
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
+    config = ExperimentConfig(window_months=window_months, alpha=alpha, n_jobs=n_jobs)
+    frame = PopulationFrame.from_log(dataset.log, config.grid(dataset.calendar))
     best = float("inf")
     for _ in range(repeat):
-        model = StabilityModel.from_config(
-            dataset.calendar,
-            ExperimentConfig(
-                window_months=window_months, alpha=alpha, n_jobs=n_jobs
-            ),
-        )
+        model = StabilityModel(dataset.calendar, config=config)
         start = time.perf_counter()
-        model.fit(dataset.log)
+        model.fit(frame)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -97,7 +102,7 @@ def scaling_telemetry(
         )
     return {
         "benchmark": "stability_fit_scaling",
-        "schema_version": 2,
+        "schema_version": 3,
         "window_months": window_months,
         "alpha": alpha,
         "seed": seed,
@@ -143,7 +148,6 @@ def slab_grid_telemetry(
 
     from repro.core.batch import stability_matrix
     from repro.data.calendar import StudyCalendar
-    from repro.data.population import PopulationFrame
     from repro.data.slabs import _COLUMN_DTYPES, build_slab_store
     from repro.synth.stream import synthetic_slab_stream
 
@@ -259,9 +263,7 @@ def _roc_sweep_frame(
     from repro.eval.protocol import EvaluationProtocol
 
     protocol = EvaluationProtocol(bundle, config=config)
-    model = StabilityModel.from_config(bundle.calendar, config).fit(
-        protocol.frame()
-    )
+    model = StabilityModel(bundle.calendar, config=config).fit(protocol.frame())
     protocol.evaluate_stability_model(model, test)
     rfm = RFMModel(bundle.calendar, config=config)
     protocol.evaluate_window_scorer(rfm, "rfm", train, test)

@@ -23,6 +23,7 @@ from repro.baselines.ensemble import RankAverageEnsemble, StabilityMember
 from repro.baselines.rfm import RFMModel
 from repro.baselines.rules import FrequencyDropRule, RandomBaseline, RecencyRule
 from repro.baselines.sequences import SequenceModel
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.core.windowing import WindowGrid
 from repro.data.validation import DatasetBundle
@@ -143,11 +144,9 @@ def compare_models(
     refits behind finished cells (a fully journaled stability row even
     skips the stability fit itself).
     """
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
     protocol = EvaluationProtocol(
-        bundle,
-        window_months=window_months,
-        first_month=min(months),
-        last_month=max(months),
+        bundle, config=config.evolve(first_month=min(months), last_month=max(months))
     )
     train, test = protocol.train_test_split(seed=seed)
     labels = {c: int(bundle.cohorts.is_churner(c)) for c in test}
@@ -194,24 +193,20 @@ def compare_models(
     def stability() -> StabilityModel:
         nonlocal _stability
         if _stability is None:
-            _stability = StabilityModel(
-                bundle.calendar, window_months=window_months, alpha=alpha
-            ).fit(bundle.log, test)
+            _stability = StabilityModel(bundle.calendar, config=config).fit(
+                bundle.log, test
+            )
         return _stability
 
     trainable = {
-        "rfm": RFMModel(bundle.calendar, window_months=window_months),
+        "rfm": RFMModel(bundle.calendar, config=config),
         "behavioral": BehavioralModel(bundle.calendar, window_months=window_months),
         "sequence": SequenceModel(bundle.calendar, window_months=window_months),
         "stability+rfm": RankAverageEnsemble(
             bundle.calendar,
             members=[
-                StabilityMember(
-                    StabilityModel(
-                        bundle.calendar, window_months=window_months, alpha=alpha
-                    )
-                ),
-                RFMModel(bundle.calendar, window_months=window_months),
+                StabilityMember(StabilityModel(bundle.calendar, config=config)),
+                RFMModel(bundle.calendar, config=config),
             ],
             window_months=window_months,
         ),

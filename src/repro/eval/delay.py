@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.core.detector import ThresholdDetector
 from repro.core.model import StabilityModel
 from repro.data.validation import DatasetBundle
@@ -100,9 +101,10 @@ def detection_delay(
     cohorts = bundle.cohorts
     loyal = sorted(cohorts.loyal)
     churners = sorted(cohorts.churners)
-    model = StabilityModel(
-        bundle.calendar, window_months=window_months, alpha=alpha
-    ).fit(bundle.log, loyal + churners)
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
+    model = StabilityModel(bundle.calendar, config=config).fit(
+        bundle.log, loyal + churners
+    )
 
     beta = calibrate_beta(
         model, loyal, target_false_alarm_rate, first_month=first_month

@@ -59,10 +59,7 @@ class Figure1Result:
 
 def run_figure1(
     bundle: DatasetBundle,
-    window_months: int = 2,
-    alpha: float = 2.0,
-    first_month: int = 12,
-    last_month: int = 24,
+    *,
     test_fraction: float = 0.5,
     seed: int = 0,
     config: ExperimentConfig | None = None,
@@ -70,10 +67,9 @@ def run_figure1(
 ) -> Figure1Result:
     """Run the Figure 1 experiment on a dataset bundle.
 
-    Parameters mirror the paper: ``window_months=2`` and ``alpha=2`` are
-    the values its 5-fold CV selected; ``first_month``/``last_month``
-    bound the x axis (all folded into an :class:`ExperimentConfig` when
-    ``config`` is not given).  ``test_fraction``
+    ``config`` defaults to the paper's values (``ExperimentConfig()``):
+    ``window_months=2`` and ``alpha=2``, which its 5-fold CV selected,
+    and an x axis from month 12 to 24.  ``test_fraction``
     controls the stratified split the RFM model is trained/evaluated
     across; the stability model is evaluated on the same test customers
     so both curves measure the same population.
@@ -86,13 +82,7 @@ def run_figure1(
     directory resumes without recomputing finished cells (including the
     per-window RFM refits).
     """
-    if config is None:
-        config = ExperimentConfig(
-            window_months=window_months,
-            alpha=alpha,
-            first_month=first_month,
-            last_month=last_month,
-        )
+    config = config if config is not None else ExperimentConfig()
     protocol = EvaluationProtocol(
         bundle, config=config, checkpoint_dir=checkpoint_dir
     )
@@ -100,7 +90,7 @@ def run_figure1(
         test_fraction=test_fraction, seed=seed
     )
 
-    stability_model = StabilityModel.from_config(bundle.calendar, config).fit(
+    stability_model = StabilityModel(bundle.calendar, config=config).fit(
         protocol.frame()
     )
     execution = stability_model.execution_report

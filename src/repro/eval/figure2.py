@@ -62,12 +62,9 @@ class Figure2Result:
 
 
 def run_figure2(
-    window_months: int = 2,
-    alpha: float = 2.0,
+    *,
     seed: int = 11,
     case: CaseStudy | None = None,
-    first_month: int = 12,
-    last_month: int = 24,
     config: ExperimentConfig | None = None,
 ) -> Figure2Result:
     """Run the Figure 2 case study.
@@ -75,21 +72,16 @@ def run_figure2(
     ``case`` may be supplied to reuse a fixture; by default the canonical
     injected customer is generated (coffee lost in the window ending at
     month 20; milk, sponges and cheese in the window ending at month 22).
-    ``first_month``/``last_month`` bound the plotted axis like the
+    ``config`` defaults to the paper's values (``ExperimentConfig()``);
+    its ``first_month``/``last_month`` bound the plotted axis like the
     paper's Figure 2 (months 12 to 24).  The per-drop explanations read
     the full per-item significance snapshots of the customer's
     trajectory, built from the frame's columns.
     """
     case = case if case is not None else figure2_case_study(seed=seed)
-    if config is None:
-        config = ExperimentConfig(
-            window_months=window_months,
-            alpha=alpha,
-            first_month=first_month,
-            last_month=last_month,
-        )
+    config = config if config is not None else ExperimentConfig()
     first_month, last_month = config.first_month, config.last_month
-    model = StabilityModel.from_config(case.calendar, config).fit(
+    model = StabilityModel(case.calendar, config=config).fit(
         case.log, [case.customer_id]
     )
     trajectory = model.trajectory(case.customer_id)

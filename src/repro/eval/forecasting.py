@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.core.trend import TrendForecast, forecast_stability
 from repro.data.validation import DatasetBundle
@@ -67,9 +68,10 @@ def evaluate_forecasts(
     strictly forward-looking target.
     """
     customers = bundle.cohorts.all_customers()
-    model = StabilityModel(
-        bundle.calendar, window_months=window_months, alpha=alpha
-    ).fit(bundle.log, customers)
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
+    model = StabilityModel(bundle.calendar, config=config).fit(
+        bundle.log, customers
+    )
     forecast_window = next(
         (
             k

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.errors import ConfigError
 from repro.eval.protocol import EvaluationProtocol
@@ -53,16 +54,15 @@ def _auroc_once(
     dataset = generate_dataset(
         ScenarioConfig(n_loyal=n_per_cohort, n_churners=n_per_cohort, seed=seed)
     )
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
     protocol = EvaluationProtocol(
         dataset.bundle,
-        window_months=window_months,
-        first_month=eval_month,
-        last_month=eval_month,
+        config=config.evolve(first_month=eval_month, last_month=eval_month),
     )
     customers = dataset.cohorts.all_customers()
-    model = StabilityModel(
-        dataset.calendar, window_months=window_months, alpha=alpha
-    ).fit(dataset.log, customers)
+    model = StabilityModel(dataset.calendar, config=config).fit(
+        dataset.log, customers
+    )
     return protocol.evaluate_stability_model(model, customers).at_month(eval_month)
 
 

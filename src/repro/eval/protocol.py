@@ -144,17 +144,13 @@ class EvaluationProtocol:
     ----------
     bundle:
         The dataset (log, calendar, cohorts) under evaluation.
-    window_months:
-        Span of the shared evaluation windows (paper: 2).  Deprecated in
-        favour of ``config``.
-    first_month, last_month:
-        Inclusive month range of the x axis (paper: 12 to 24).  Only
-        windows whose *end* month falls inside the range are evaluated.
-        Deprecated in favour of ``config``.
     config:
-        The shared :class:`~repro.config.ExperimentConfig`; its
-        ``window_months`` / ``first_month`` / ``last_month`` fields are
-        validated once and drive the whole evaluation.
+        The shared :class:`~repro.config.ExperimentConfig` (default:
+        ``ExperimentConfig()``).  Its ``window_months`` spans the shared
+        evaluation windows (paper: 2), and ``first_month`` /
+        ``last_month`` bound the x axis inclusively (paper: 12 to 24):
+        only windows whose *end* month falls inside the range are
+        evaluated.
     frame:
         Optional pre-built :class:`~repro.data.population.PopulationFrame`
         (e.g. a memory-mapped slab-backed frame) used instead of lazily
@@ -169,19 +165,12 @@ class EvaluationProtocol:
     def __init__(
         self,
         bundle: DatasetBundle,
-        window_months: int = 2,
-        first_month: int = 12,
-        last_month: int = 24,
+        *,
         config: ExperimentConfig | None = None,
         checkpoint_dir: str | Path | None = None,
         frame: PopulationFrame | None = None,
     ) -> None:
-        if config is None:
-            config = ExperimentConfig(
-                window_months=window_months,
-                first_month=first_month,
-                last_month=last_month,
-            )
+        config = config if config is not None else ExperimentConfig()
         self.config = config
         self.bundle = bundle
         self.window_months = config.window_months

@@ -95,7 +95,7 @@ def mechanism_crossover(
         )
         protocol = EvaluationProtocol(dataset.bundle, config=config)
         train, test = protocol.train_test_split(seed=seed)
-        stability = StabilityModel.from_config(dataset.calendar, config).fit(
+        stability = StabilityModel(dataset.calendar, config=config).fit(
             protocol.frame()
         )
         stability_series = protocol.evaluate_stability_model(stability, test)
@@ -193,7 +193,7 @@ def vacation_sensitivity(
             last_month=eval_month,
         )
         protocol = EvaluationProtocol(dataset.bundle, config=config)
-        model = StabilityModel.from_config(dataset.calendar, config).fit(
+        model = StabilityModel(dataset.calendar, config=config).fit(
             protocol.frame()
         )
         series = protocol.evaluate_stability_model(model, customers)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import ExperimentConfig
 from repro.errors import ConfigError
 from repro.eval.figure1 import run_figure1
 from repro.synth.generator import ScenarioConfig, generate_dataset
@@ -58,15 +59,14 @@ def figure1_variance(
     """
     if len(seeds) < 2:
         raise ConfigError("variance needs at least two seeds")
+    config = ExperimentConfig(window_months=window_months, alpha=alpha)
     per_month_stability: dict[int, list[float]] = {}
     per_month_rfm: dict[int, list[float]] = {}
     for seed in seeds:
         dataset = generate_dataset(
             ScenarioConfig(n_loyal=n_loyal, n_churners=n_churners, seed=seed)
         )
-        result = run_figure1(
-            dataset.bundle, window_months=window_months, alpha=alpha, seed=seed
-        )
+        result = run_figure1(dataset.bundle, seed=seed, config=config)
         for month, stab, rfm in result.rows():
             per_month_stability.setdefault(month, []).append(stab)
             per_month_rfm.setdefault(month, []).append(rfm)

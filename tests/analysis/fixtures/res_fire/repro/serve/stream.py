@@ -26,3 +26,14 @@ def hash_in_background(digest, path):
     worker = threading.Thread(target=digest.update, args=(path,))
     worker.start()
     return digest.result()
+
+
+def start_in_background(fn):
+    # RES001: a method call on the thread is not a release; nothing
+    # joins it.
+    threading.Thread(target=fn).start()
+
+
+def read_whole(path):
+    # RES001: the handle is read and dropped, never closed.
+    return open(path).read()

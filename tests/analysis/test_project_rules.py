@@ -138,7 +138,9 @@ def test_res001_fires_on_leaky_handles():
     findings = lint_fixture("res_fire", "RES001")
     assert all(f.rule == "RES001" for f in findings)
     lines = fired_lines(findings, "stream.py")
-    assert len(lines) == 3  # the open(), the socket() and the Thread()
+    # the open(), the socket() and the Thread(), then a Thread(...).start()
+    # and an open(...).read(): a method call on the resource is no release
+    assert len(lines) == 5
     assert any("acquires a thread" in f.message for f in findings)
 
 

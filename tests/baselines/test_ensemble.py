@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.ensemble import RankAverageEnsemble, StabilityMember, rank_normalise
 from repro.baselines.rfm import RFMModel
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.errors import ConfigError
 from repro.ml.metrics import auroc
@@ -44,12 +45,12 @@ class TestEnsemble:
     def fitted(self, request):
         dataset = request.getfixturevalue("small_dataset")
         window = 10  # ends month 22
-        stability = StabilityModel(dataset.calendar, window_months=2)
+        stability = StabilityModel(dataset.calendar, config=ExperimentConfig(window_months=2))
         ensemble = RankAverageEnsemble(
             dataset.calendar,
             members=[
                 StabilityMember(stability),
-                RFMModel(dataset.calendar, window_months=2),
+                RFMModel(dataset.calendar, config=ExperimentConfig(window_months=2)),
             ],
         )
         ensemble.fit(dataset.log, dataset.cohorts, window)
@@ -103,7 +104,7 @@ class TestEnsemble:
 
     def test_member_reads_the_fitted_customers_once(self, small_dataset):
         """Scoring n ids must not rebuild the fitted-customer list per id."""
-        model = StabilityModel(small_dataset.calendar, window_months=2)
+        model = StabilityModel(small_dataset.calendar, config=ExperimentConfig(window_months=2))
         member = StabilityMember(model).fit(small_dataset.log, small_dataset.cohorts, 0)
         calls = []
         fitted_customers = model.customers
@@ -120,7 +121,7 @@ class TestEnsemble:
 
     def test_validation(self, small_dataset):
         stability = StabilityMember(
-            StabilityModel(small_dataset.calendar, window_months=2)
+            StabilityModel(small_dataset.calendar, config=ExperimentConfig(window_months=2))
         )
         with pytest.raises(ConfigError, match="two members"):
             RankAverageEnsemble(small_dataset.calendar, members=[stability])
@@ -133,5 +134,10 @@ class TestEnsemble:
         with pytest.raises(ConfigError, match="mismatched window grid"):
             RankAverageEnsemble(
                 small_dataset.calendar,
-                members=[stability, RFMModel(small_dataset.calendar, window_months=1)],
+                members=[
+                    stability,
+                    RFMModel(
+                        small_dataset.calendar, config=ExperimentConfig(window_months=1)
+                    ),
+                ],
             )

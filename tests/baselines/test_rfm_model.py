@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.rfm import FEATURE_NAMES
 from repro.baselines.rfm import RFMModel
+from repro.config import ExperimentConfig
 from repro.errors import ConfigError, NotFittedError
 from repro.ml.metrics import auroc
 
@@ -14,7 +15,7 @@ from repro.ml.metrics import auroc
 @pytest.fixture(scope="module")
 def fitted(request):
     dataset = request.getfixturevalue("small_dataset")
-    model = RFMModel(dataset.calendar, window_months=2)
+    model = RFMModel(dataset.calendar, config=ExperimentConfig(window_months=2))
     window_index = 10  # ends at month 22, well after onset
     model.fit(dataset.log, dataset.cohorts, window_index)
     return dataset, model, window_index
@@ -22,13 +23,13 @@ def fitted(request):
 
 class TestRFMModel:
     def test_construction(self, small_dataset):
-        model = RFMModel(small_dataset.calendar, window_months=2)
+        model = RFMModel(small_dataset.calendar, config=ExperimentConfig(window_months=2))
         assert model.n_windows == 14
         assert model.window_month(0) == 2
 
     def test_invalid_window_months(self, small_dataset):
         with pytest.raises(ConfigError):
-            RFMModel(small_dataset.calendar, window_months=0)
+            RFMModel(small_dataset.calendar, config=ExperimentConfig(window_months=0))
 
     def test_unfitted_raises(self, small_dataset):
         model = RFMModel(small_dataset.calendar)
@@ -69,7 +70,7 @@ class TestRFMModel:
 
     def test_pre_onset_scores_near_chance(self, small_dataset):
         # Before defection starts, RFM has nothing to separate on.
-        model = RFMModel(small_dataset.calendar, window_months=2)
+        model = RFMModel(small_dataset.calendar, config=ExperimentConfig(window_months=2))
         window_index = 6  # ends at month 14, before onset at 18
         model.fit(small_dataset.log, small_dataset.cohorts, window_index)
         customers = small_dataset.cohorts.all_customers()

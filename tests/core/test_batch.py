@@ -494,4 +494,4 @@ class TestAlphaValidation:
         with pytest.warns(ConfigWarning):
             stability_matrix(population, alpha=1.0)
         with pytest.warns(ConfigWarning):
-            StabilityModel(StudyCalendar.paper(), alpha=0.5)
+            StabilityModel(StudyCalendar.paper(), config=ExperimentConfig(alpha=0.5))

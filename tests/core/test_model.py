@@ -23,37 +23,30 @@ from tests.core import oracle
 
 @pytest.fixture()
 def model(calendar, regular_log) -> StabilityModel:
-    return StabilityModel(calendar, window_months=2, alpha=2).fit(regular_log)
+    config = ExperimentConfig(window_months=2, alpha=2)
+    return StabilityModel(calendar, config=config).fit(regular_log)
 
 
 class TestConstruction:
     def test_grid_matches_calendar(self, calendar):
-        model = StabilityModel(calendar, window_months=2)
+        model = StabilityModel(calendar, config=ExperimentConfig(window_months=2))
         assert model.n_windows == 14
 
     def test_invalid_window_rejected(self, calendar):
         with pytest.raises(ConfigError):
-            StabilityModel(calendar, window_months=0)
+            StabilityModel(calendar, config=ExperimentConfig(window_months=0))
 
     def test_custom_significance_overrides_alpha(self, calendar):
         model = StabilityModel(
-            calendar, alpha=5.0, significance=FrequencyRatioSignificance()
+            calendar,
+            significance=FrequencyRatioSignificance(),
+            config=ExperimentConfig(alpha=5.0),
         )
         assert model.significance.name == "frequency-ratio"
 
     def test_default_alpha_two(self, calendar):
         model = StabilityModel(calendar)
         assert model.significance.alpha == 2.0  # type: ignore[attr-defined]
-
-    @pytest.mark.parametrize(
-        "loose", [{"window_months": 3}, {"alpha": 4.0}], ids=["window_months", "alpha"]
-    )
-    def test_loose_argument_beside_a_config_rejected(self, calendar, loose):
-        # A config carries window_months and alpha: a second value beside
-        # it would be silently ignored.
-        (name,) = loose
-        with pytest.raises(ConfigError, match=name):
-            StabilityModel(calendar, config=ExperimentConfig(), **loose)
 
     def test_negative_item_weight_rejected_at_construction(self, calendar):
         with pytest.raises(ConfigError, match="item_weights must be positive"):
@@ -117,7 +110,7 @@ class TestQueries:
             day = calendar.month_start_day(month)
             items = [1, 2, 3] if month < 4 else [1]
             log.add(Basket.of(customer_id=1, day=day, items=items))
-        model = StabilityModel(calendar, window_months=2).fit(log)
+        model = StabilityModel(calendar, config=ExperimentConfig(window_months=2)).fit(log)
         explanation = model.explain(1, 2, top_k=1)
         assert len(explanation.missing) == 1
 
@@ -127,7 +120,7 @@ class TestQueries:
             day = calendar.month_start_day(month)
             items = [1, 2] if month < 18 else [1]
             log.add(Basket.of(customer_id=1, day=day, items=items))
-        model = StabilityModel(calendar, window_months=2).fit(log)
+        model = StabilityModel(calendar, config=ExperimentConfig(window_months=2)).fit(log)
         alarms = model.detect(beta=0.7)
         assert len(alarms) == 1
         assert model.window_month(alarms[0].window_index) == 20
@@ -289,7 +282,7 @@ class TestEndToEndDrop:
             day = calendar.month_start_day(month) + 1
             items = [1, 2, 3] if month < 20 else [2, 3]
             log.add(Basket.of(customer_id=4, day=day, items=items))
-        model = StabilityModel(calendar, window_months=2).fit(log)
+        model = StabilityModel(calendar, config=ExperimentConfig(window_months=2)).fit(log)
         # Item 1 vanishes from calendar month 20 => window [20,22) ends at 22.
         k = next(
             k for k in range(model.n_windows) if model.window_month(k) == 22

@@ -225,7 +225,9 @@ class TestBatchEquivalence:
         log = small_dataset.log.filter_customers(customers)
         significance = FrequencyRatioSignificance()
         model = StabilityModel(
-            calendar, window_months=2, significance=significance
+            calendar,
+            significance=significance,
+            config=ExperimentConfig(window_months=2),
         ).fit(log)
 
         monitor = StabilityMonitor(model.grid, significance=significance)
@@ -249,7 +251,8 @@ class TestBatchEquivalence:
         """The streaming monitor must reproduce the batch model exactly."""
         customers = small_dataset.log.customers()[:12]
         log = small_dataset.log.filter_customers(customers)
-        model = StabilityModel(calendar, window_months=2, alpha=2.0).fit(log)
+        config = ExperimentConfig(window_months=2, alpha=2.0)
+        model = StabilityModel(calendar, config=config).fit(log)
 
         monitor = StabilityMonitor(model.grid)
         for customer in customers:

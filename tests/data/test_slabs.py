@@ -300,15 +300,15 @@ class TestCheckpointResumedSweep:
         grid = config.grid(bundle.calendar)
         ids = bundle.cohorts.all_customers()
 
-        reference_model = StabilityModel.from_config(
-            bundle.calendar, config
-        ).fit(PopulationFrame.from_log(bundle.log, grid))
+        reference_model = StabilityModel(bundle.calendar, config=config).fit(
+            PopulationFrame.from_log(bundle.log, grid)
+        )
         reference = EvaluationProtocol(
             bundle, config=config
         ).evaluate_stability_model(reference_model, ids)
 
         slab_frame = store.frame()
-        slab_model = StabilityModel.from_config(bundle.calendar, config).fit(
+        slab_model = StabilityModel(bundle.calendar, config=config).fit(
             slab_frame
         )
         n_cells = len(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.errors import ConfigError, DataError
 from repro.eval.customer_report import build_customer_report, render_customer_report
@@ -12,7 +13,8 @@ from repro.eval.customer_report import build_customer_report, render_customer_re
 @pytest.fixture(scope="module")
 def fitted(request):
     dataset = request.getfixturevalue("small_dataset")
-    model = StabilityModel(dataset.calendar, window_months=2).fit(dataset.log)
+    config = ExperimentConfig(window_months=2)
+    model = StabilityModel(dataset.calendar, config=config).fit(dataset.log)
     return dataset, model
 
 

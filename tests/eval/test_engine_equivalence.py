@@ -33,12 +33,12 @@ def models(randomized_bundle):
     protocol = EvaluationProtocol(randomized_bundle, config=config)
     calendar = randomized_bundle.calendar
     return {
-        "log": StabilityModel.from_config(calendar, config).fit(
+        "log": StabilityModel(calendar, config=config).fit(
             randomized_bundle.log
         ),
-        "frame": StabilityModel.from_config(calendar, config).fit(protocol.frame()),
-        "sharded": StabilityModel.from_config(
-            calendar, config.evolve(n_jobs=2)
+        "frame": StabilityModel(calendar, config=config).fit(protocol.frame()),
+        "sharded": StabilityModel(
+            calendar, config=config.evolve(n_jobs=2)
         ).fit(protocol.frame()),
     }
 

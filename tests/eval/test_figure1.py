@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.eval.figure1 import Figure1Result, run_figure1
 
 
@@ -61,6 +62,8 @@ class TestFigure1:
 
     def test_custom_month_range(self, small_dataset):
         narrow = run_figure1(
-            small_dataset.bundle, first_month=18, last_month=22, seed=0
+            small_dataset.bundle,
+            seed=0,
+            config=ExperimentConfig(first_month=18, last_month=22),
         )
         assert narrow.months() == [18, 20, 22]

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.eval.figure2 import Figure2Result, run_figure2
 
 
@@ -62,5 +63,7 @@ class TestFigure2:
         assert result.months[0] == 12
 
     def test_custom_month_range(self, case_study):
-        result = run_figure2(case=case_study, first_month=16, last_month=22)
+        result = run_figure2(
+            case=case_study, config=ExperimentConfig(first_month=16, last_month=22)
+        )
         assert result.months == [16, 18, 20, 22]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.rfm import RFMModel
 from repro.baselines.rules import RandomBaseline, RecencyRule
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.core.windowing import WindowGrid
 from repro.errors import ConfigError, EvaluationError
@@ -21,20 +22,25 @@ def protocol(request) -> EvaluationProtocol:
 class TestConstruction:
     def test_invalid_month_range(self, tiny_dataset):
         with pytest.raises(ConfigError):
-            EvaluationProtocol(tiny_dataset.bundle, first_month=20, last_month=10)
+            EvaluationProtocol(
+                tiny_dataset.bundle,
+                config=ExperimentConfig(first_month=20, last_month=10),
+            )
 
 
 class TestEvaluationWindows:
     def test_paper_range(self, tiny_dataset, protocol):
-        model = StabilityModel(tiny_dataset.calendar, window_months=2)
+        config = ExperimentConfig(window_months=2)
+        model = StabilityModel(tiny_dataset.calendar, config=config)
         pairs = protocol.evaluation_windows(model)
         assert [month for __, month in pairs] == [12, 14, 16, 18, 20, 22, 24]
 
     def test_out_of_range_raises(self, tiny_dataset):
         protocol = EvaluationProtocol(
-            tiny_dataset.bundle, first_month=3, last_month=3
+            tiny_dataset.bundle, config=ExperimentConfig(first_month=3, last_month=3)
         )
-        model = StabilityModel(tiny_dataset.calendar, window_months=2)
+        config = ExperimentConfig(window_months=2)
+        model = StabilityModel(tiny_dataset.calendar, config=config)
         with pytest.raises(EvaluationError):
             protocol.evaluation_windows(model)
 
@@ -84,7 +90,7 @@ class TestRuleEvaluation:
 
     def test_rule_with_empty_month_range_raises(self, tiny_dataset):
         narrow = EvaluationProtocol(
-            tiny_dataset.bundle, first_month=13, last_month=13
+            tiny_dataset.bundle, config=ExperimentConfig(first_month=13, last_month=13)
         )
         with pytest.raises(EvaluationError):
             narrow.evaluate_rule(RandomBaseline(seed=0), "random")

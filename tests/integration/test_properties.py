@@ -65,7 +65,7 @@ class TestEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(log=log_strategy)
     def test_streaming_matches_batch(self, log: TransactionLog):
-        model = StabilityModel(_CALENDAR, window_months=1).fit(log)
+        model = StabilityModel(_CALENDAR, config=ExperimentConfig(window_months=1)).fit(log)
         monitor = StabilityMonitor(model.grid)
         for customer in log.customers():
             monitor.register(customer)
@@ -105,7 +105,8 @@ class TestModelInvariants:
     @settings(max_examples=40, deadline=None)
     @given(log=log_strategy, alpha=st.sampled_from([1.5, 2.0, 4.0]))
     def test_stability_bounded_through_facade(self, log: TransactionLog, alpha):
-        model = StabilityModel(_CALENDAR, window_months=1, alpha=alpha).fit(log)
+        config = ExperimentConfig(window_months=1, alpha=alpha)
+        model = StabilityModel(_CALENDAR, config=config).fit(log)
         for customer in model.customers():
             for value in model.trajectory(customer).values():
                 assert math.isnan(value) or 0.0 <= value <= 1.0 + 1e-12
@@ -113,7 +114,7 @@ class TestModelInvariants:
     @settings(max_examples=40, deadline=None)
     @given(log=log_strategy)
     def test_churn_scores_bounded(self, log: TransactionLog):
-        model = StabilityModel(_CALENDAR, window_months=1).fit(log)
+        model = StabilityModel(_CALENDAR, config=ExperimentConfig(window_months=1)).fit(log)
         for k in range(model.n_windows):
             for score in model.churn_scores(k).values():
                 assert 0.0 <= score <= 1.0 + 1e-12

@@ -26,7 +26,7 @@ def _auroc_sweep(dataset, backend: str, n_jobs: int = 1) -> dict[int, float]:
         n_jobs=n_jobs,
     )
     protocol = EvaluationProtocol(dataset.bundle, config=config)
-    model = StabilityModel.from_config(dataset.calendar, config).fit(
+    model = StabilityModel(dataset.calendar, config=config).fit(
         protocol.frame()
     )
     series = protocol.evaluate_stability_model(model)

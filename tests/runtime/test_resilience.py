@@ -66,14 +66,14 @@ def test_exhausted_retries_still_bit_identical(frame):
 
 def test_model_surfaces_execution_report(tiny_dataset, frame):
     config = ExperimentConfig(window_months=2, backend="batch", n_jobs=3)
-    model = StabilityModel.from_config(tiny_dataset.calendar, config).fit(frame)
+    model = StabilityModel(tiny_dataset.calendar, config=config).fit(frame)
     report = model.execution_report
     assert report is not None
     assert report.fault_free
     assert report.n_shards == 3
 
-    serial = StabilityModel.from_config(
-        tiny_dataset.calendar, config.evolve(backend="batch", n_jobs=1)
+    serial = StabilityModel(
+        tiny_dataset.calendar, config=config.evolve(backend="batch", n_jobs=1)
     ).fit(frame)
     assert serial.execution_report is None
 
@@ -171,7 +171,7 @@ def test_checkpoint_dir_reused_across_configs_never_aliases(
         protocol = EvaluationProtocol(
             bundle, config=config, checkpoint_dir=tmp_path
         )
-        fit = StabilityModel.from_config(bundle.calendar, config).fit(
+        fit = StabilityModel(bundle.calendar, config=config).fit(
             protocol.frame()
         )
         series = protocol.evaluate_stability_model(fit)
@@ -225,7 +225,7 @@ def test_checkpoint_dir_reused_across_datasets_never_aliases(
         protocol = EvaluationProtocol(
             bundle, config=config, checkpoint_dir=tmp_path
         )
-        fit = StabilityModel.from_config(bundle.calendar, config).fit(
+        fit = StabilityModel(bundle.calendar, config=config).fit(
             protocol.frame()
         )
         series = protocol.evaluate_stability_model(fit)

@@ -169,7 +169,7 @@ class TestCommands:
         assert "ms/customer" in stdout
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "stability_fit_scaling"
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["results"][0]["customers"] == 8
         assert payload["results"][0]["fit_seconds"] > 0
 

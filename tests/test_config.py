@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import pytest
 
-from repro.config import DEFAULT_BETA_GRID, ExperimentConfig
+from repro.baselines.rfm import RFMModel
+from repro.config import ExperimentConfig
+from repro.core.model import StabilityModel
 from repro.core.significance import ExponentialSignificance
 from repro.core.windowing import WindowGrid
 from repro.errors import ConfigError
+from repro.eval.figure1 import run_figure1
+from repro.eval.figure2 import run_figure2
+from repro.eval.protocol import EvaluationProtocol
 
 
 class TestValidation:
@@ -18,7 +24,6 @@ class TestValidation:
         assert config.window_months == 2
         assert config.alpha == 2.0
         assert config.backend == "batch"
-        assert config.beta_grid == DEFAULT_BETA_GRID
 
     def test_window_months_must_be_positive(self):
         with pytest.raises(ConfigError, match="window_months must be positive"):
@@ -31,23 +36,6 @@ class TestValidation:
     def test_sub_one_alpha_warns(self):
         with pytest.warns(Warning, match="alpha=0.5"):
             ExperimentConfig(alpha=0.5)
-
-    def test_beta_grid_must_be_non_empty(self):
-        with pytest.raises(ConfigError, match="beta_grid"):
-            ExperimentConfig(beta_grid=())
-
-    def test_beta_grid_must_be_in_unit_interval(self):
-        with pytest.raises(ConfigError, match="beta_grid"):
-            ExperimentConfig(beta_grid=(0.5, 1.5))
-
-    def test_beta_grid_must_be_strictly_increasing(self):
-        with pytest.raises(ConfigError, match="beta_grid"):
-            ExperimentConfig(beta_grid=(0.5, 0.5))
-
-    def test_beta_grid_coerced_to_floats(self):
-        config = ExperimentConfig(beta_grid=[0, 1])
-        assert config.beta_grid == (0.0, 1.0)
-        assert all(isinstance(b, float) for b in config.beta_grid)
 
     def test_month_range_ordering(self):
         with pytest.raises(ConfigError, match="first_month 20 > last_month 12"):
@@ -113,3 +101,18 @@ class TestBehaviour:
         rule = ExperimentConfig(alpha=3.0).significance()
         assert isinstance(rule, ExponentialSignificance)
         assert rule.alpha == 3.0
+
+
+class TestOneCarrier:
+    """The config is the only way to set its fields on an entry point."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [StabilityModel, RFMModel, EvaluationProtocol, run_figure1, run_figure2],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_entry_point_takes_no_loose_config_field(self, entry):
+        parameters = inspect.signature(entry).parameters
+        assert parameters["config"].default is None
+        fields = {"window_months", "alpha", "first_month", "last_month"}
+        assert not fields & parameters.keys()
