@@ -12,17 +12,19 @@ throughput:
   also feeds the evaluation protocol and the RFM baselines;
 * significance and stability for **all customers × all windows** come out
   of a handful of numpy segment operations (:func:`stability_matrix`)
-  over window-major ``(n_windows, n_pairs)`` matrices: presence counts
-  ``c`` accumulated one window at a time in the narrowest integer type
-  the grid allows, one ``take`` from the rule's ``(c, l)`` table, and
-  empty-segment-safe ``reduceat`` sums over each window's customer
-  segments;
-* every rule is a table over ``0..n_windows`` (:class:`Scoring`): the
-  paper's exponential rule is filled by the log-space
-  :func:`significance_from_counts`, so each cell holds the bits that
-  function gives for its count pair, and any other ``(c, l)`` rule by
-  the scalar rule (:func:`significance_table`); an optional item-weight
-  column multiplies in;
+  over window-major ``(n_windows, n_pairs)`` matrices: presence from
+  one ascending scatter of pair-major flat indices and one transposing
+  copy, presence counts ``c`` accumulated one window at a time in the
+  narrowest integer type the grid allows, one ``take`` from the rule's
+  ``(c, l)`` table, and ``reduceat`` sums over each window's customer
+  segments (masked only where a customer owns no pair);
+* every rule is a table over ``0..n_windows`` (:class:`Scoring`), built
+  once per rule and grid and shared read-only: the paper's exponential
+  rule is filled by the log-space :func:`significance_from_counts`, so
+  each cell holds the bits that function gives for its count pair, and
+  any other ``(c, l)`` rule by the scalar rule
+  (:func:`significance_table`); an optional item-weight column
+  multiplies in;
 * the customer axis shards across worker processes (``n_jobs``) for
   multi-core fits, behind the fault-isolating
   :func:`~repro.runtime.executor.run_sharded` protocol: a shard whose
@@ -46,6 +48,7 @@ equations is pinned by the oracle tests (``tests/core/oracle.py``).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Mapping
@@ -109,6 +112,26 @@ def significance_table(
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _rule_table(significance: SignificanceFunction, n_windows: int) -> np.ndarray:
+    """The rule's ``(c, l)`` table, built once per ``(rule, n_windows)``
+    and shared read-only by every model and monitor that scores with it.
+    The exponential rule's is :func:`significance_from_counts` at
+    ``(c, c + l)``, 0 where ``c + l > n_windows`` as in
+    :func:`significance_table`."""
+    if isinstance(significance, ExponentialSignificance):
+        c, l = np.ogrid[: n_windows + 1, : n_windows + 1]
+        table = np.where(
+            c + l <= n_windows,
+            significance_from_counts(c, c + l, significance.alpha),
+            0.0,
+        )
+    else:
+        table = significance_table(significance, n_windows)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class Scoring:
     """How the kernel turns prior counts into significance, as plain data.
@@ -135,24 +158,21 @@ class Scoring:
         n_windows: int,
     ) -> Scoring:
         """The scoring of a rule, counting scheme and item weighting on a
-        grid of ``n_windows`` windows.  The exponential rule's table is
-        :func:`significance_from_counts` at ``(c, c + l)``, 0 where
-        ``c + l > n_windows`` as in :func:`significance_table`."""
+        grid of ``n_windows`` windows.  A hashable rule's table is shared
+        with every other scoring of an equal rule on the same grid (the
+        shipped rules are frozen dataclasses), so it is read-only."""
         weight_items = weight_values = None
         if item_weights:
             weight_items = np.array(sorted(item_weights), dtype=np.int64)
             weight_values = np.array(
                 [float(item_weights[item]) for item in weight_items.tolist()]
             )
-        if isinstance(significance, ExponentialSignificance):
-            c, l = np.ogrid[: n_windows + 1, : n_windows + 1]
-            table = np.where(
-                c + l <= n_windows,
-                significance_from_counts(c, c + l, significance.alpha),
-                0.0,
-            )
+        try:
+            hash(significance)
+        except TypeError:  # an unhashable rule is tabulated every time
+            table = _rule_table.__wrapped__(significance, n_windows)
         else:
-            table = significance_table(significance, n_windows)
+            table = _rule_table(significance, n_windows)
         return cls(
             table=table,
             since_first_seen=counting == "since-first-seen",
@@ -200,20 +220,29 @@ def pair_significance(
     # The narrowest signed integer that holds size ** 2, so the flat
     # table index c * size + l cannot overflow.
     dtype = np.min_scalar_type(-1 - size * size)
-    presence = np.zeros((n_windows, n_pairs), dtype=bool)
-    if n_pairs:
-        presence[population.triple_window, population.pair_rows()] = True
+    # Triples are sorted by pair, then window, so the pair-major flat
+    # indices ascend: one sequential scatter, then one transposing copy.
+    flat = np.repeat(
+        np.arange(0, n_pairs * n_windows, n_windows, dtype=np.int64),
+        np.diff(population.triple_offsets),
+    )
+    flat += population.triple_window
+    by_pair = np.zeros(n_pairs * n_windows, dtype=bool)
+    by_pair[flat] = True
+    presence = np.ascontiguousarray(by_pair.reshape(n_pairs, n_windows).T)
     prior = np.zeros((n_windows, n_pairs), dtype=dtype)
     for k in range(1, n_windows):
         np.add(prior[k - 1], presence[k - 1], out=prior[k])
-    absent = np.arange(n_windows, dtype=dtype)[:, None] - prior
+    # The flat index c * size + l, with l = k - c, is c * n_windows + k.
+    index = prior * n_windows
+    index += np.arange(n_windows, dtype=dtype)[:, None]
     if scoring.since_first_seen:
+        # l = k - c - first_seen.  Before the first purchase c == 0 and
+        # the index is negative: the clamp reads the 0 of cell (0, 0).
         first_seen = population.triple_window[population.triple_offsets[:-1]]
-        absent -= first_seen.astype(dtype)
-    # Row 0 of the table is 0, so where c == 0 any l in range reads the
-    # right value; the clamp keeps the since-first-seen negatives in range.
-    np.maximum(absent, 0, out=absent)
-    significance = scoring.table.take(prior * size + absent)
+        index -= first_seen.astype(dtype)
+        np.maximum(index, 0, out=index)
+    significance = scoring.table.take(index)
     if scoring.weight_items is not None:
         significance *= scoring.pair_weights(population.pair_items)
     return presence, prior, significance
@@ -223,21 +252,24 @@ def _segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum ``values`` over contiguous segments ``[offsets[i], offsets[i+1])``
     of its last axis.
 
-    Empty segments sum to 0 (plain ``np.add.reduceat`` would repeat the
-    boundary element instead).  Each segment is reduced on its own, in
-    the order ``np.add.reduce`` uses, which does not depend on the
-    memory layout, so huge (saturated) values in one customer cannot
-    contaminate another's sum — which a cumsum-and-subtract scheme would
-    do through catastrophic cancellation.
+    Each segment is reduced on its own, in the order ``np.add.reduce``
+    uses, which does not depend on the memory layout, so huge (saturated)
+    values in one customer cannot contaminate another's sum — which a
+    cumsum-and-subtract scheme would do through catastrophic
+    cancellation.  When every segment is non-empty (every customer owns
+    a pair) that is ``np.add.reduceat`` itself.  Empty segments sum to 0
+    (plain ``reduceat`` would repeat the boundary element instead).
     """
     starts = offsets[:-1]
+    nonempty = starts < offsets[1:]
+    if len(starts) and nonempty.all():
+        return np.add.reduceat(values, starts, axis=-1)
     out = np.zeros(values.shape[:-1] + (len(starts),), dtype=np.float64)
     # reduceat over the non-empty starts only: segments tile the axis, so
     # each non-empty start's successor in the index list is exactly its
     # own end (empty segments collapse to the same boundary), and the last
     # one runs to the end of the array.  Feeding empty starts to reduceat
     # instead would repeat boundary elements and corrupt neighbouring sums.
-    nonempty = starts < offsets[1:]
     if nonempty.any():
         out[..., nonempty] = np.add.reduceat(values, starts[nonempty], axis=-1)
     return out

@@ -340,12 +340,6 @@ class PopulationFrame:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def pair_rows(self) -> np.ndarray:
-        """Pair index owning each presence triple."""
-        return np.repeat(
-            np.arange(self.n_pairs, dtype=np.int64), np.diff(self.triple_offsets)
-        )
-
     def window_items(self, customer_row: int) -> list[frozenset[int]]:
         """Reconstruct one customer's per-window item sets ``u_k``."""
         sets: list[set[int]] = [set() for _ in range(self.n_windows)]

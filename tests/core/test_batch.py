@@ -126,7 +126,11 @@ class TestDifferential:
         log.add(Basket.of(customer_id=2, day=5, items=[]))
         log.add(Basket.of(customer_id=2, day=25, items=[]))
         grid = WindowGrid.daily(total_days=80, days_per_window=10)
-        result = stability_matrix(PopulationFrame.from_log(log, grid))
+        population = PopulationFrame.from_log(log, grid)
+        # Customer 2 owns no pair, so the kernel's segment sums take the
+        # masked path for an empty segment.
+        assert population.pair_offsets.tolist() == [0, 1, 1]
+        result = stability_matrix(population)
         # Windows 0..4 have no prior mass (prior purchases start in w4).
         assert all(math.isnan(v) for v in result.stability[0, :5])
         assert result.stability[0, 5] == 1.0
@@ -270,6 +274,24 @@ class TestSegmentSum:
         rows = [_segment_sum(row, offsets) for row in values]
         assert np.vstack(rows).tobytes() == got.tobytes()
 
+    def test_every_segment_non_empty(self):
+        """Every customer owns a pair: the sums are ``reduceat``'s own,
+        byte for byte the masked path's (one trailing empty segment sends
+        the same values down it), saturated values beside small ones, a
+        pair-major layout and a strided window-major row included."""
+        rng = np.random.default_rng(11)
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 40, 30))])
+        values = rng.random((5, offsets[-1])) * 10.0 ** rng.integers(-8, 8, (5, offsets[-1]))
+        values[:, offsets[3] : offsets[4]] = math.exp(700.0)
+        values[:, offsets[7]] = math.exp(700.0)
+        pair_major = np.ascontiguousarray(values.T)
+        for case in (values, pair_major.T, pair_major.T[2]):
+            got = _segment_sum(case, offsets)
+            masked = _segment_sum(case, np.append(offsets, offsets[-1]))[..., :-1]
+            assert got.dtype == np.float64
+            assert got.tobytes() == masked.tobytes()
+            assert np.isfinite(got).all()
+
 
 class TestSignificanceKernel:
     def test_matches_scalar_rule(self):
@@ -323,6 +345,25 @@ class TestSignificanceKernel:
             assert prior.dtype == dtype, n_windows
             assert significance.dtype == np.float64
             assert prior[:, 0].tolist() == [0] + [1] * (n_windows - 1)
+
+    def test_equal_rules_share_one_read_only_table(self):
+        """A rule is tabulated once per grid; every scoring of an equal
+        rule reads that table, whatever its counting or weights."""
+        first = Scoring.of(LinearSignificance(), "paper", None, 12)
+        again = Scoring.of(LinearSignificance(), "since-first-seen", {1: 2.0}, 12)
+        assert again.table is first.table
+        assert not first.table.flags.writeable
+        assert Scoring.of(LinearSignificance(), "paper", None, 13).table is not first.table
+        assert Scoring.of(ExponentialSignificance(3.0), "paper", None, 12).table is not first.table
+
+    def test_unhashable_rule_is_tabulated_each_time(self):
+        class Unhashable(LinearSignificance):
+            __hash__ = None  # type: ignore[assignment]
+
+        rule = Unhashable()
+        first, again = (Scoring.of(rule, "paper", None, 9) for _ in range(2))
+        assert first.table is not again.table
+        assert first.table.tobytes() == significance_table(rule, 9).tobytes()
 
     def test_table_for_another_grid_rejected(self):
         """A flat index into a larger table would read the wrong cells."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.eval.figure1 import Figure1Result, run_figure1
+from repro.eval.variance import figure1_variance
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,14 @@ class TestFigure1:
             assert abs(result.stability.at_month(month) - 0.5) < 0.25
             assert abs(result.rfm.at_month(month) - 0.5) < 0.25
 
-    def test_stability_detects_soon_after_onset(self, result: Figure1Result):
-        # Paper: AUROC ~0.79 two months after the onset.
-        assert result.stability.at_month(20) > 0.7
+    def test_stability_detects_soon_after_onset(self):
+        """Paper: AUROC 0.79 two months after the onset.  Over five
+        dataset seeds (80 + 80 customers each) it lies within two seed
+        standard deviations of the mean, and that spread stays small."""
+        summary = figure1_variance(seeds=(1, 2, 3, 4, 5), n_loyal=80, n_churners=80)
+        mean, std = summary.stability_mean[20], summary.stability_std[20]
+        assert std < 0.05
+        assert abs(mean - 0.79) <= 2 * std
 
     def test_detection_improves_over_defection_period(self, result: Figure1Result):
         assert result.stability.at_month(24) > result.stability.at_month(18)
