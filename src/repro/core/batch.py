@@ -18,13 +18,12 @@ throughput:
   narrowest integer type the grid allows, one ``take`` from the rule's
   ``(c, l)`` table, and ``reduceat`` sums over each window's customer
   segments (masked only where a customer owns no pair);
-* every rule is a table over ``0..n_windows`` (:class:`Scoring`), built
-  once per rule and grid and shared read-only: the paper's exponential
-  rule is filled by the log-space :func:`significance_from_counts`, so
-  each cell holds the bits that function gives for its count pair, and
-  any other ``(c, l)`` rule by the scalar rule
-  (:func:`significance_table`); an optional item-weight column
-  multiplies in;
+* every rule is a table over ``0..n_windows`` (:class:`Scoring`): the
+  paper's exponential rule is filled by the log-space
+  :func:`significance_from_counts`, so each cell holds the bits that
+  function gives for its count pair, and any other ``(c, l)`` rule by
+  the scalar rule (:func:`significance_table`); an optional item-weight
+  column multiplies in;
 * the customer axis shards across worker processes (``n_jobs``) for
   multi-core fits, behind the fault-isolating
   :func:`~repro.runtime.executor.run_sharded` protocol: a shard whose
@@ -48,7 +47,6 @@ equations is pinned by the oracle tests (``tests/core/oracle.py``).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Mapping
@@ -112,26 +110,6 @@ def significance_table(
     return table
 
 
-@functools.lru_cache(maxsize=16)
-def _rule_table(significance: SignificanceFunction, n_windows: int) -> np.ndarray:
-    """The rule's ``(c, l)`` table, built once per ``(rule, n_windows)``
-    and shared read-only by every model and monitor that scores with it.
-    The exponential rule's is :func:`significance_from_counts` at
-    ``(c, c + l)``, 0 where ``c + l > n_windows`` as in
-    :func:`significance_table`."""
-    if isinstance(significance, ExponentialSignificance):
-        c, l = np.ogrid[: n_windows + 1, : n_windows + 1]
-        table = np.where(
-            c + l <= n_windows,
-            significance_from_counts(c, c + l, significance.alpha),
-            0.0,
-        )
-    else:
-        table = significance_table(significance, n_windows)
-    table.flags.writeable = False
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class Scoring:
     """How the kernel turns prior counts into significance, as plain data.
@@ -158,21 +136,24 @@ class Scoring:
         n_windows: int,
     ) -> Scoring:
         """The scoring of a rule, counting scheme and item weighting on a
-        grid of ``n_windows`` windows.  A hashable rule's table is shared
-        with every other scoring of an equal rule on the same grid (the
-        shipped rules are frozen dataclasses), so it is read-only."""
+        grid of ``n_windows`` windows.  The exponential rule's table is
+        :func:`significance_from_counts` at ``(c, c + l)``, 0 where
+        ``c + l > n_windows`` as in :func:`significance_table`."""
         weight_items = weight_values = None
         if item_weights:
             weight_items = np.array(sorted(item_weights), dtype=np.int64)
             weight_values = np.array(
                 [float(item_weights[item]) for item in weight_items.tolist()]
             )
-        try:
-            hash(significance)
-        except TypeError:  # an unhashable rule is tabulated every time
-            table = _rule_table.__wrapped__(significance, n_windows)
+        if isinstance(significance, ExponentialSignificance):
+            c, l = np.ogrid[: n_windows + 1, : n_windows + 1]
+            table = np.where(
+                c + l <= n_windows,
+                significance_from_counts(c, c + l, significance.alpha),
+                0.0,
+            )
         else:
-            table = _rule_table(significance, n_windows)
+            table = significance_table(significance, n_windows)
         return cls(
             table=table,
             since_first_seen=counting == "since-first-seen",

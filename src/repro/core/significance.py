@@ -78,10 +78,7 @@ class SignificanceFunction:
 
     Subclasses implement :meth:`score`; the convention ``S = 0`` whenever
     ``c == 0`` (an item never seen before carries no expectation) is
-    enforced here so every strategy shares it.  A rule is a value: a
-    hashable one is tabulated once per grid and its table shared by
-    every equal rule (:meth:`~repro.core.batch.Scoring.of`), so it must
-    not change once it has scored.
+    enforced here so every strategy shares it.
     """
 
     name: str = "base"

@@ -346,25 +346,6 @@ class TestSignificanceKernel:
             assert significance.dtype == np.float64
             assert prior[:, 0].tolist() == [0] + [1] * (n_windows - 1)
 
-    def test_equal_rules_share_one_read_only_table(self):
-        """A rule is tabulated once per grid; every scoring of an equal
-        rule reads that table, whatever its counting or weights."""
-        first = Scoring.of(LinearSignificance(), "paper", None, 12)
-        again = Scoring.of(LinearSignificance(), "since-first-seen", {1: 2.0}, 12)
-        assert again.table is first.table
-        assert not first.table.flags.writeable
-        assert Scoring.of(LinearSignificance(), "paper", None, 13).table is not first.table
-        assert Scoring.of(ExponentialSignificance(3.0), "paper", None, 12).table is not first.table
-
-    def test_unhashable_rule_is_tabulated_each_time(self):
-        class Unhashable(LinearSignificance):
-            __hash__ = None  # type: ignore[assignment]
-
-        rule = Unhashable()
-        first, again = (Scoring.of(rule, "paper", None, 9) for _ in range(2))
-        assert first.table is not again.table
-        assert first.table.tobytes() == significance_table(rule, 9).tobytes()
-
     def test_table_for_another_grid_rejected(self):
         """A flat index into a larger table would read the wrong cells."""
         log = TransactionLog()

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import collections
 import math
 
 import pytest
 
-from repro.core.significance import SignificanceFunction
 from repro.core.streaming import StabilityMonitor
-from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
@@ -190,40 +187,6 @@ class TestValidation:
 
     def test_merge_reports_sorts_by_customer(self):
         assert merge_reports([]) == []
-
-
-class _CountingRule(SignificanceFunction):
-    """``S = c / (c + l)``, counting each ``(c, l)`` cell it is asked for.
-    Hashed by identity, so no other test's table is shared with it."""
-
-    def __init__(self) -> None:
-        self.calls: collections.Counter[tuple[int, int]] = collections.Counter()
-
-    def __call__(self, c: int, l: int) -> float:
-        self.calls[c, l] += 1
-        return super().__call__(c, l)
-
-    def score(self, c: int, l: int) -> float:
-        return c / (c + l)
-
-
-class TestSharedTable:
-    def test_pool_tabulates_a_rule_once(self):
-        """Four shard monitors read one table: every reachable ``(c, l)``
-        cell of the grid is evaluated once, not once per shard."""
-        n_windows = 40
-        rule = _CountingRule()
-        pool = ShardedMonitorPool.create(
-            WindowGrid.daily(total_days=n_windows, days_per_window=1),
-            n_shards=4,
-            significance=rule,
-        )
-        assert pool.n_shards == 4
-        reachable = {
-            (c, l) for c in range(n_windows + 1) for l in range(n_windows + 1 - c)
-        }
-        assert set(rule.calls) == reachable
-        assert set(rule.calls.values()) == {1}
 
 
 class TestWorkerPurity:
