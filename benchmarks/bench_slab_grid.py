@@ -14,7 +14,9 @@ population grid and pins its two contracts:
   kernel temporaries; the mmap arm touches one shard at a time).
 
 Results merge into ``BENCH_scaling.json`` under the ``slab_grid`` key so
-the backend-grid artifact keeps its own cadence.
+the backend-grid artifact keeps its own cadence, cell by cell: a run
+over some sizes replaces those sizes' cells and keeps the others, so
+the 1,000-customer smoke leaves the larger cells in place.
 
 Environment knobs:
 
@@ -27,6 +29,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -51,10 +54,32 @@ def _sizes() -> tuple[int, ...]:
     return tuple(int(token) for token in raw.split(",") if token.strip())
 
 
+def merge_cells(previous: object, telemetry: dict) -> dict:
+    """``telemetry`` plus the cells of ``previous`` (the ``slab_grid``
+    block already on file) for sizes it did not measure, when both ran
+    the same grid (schema, seed, alpha and window); sizes ascend."""
+    same = ("schema_version", "seed", "alpha", "window_months")
+    if not isinstance(previous, dict) or any(
+        previous.get(key) != telemetry.get(key) for key in same
+    ):
+        return telemetry
+    cells = {entry["customers"]: entry for entry in previous.get("results", ())}
+    cells.update((entry["customers"], entry) for entry in telemetry["results"])
+    sizes = sorted(cells)
+    return {
+        **telemetry,
+        "results": [cells[size] for size in sizes],
+        "sizes_customers": sizes,
+    }
+
+
 def test_slab_grid(benchmark, output_dir):
     sizes = _sizes()
     telemetry = slab_grid_telemetry(sizes=sizes, seed=SEED)
-    payload = {"slab_grid": telemetry}
+    try:
+        previous = json.loads(TELEMETRY_PATH.read_text()).get("slab_grid")
+    except (OSError, ValueError, AttributeError):
+        previous = None
     text = "\n".join(
         [
             "S2 — out-of-core slab grid (mmap vs in-RAM, traced peaks)",
@@ -62,7 +87,7 @@ def test_slab_grid(benchmark, output_dir):
         ]
     )
     save_artifact(output_dir, "slab_grid.txt", text)
-    merge_scaling_json(TELEMETRY_PATH, payload)
+    merge_scaling_json(TELEMETRY_PATH, {"slab_grid": merge_cells(previous, telemetry)})
 
     # Bit-identity at every cell: the slab plane is a pure data-plane
     # change, never a numeric one.

@@ -282,6 +282,19 @@ def _first_repeat(offsets: np.ndarray, values: np.ndarray) -> int | None:
     return int(rows[np.flatnonzero(keys == ordered[repeated[0]])[0]])
 
 
+def _first_not_ascending(offsets: np.ndarray, values: np.ndarray) -> int | None:
+    """The first row whose range of ``values`` does not strictly ascend
+    (one linear pass)."""
+    ascends = values[1:] > values[:-1]
+    # A row's first value need not exceed the previous row's last.
+    starts = offsets[1:-1]
+    ascends[starts[(starts > 0) & (starts < len(values))] - 1] = True
+    bad = np.flatnonzero(~ascends)
+    if not bad.size:
+        return None
+    return int(np.searchsorted(offsets, bad[0] + 1, side="right")) - 1
+
+
 def _check_alarm_log(columns: Mapping[str, np.ndarray], current_window: int) -> None:
     """Check the alarm log: equally long columns, ``(window, customer)``
     strictly ascending, every window in ``[0, current_window)``."""
@@ -327,7 +340,8 @@ def restore_monitor(payload: dict, unions: Sequence[ItemUnion] = ()) -> Stabilit
         On any schema or version mismatch, or a malformed column: a
         missing one, offsets that do not span their column, per-customer
         columns of unequal length, customers out of ascending order, an
-        item repeated within one customer, or an alarm log whose columns
+        item repeated within one customer, open-window items that do not
+        strictly ascend within a customer, or an alarm log whose columns
         differ in length, whose ``(window, customer)`` rows do not
         strictly ascend or which names a window not yet closed.
     """
@@ -385,7 +399,6 @@ def restore_monitor(payload: dict, unions: Sequence[ItemUnion] = ()) -> Stabilit
     )
     for owners, offsets, values, what in (
         ("customers", "item_offsets", "items", "an item"),
-        ("customers", "current_offsets", "current_items", "an item"),
         ("missing_customers", "missing_offsets", "missing_items", "a missing item"),
     ):
         row = _first_repeat(columns[offsets], columns[values])
@@ -393,6 +406,13 @@ def restore_monitor(payload: dict, unions: Sequence[ItemUnion] = ()) -> Stabilit
             raise SnapshotError(
                 f"snapshot customer {columns[owners][row]} repeats {what}"
             )
+    # An ItemUnion's items strictly ascend per customer, so no repeat.
+    row = _first_not_ascending(columns["current_offsets"], columns["current_items"])
+    if row is not None:
+        raise SnapshotError(
+            f"snapshot customer {columns['customers'][row]}'s open-window items "
+            "do not strictly ascend (it repeats an item or lists one out of order)"
+        )
     _check_alarm_log(columns, monitor.current_window)
     monitor._columns = {name: columns[name] for name in STATE_COLUMNS}
     # The snapshot's own union stays first: with ``unions`` after it the

@@ -81,7 +81,9 @@ class StatusBoard:
     # Writers (called by the serving loop)
     # ------------------------------------------------------------------
     def set_run_info(self, **info: object) -> None:
-        """Record immutable run parameters (stream, shards, batch size)."""
+        """Record run parameters (stream, shards, batch size); the loop
+        refreshes ``stream_fingerprint``, the digest of the stream prefix
+        served, at every commit."""
         with self._lock:
             self._run.update(info)
 

@@ -49,11 +49,13 @@ uncommitted batch.  The orphaned newer state — ``state-<commit+1>/`` or
 rework in telemetry.
 
 A cursor is only trusted when it matches the run being resumed: the
-recorded stream's content fingerprint, the serving-config fingerprint
-and the shard count are all pinned inside it.  :meth:`ServeCheckpoint.load`
-checks the config and the shard count; the stream's digest is the
-loop's to compute, so it checks the stream pin itself
-(:meth:`ServeCursor.check_stream`) once the digest is ready.  Any
+digest of the stream prefix its state consumed (bytes
+``[0, stream_offset)``, cursor v8; v7 hashed the whole file), the
+serving-config fingerprint and the shard count are all pinned inside
+it.  :meth:`ServeCheckpoint.load` checks the config and the shard
+count; the loop hashes the prefix once the state is restored and the
+offset checked, and checks the stream pin itself
+(:meth:`ServeCursor.check_stream`).  Any
 mismatch — or a torn/corrupt cursor, one whose file name is not its
 commit's (a leftover version-6 ``cursor.json`` among them), a torn,
 missing, altered (checksum mismatch) or misnumbered state file, or a
@@ -108,7 +110,7 @@ logger = logging.getLogger(__name__)
 IOFaultHook = Callable[[str, int, int], None]
 
 CURSOR_SCHEMA = "repro.serve-cursor"
-CURSOR_VERSION = 7
+CURSOR_VERSION = 8
 
 #: A cursor file: ``cursor-<commit>.json``, or the ``cursor.json`` that
 #: cursor versions up to 6 replaced in place (older than any numbered
@@ -148,8 +150,10 @@ class ServeCursor:
     in the recorded stream just past the last consumed day line, where
     a resume starts replaying (``0``: nothing consumed), and
     ``day_batches_consumed`` counts those days, for reporting (whole
-    days — a checkpoint batch never splits one).  Counters ride inside
-    the cursor so a resume restores them atomically with the position.
+    days — a checkpoint batch never splits one).  ``stream_fingerprint``
+    is the digest of the stream up to there: the header and every day
+    line consumed.  Counters ride inside the cursor so a resume restores
+    them atomically with the position.
     """
 
     commit_index: int
@@ -229,8 +233,10 @@ class ServeCursor:
         return cursor
 
     def check_stream(self, stream_fingerprint: str) -> None:
-        """Check that the cursor was recorded over the stream whose
-        :func:`~repro.synth.stream.stream_fingerprint` is given.
+        """Check that the cursor was recorded over the stream prefix
+        whose :func:`~repro.synth.stream.stream_fingerprint` is given:
+        bytes ``[0, stream_offset)``, the header and the day lines its
+        state consumed.
 
         Raises
         ------
@@ -533,9 +539,9 @@ class ServeCheckpoint:
         and check its journals in commit order.
 
         The cursor's stream fingerprint is not checked here: the caller
-        compares it with the stream's digest
-        (:meth:`ServeCursor.check_stream`) before it replays anything,
-        so the digest can be computed while the state is read.
+        hashes the stream prefix ``[0, stream_offset)`` once it has
+        checked the offset against the restored state, and compares it
+        (:meth:`ServeCursor.check_stream`) before it replays anything.
 
         Raises
         ------

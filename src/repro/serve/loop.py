@@ -29,13 +29,16 @@ cost of a commit follows the batch, not the population.  The FeedForward streami
   ``serve.cursor_invalid`` and restarts from the stream head with fresh
   shards, which re-derive every score and alarm.
 
-A cursor is pinned to the stream's content digest
-(:func:`~repro.synth.stream.stream_fingerprint`, SHA-1 of every byte).
-A fresh start hashes the stream before it serves.  A resume hashes it on
-a second thread while this one reads the checkpoint back, restores the
-shards and checks the resume offset (``hashlib`` releases the GIL while
-it hashes), then joins the thread — on every path out of the resume —
-and compares the digest with the cursor's before it replays any batch.
+A cursor is pinned to the digest of the stream prefix its state
+consumed (:func:`~repro.synth.stream.stream_fingerprint` of bytes
+``[0, stream_offset)``: the header line and every day line served).  A
+resume reads the checkpoint back, restores the shards, checks the
+resume offset, then hashes that prefix and compares it with the
+cursor's before it replays any batch, all on the calling thread; the
+replay then feeds every day line it serves into the same digest, so
+each commit's cursor holds the digest at its own offset.  A fresh start
+hashes nothing up front: the replay hashes from the head.  Days
+appended past the offset leave the prefix, and so the cursor, valid.
 
 The headline invariant — pinned by the parity tests and checkable via
 :func:`score_fingerprint` — is that serving a recorded stream to
@@ -53,7 +56,6 @@ import json
 import logging
 import math
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -70,9 +72,9 @@ from repro.serve.checkpoint import (
     ServeCursor,
 )
 from repro.serve.pool import ShardedMonitorPool
-from repro.synth import stream as synth_stream
 from repro.synth.stream import (
     check_replay_start,
+    digest_fingerprint,
     read_stream_header,
     replay_stream,
     stream_calendar,
@@ -196,6 +198,14 @@ def score_fingerprint(
     return digest.hexdigest()[:16]
 
 
+def _holds_data_past(stream: Path, offset: int) -> bool:
+    """Whether ``stream`` holds more than blank lines past ``offset``
+    (days appended after a finished run sealed it)."""
+    with stream.open("rb") as handle:
+        handle.seek(offset)
+        return any(chunk.strip() for chunk in iter(lambda: handle.read(1 << 16), b""))
+
+
 # ----------------------------------------------------------------------
 # Window-close reports: counters and the status board
 # ----------------------------------------------------------------------
@@ -280,7 +290,6 @@ def serve_stream(
     config: ExperimentConfig | None = None,
     beta: float = 0.5,
     first_alarm_window: int = 0,
-    retries: int = 2,
     timeout: float | None = None,
     fault_plan: FaultPlan | None = None,
     status: StatusBoard | None = None,
@@ -308,11 +317,12 @@ def serve_stream(
         Checkpoint cadence: a batch is the smallest run of consecutive
         whole days holding at least this many baskets (days are atomic,
         so the resume cursor points just past a whole day's line).
-    n_shards, parallel, retries, timeout, fault_plan:
+    n_shards, parallel, timeout, fault_plan:
         Shard-pool shape; see :class:`~repro.serve.pool.ShardedMonitorPool`.
     config, beta, first_alarm_window:
         Scoring configuration (the same objects the offline protocol
-        takes, so parity is comparing like with like).
+        takes, so parity is comparing like with like); the pool's
+        retry waves are ``config.retries``.
     status:
         Optional :class:`~repro.serve.api.StatusBoard` kept current
         with phase/counters/cursor/scores.
@@ -401,46 +411,41 @@ def serve_stream(
     # Resume (or fall back to the stream head on an invalid cursor).
     # ------------------------------------------------------------------
     loaded = None
-    #: The stream digest the resume computed (None: it computed none).
-    resume_fp: str | None = None
+    #: SHA-1 of the stream bytes the state consumed: the header and every
+    #: day line up to ``stream_offset`` (nothing yet on a fresh start).
+    digest = hashlib.sha1()
+    #: Where the replay starts: the cursor's offset, or 0 (the head).
+    start = 0
     try:
         cursor = checkpoint.read_cursor()
         if cursor is not None:
-            # Hash the stream on a second thread while this one reads
-            # the state back; leaving the with-block joins the thread.
-            # It calls stream_fingerprint through repro.synth.stream,
-            # never this module's binding, which a layer tracer wraps
-            # with spans on one stack.
-            with ThreadPoolExecutor(1, "repro-stream-digest") as hasher:
-                digest = hasher.submit(synth_stream.stream_fingerprint, stream)
-                try:
-                    loaded = checkpoint.load(
-                        cursor, serve_fingerprint=serve_fp, n_shards=n_shards
-                    )
-                    pool = ShardedMonitorPool.from_snapshots(
-                        loaded.shard_payloads,
-                        loaded.shard_journals,
-                        parallel=parallel,
-                        retries=retries,
-                        timeout=timeout,
-                        fault_plan=fault_plan,
-                    )
-                    # The shards are aligned, so one clock: the day of
-                    # the line that ends at the cursor's offset.
-                    try:
-                        check_replay_start(
-                            stream,
-                            cursor.stream_offset,
-                            last_day=pool.monitors[0].last_day_seen,
-                        )
-                    except ConfigError as exc:
-                        raise CursorInvalid(
-                            f"cursor stream_offset: {exc}"
-                        ) from exc
-                finally:
-                    # A hashing error wins over a state error.
-                    resume_fp = digest.result()
-            cursor.check_stream(resume_fp)
+            loaded = checkpoint.load(
+                cursor, serve_fingerprint=serve_fp, n_shards=n_shards
+            )
+            pool = ShardedMonitorPool.from_snapshots(
+                loaded.shard_payloads,
+                loaded.shard_journals,
+                parallel=parallel,
+                retries=config.retries,
+                timeout=timeout,
+                fault_plan=fault_plan,
+            )
+            # The shards are aligned, so one clock: the day of the line
+            # that ends at the cursor's offset.
+            try:
+                start = check_replay_start(
+                    stream,
+                    cursor.stream_offset,
+                    last_day=pool.monitors[0].last_day_seen,
+                )
+            except ConfigError as exc:
+                raise CursorInvalid(f"cursor stream_offset: {exc}") from exc
+            cursor.check_stream(stream_fingerprint(stream, start, digest=digest))
+            if cursor.finished and _holds_data_past(stream, start):
+                raise CursorInvalid(
+                    f"the stream grew past byte {start}, where the finished "
+                    "run sealed it"
+                )
     except (CursorInvalid, SnapshotError) as exc:
         logger.warning(
             "cursor invalid on resume, restarting from stream head: %s", exc
@@ -453,9 +458,7 @@ def serve_stream(
             publisher.trigger_flight("cursor_invalid", commit_index=0)
         loaded = None
         pool = None
-    # A fresh start (or an unreadable cursor) has nothing to overlap
-    # the digest with.
-    stream_fp = resume_fp if resume_fp is not None else stream_fingerprint(stream)
+        digest, start = hashlib.sha1(), 0
     if loaded is not None and pool is not None:
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)
@@ -484,7 +487,7 @@ def serve_stream(
             counting=config.counting,
             first_alarm_window=first_alarm_window,
             parallel=parallel,
-            retries=retries,
+            retries=config.retries,
             timeout=timeout,
             fault_plan=fault_plan,
         )
@@ -493,12 +496,13 @@ def serve_stream(
     if status is not None:
         status.set_run_info(
             stream=str(stream),
-            stream_fingerprint=stream_fp,
             serve_fingerprint=serve_fp,
             n_shards=n_shards,
             batch_size=batch_size,
             parallel=parallel,
         )
+        if resumed:
+            status.set_run_info(stream_fingerprint=digest_fingerprint(digest))
         status.set_phase("resuming" if resumed else "starting")
         status.set_counters(counters.as_dict())
         status.set_checkpoint(
@@ -515,7 +519,7 @@ def serve_stream(
             stream_offset=stream_offset,
             day_batches_consumed=day_batches_consumed,
             counters=counters.as_dict(),
-            stream_fingerprint=stream_fp,
+            stream_fingerprint=digest_fingerprint(digest),
             serve_fingerprint=serve_fp,
             n_shards=n_shards,
             finished=finished,
@@ -592,6 +596,8 @@ def serve_stream(
             if on_state_written is not None:
                 on_state_written(commit_index)
             checkpoint.commit(make_cursor(base, finished))
+        if status is not None:
+            status.set_run_info(stream_fingerprint=digest_fingerprint(digest))
 
     def process_batch(group: list[DayBatch]) -> None:
         nonlocal commit_index, stream_offset, day_batches_consumed
@@ -656,7 +662,7 @@ def serve_stream(
     ):
         pending: list[DayBatch] = []
         pending_baskets = 0
-        for day_batch in replay_stream(stream, start=stream_offset):
+        for day_batch in replay_stream(stream, start=start, digest=digest):
             pending.append(day_batch)
             pending_baskets += day_batch.n_baskets
             if pending_baskets < batch_size:
@@ -697,7 +703,7 @@ def serve_stream(
     manifest = build_manifest(
         "serve",
         config=config,
-        dataset_fingerprint=stream_fp,
+        dataset_fingerprint=digest_fingerprint(digest),
         execution=active_pool.last_report,
         tracer=tracer,
         metrics=registry,

@@ -39,6 +39,7 @@ still captures what happened.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import shutil
 import time
@@ -342,7 +343,6 @@ class _LoopRunner:
                     config=self.config,
                     beta=self.beta,
                     first_alarm_window=self.first_alarm_window,
-                    retries=self.plan.retries,
                     timeout=self.plan.shard_timeout_s,
                     status=self.status,
                     publisher=self.publisher,
@@ -701,7 +701,10 @@ def run_soak(
     """
     stream = Path(stream_path)
     workdir = Path(workdir)
-    config = config if config is not None else ExperimentConfig()
+    # The serving legs take their retry waves from the config.
+    config = dataclasses.replace(
+        config if config is not None else ExperimentConfig(), retries=plan.retries
+    )
     n_batches, n_baskets = stream_shape(stream, plan.batch_size)
     if n_batches < 1:
         raise ConfigError(f"stream {stream} holds no data batches")

@@ -45,6 +45,7 @@ __all__ = [
     "replay_stream",
     "check_replay_start",
     "stream_fingerprint",
+    "digest_fingerprint",
 ]
 
 
@@ -234,7 +235,9 @@ def stream_calendar(header: dict[str, object]) -> StudyCalendar:
     )
 
 
-def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
+def replay_stream(
+    path: str | Path, *, start: int = 0, digest: hashlib._Hash | None = None
+) -> Iterator[DayBatch]:
     """Replay a recorded stream as day batches, in recorded order.
 
     ``start`` is the byte offset of the day line to begin at — the
@@ -245,6 +248,13 @@ def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
     :class:`~repro.errors.SchemaError` naming the offending line; day
     regressions raise it too (a recorded fixture is day-ordered by
     construction, so regression means the file was edited or torn).
+
+    ``digest``, a SHA-1 object holding bytes ``[0, start)``, is fed
+    every byte the replay consumes (the header line too when ``start``
+    is ``0``), so whenever a batch is yielded it holds exactly
+    ``[0, batch.end)``: blank lines are fed with the next day line, and
+    so never past the last batch.  :func:`stream_fingerprint` starts
+    such a digest; :func:`digest_fingerprint` reads it.
 
     Raises
     ------
@@ -257,9 +267,15 @@ def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
     last_day = -1
     with path.open("rb") as handle:
         position = _day_line_start(path, handle, start)
+        if digest is not None and not start:
+            handle.seek(0)
+            digest.update(handle.read(position))
+        #: Blank lines consumed since the last batch, not yet hashed.
+        blank = b""
         for line in handle:
             line_start, position = position, position + len(line)
             if not line.strip():
+                blank += line
                 continue
             try:
                 batch = _decode_day_line(line, position)
@@ -271,13 +287,19 @@ def replay_stream(path: str | Path, *, start: int = 0) -> Iterator[DayBatch]:
                 raise SchemaError(
                     f"{path}:{_line_number(path, line_start)}: {exc}"
                 ) from exc.__cause__
+            if digest is not None:
+                digest.update(blank + line if blank else line)
+            blank = b""
             last_day = batch.day
             yield batch
 
 
-def check_replay_start(path: str | Path, start: int, last_day: int) -> None:
+def check_replay_start(path: str | Path, start: int, last_day: int) -> int:
     """Check that a resume whose state last saw day ``last_day`` can
-    continue with :func:`replay_stream` at byte ``start``.
+    continue with :func:`replay_stream` at byte ``start``, and return
+    the offset of the day line it continues at (the header's end when
+    ``start`` is ``0``): the end of the stream prefix that state
+    consumed.
 
     ``start`` must be ``0``, or an offset between the header's end and
     the file's end that directly follows a newline; and the day line
@@ -295,12 +317,14 @@ def check_replay_start(path: str | Path, start: int, last_day: int) -> None:
     path = Path(path)
     read_stream_header(path)
     with path.open("rb") as handle:
-        day = _day_ending_at(handle, _day_line_start(path, handle, start))
+        begin = _day_line_start(path, handle, start)
+        day = _day_ending_at(handle, begin)
     if day != last_day:
         raise ConfigError(
             f"{path}: the day line ending at byte {start} holds day {day}, "
             f"not the resumed state's day {last_day}"
         )
+    return begin
 
 
 def _day_ending_at(handle: BinaryIO, end: int) -> int:
@@ -444,18 +468,35 @@ def _amount_column(values: Sequence[object]) -> np.ndarray:
     return column
 
 
-def stream_fingerprint(path: str | Path) -> str:
-    """Short content digest of a recorded stream file.
+def stream_fingerprint(
+    path: str | Path, end: int | None = None, *, digest: hashlib._Hash | None = None
+) -> str:
+    """Short content digest of bytes ``[0, end)`` of a recorded stream
+    file (every byte when ``end`` is ``None``; the whole file when it is
+    shorter).
 
-    The serve checkpoint stores this next to its cursor: a cursor is
-    only valid against the exact bytes it was recorded over, so a
-    re-recorded or edited stream invalidates the cursor (triggering the
-    restart-from-head fallback) instead of resuming into the wrong data.
+    The serve checkpoint stores this next to its cursor, over the
+    prefix the cursor's state consumed: a cursor is only valid against
+    the exact bytes it was recorded over, so an edited, truncated or
+    re-recorded prefix invalidates the cursor (triggering the
+    restart-from-head fallback) instead of resuming into the wrong data,
+    while days appended past it are served on.  The bytes are fed to
+    ``digest`` (a fresh SHA-1 when ``None``), so a caller can hand that
+    state on to :func:`replay_stream`; the file is read through one
+    buffer of at most 1 MiB.
     """
-    digest = hashlib.sha1()
-    buffer = bytearray(1 << 20)
-    view = memoryview(buffer)
+    digest = hashlib.sha1() if digest is None else digest
     with Path(path).open("rb") as handle:
-        while size := handle.readinto(buffer):
+        left = os.fstat(handle.fileno()).st_size if end is None else end
+        buffer = bytearray(min(1 << 20, max(left, 0)))
+        view = memoryview(buffer)
+        while left > 0 and (size := handle.readinto(view[: min(len(buffer), left)])):
             digest.update(view[:size])
+            left -= size
+    return digest_fingerprint(digest)
+
+
+def digest_fingerprint(digest: hashlib._Hash) -> str:
+    """The short fingerprint :func:`stream_fingerprint` returns, of the
+    bytes ``digest`` holds so far (it can take more after)."""
     return digest.hexdigest()[:16]

@@ -229,6 +229,28 @@ def test_malformed_columns_rejected(tiny_dataset):
             pytest.fail(f"{case}: restored without error")
 
 
+def test_descending_open_window_items_name_their_customer(tiny_dataset):
+    # Distinct items, so no repeat: only the order is wrong, and the
+    # container's checksum is recomputed over the changed column.
+    monitor = _monitor(tiny_dataset)
+    baskets = _stream(tiny_dataset)
+    monitor.ingest_many(baskets[: len(baskets) // 2])
+    payload = snapshot_monitor(monitor)
+    spans = payload["current_offsets"]
+    row = next(i for i in range(len(spans) - 1) if spans[i + 1] - spans[i] >= 2)
+    lo, hi = spans[row], spans[row + 1]
+    items = payload["current_items"].copy()
+    items[lo:hi] = items[lo:hi][::-1]
+    payload["current_items"] = items
+    decoded = decode_snapshot(encode_snapshot(payload))
+    customer = payload["customers"][row]
+    with pytest.raises(
+        SnapshotError,
+        match=f"customer {customer}'s open-window items do not strictly ascend",
+    ):
+        restore_monitor(decoded)
+
+
 def test_version_1_json_snapshot_names_both_versions(tmp_path):
     path = atomic_write_json(
         tmp_path / "old.json",

@@ -103,6 +103,31 @@ class TestServeUpdatesBoard:
         )
         assert board.phase == "interrupted"
 
+    def test_run_info_carries_the_digest_at_the_committed_offset(
+        self, stream_path, serve_config, tmp_path
+    ):
+        from repro.serve import ServeCheckpoint
+        from repro.synth.stream import stream_fingerprint
+
+        for max_batches in (2, None):
+            board = StatusBoard()
+            serve_stream(
+                stream_path,
+                tmp_path / "ckpt",
+                config=serve_config,
+                batch_size=BATCH,
+                max_batches=max_batches,
+                status=board,
+            )
+            offset = ServeCheckpoint(tmp_path / "ckpt").read_cursor().stream_offset
+            assert board.status()["run"]["stream_fingerprint"] == (
+                stream_fingerprint(stream_path, offset)
+            )
+        # Finished: the prefix is every byte of the recorded stream.
+        assert board.status()["run"]["stream_fingerprint"] == (
+            stream_fingerprint(stream_path)
+        )
+
 
 class TestHttpServer:
     def _get(self, base: str, path: str):

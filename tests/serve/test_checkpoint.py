@@ -348,8 +348,9 @@ class TestInvalidCursors:
         # version 3 kept the score table as JSON in its header; version
         # 4 had no stream offset and kept journals in their header;
         # version 5 kept the score table beside the shards; version 6
-        # replaced one cursor.json in place.
-        for version in (1, 2, 3, 4, 5, 6):
+        # replaced one cursor.json in place; version 7 pinned the digest
+        # of the whole stream file, not of the prefix it consumed.
+        for version in (1, 2, 3, 4, 5, 6, 7):
             payload = dict(current, version=version)
             if version < 5:
                 del payload["stream_offset"]
@@ -459,7 +460,7 @@ class TestCursorFiles:
         assert checkpoint.cursor_path == checkpoint.cursor_file(5)
         payload = json.loads(checkpoint.cursor_path.read_text())
         assert payload == _cursor(commit_index=5, base_index=3).to_payload()
-        assert payload["version"] == CURSOR_VERSION == 7
+        assert payload["version"] == CURSOR_VERSION == 8
 
     def test_newest_of_two_cursors_wins_and_the_next_commit_leaves_one(
         self, tmp_path, monkeypatch

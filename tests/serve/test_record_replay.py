@@ -14,6 +14,7 @@ from repro.errors import ConfigError, DataError, SchemaError
 from repro.synth.stream import (
     RECORDED_STREAM_VERSION,
     check_replay_start,
+    digest_fingerprint,
     read_stream_header,
     record_stream,
     replay_stream,
@@ -84,7 +85,10 @@ class TestRecordReplay:
         for start, day in (
             (0, -1), (header_end, -1), (full[1].end, full[1].day), (size, full[-1].day)
         ):
-            check_replay_start(stream_path, start, last_day=day)
+            # It returns where the replay continues: 0 is the header's end.
+            assert check_replay_start(stream_path, start, last_day=day) == (
+                start or header_end
+            )
             with pytest.raises(ConfigError, match="not the resumed state's day"):
                 check_replay_start(stream_path, start, last_day=day + 1)
 
@@ -116,6 +120,60 @@ class TestRecordReplay:
         path.write_bytes(random.Random(size).randbytes(size))
         want = hashlib.sha1(path.read_bytes()).hexdigest()[:16]
         assert stream_fingerprint(path) == want
+
+
+class TestPrefixDigest:
+    """The digest of a stream prefix, and the replay that carries it."""
+
+    def test_fingerprint_of_a_prefix(self, stream_path):
+        data = stream_path.read_bytes()
+        for end in (0, 1, 1 << 20, len(data) - 1, len(data), len(data) + 5):
+            want = hashlib.sha1(data[:end]).hexdigest()[:16]
+            assert stream_fingerprint(stream_path, end) == want, end
+        assert stream_fingerprint(stream_path, None) == stream_fingerprint(
+            stream_path, len(data)
+        )
+
+    def test_prefix_digest_is_handed_on(self, stream_path):
+        data = stream_path.read_bytes()
+        digest = hashlib.sha1()
+        stream_fingerprint(stream_path, 1000, digest=digest)
+        digest.update(data[1000:])
+        assert digest_fingerprint(digest) == stream_fingerprint(stream_path)
+
+    def test_replay_digest_covers_each_batch_prefix(self, stream_path, tmp_path):
+        """At every yield the digest holds ``[0, batch.end)``: the header,
+        every day line and the blank lines before the batch, never the
+        blank lines after the last one; a resumed replay carries on the
+        digest of its prefix."""
+        header, first, *rest = stream_path.read_bytes().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes(b"".join([header, b"\n", first, b" \n", *rest, b"\n\n"]))
+        for path in (stream_path, spaced):
+            digest = hashlib.sha1()
+            batches = []
+            for batch in replay_stream(path, digest=digest):
+                assert digest_fingerprint(digest) == stream_fingerprint(path, batch.end)
+                batches.append(batch)
+            assert digest_fingerprint(digest) == stream_fingerprint(
+                path, batches[-1].end
+            )
+            start = batches[2].end
+            digest = hashlib.sha1()
+            stream_fingerprint(path, start, digest=digest)
+            for batch in replay_stream(path, start=start, digest=digest):
+                assert digest_fingerprint(digest) == stream_fingerprint(path, batch.end)
+            assert digest_fingerprint(digest) == stream_fingerprint(
+                path, batches[-1].end
+            )
+
+    def test_header_only_replay_digests_the_header(self, serve_dataset, tmp_path):
+        path = record_stream(
+            [], tmp_path / "empty.jsonl", calendar=serve_dataset.calendar
+        )
+        digest = hashlib.sha1()
+        assert list(replay_stream(path, digest=digest)) == []
+        assert digest_fingerprint(digest) == stream_fingerprint(path)
 
 
 class TestRejection:

@@ -452,7 +452,9 @@ class TestCursorFallback:
     ):
         # One byte of one day line changes after a commit and the line
         # stays valid, so only the stream digest can tell: inside the
-        # prefix the cursor consumed, or past its offset.
+        # prefix the cursor consumed, which falls back, or past its
+        # offset, which the cursor's prefix digest does not cover, so
+        # the run resumes and serves the changed day.
         stream = tmp_path / "stream.jsonl"
         shutil.copyfile(stream_path, stream)
         ckpt = tmp_path / "ckpt"
@@ -479,10 +481,13 @@ class TestCursorFallback:
             logging.WARNING, logger="repro.serve.loop"
         ):
             result = run()
-        assert not result.resumed
+        fell_back = where == "consumed"
+        assert result.resumed != fell_back
         assert result.finished
-        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
-        assert any("recorded over stream" in r.message for r in caplog.records)
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == fell_back
+        assert fell_back == any(
+            "recorded over stream" in r.message for r in caplog.records
+        )
         assert result.fingerprint() == changed.fingerprint()
 
     def test_changed_config_restarts_from_head(
@@ -687,8 +692,9 @@ class TestCursorFiles:
 
 
 class TestStreamDigest:
-    """A resume hashes the stream on a second thread while it reads the
-    checkpoint back, and joins it before it replays anything."""
+    """A resume hashes the stream prefix its cursor consumed, once, on
+    the calling thread, before it replays anything; the replay carries
+    that digest forward, so every cursor pins the prefix it consumed."""
 
     @pytest.fixture()
     def partial(self, stream_path, serve_config, tmp_path):
@@ -710,6 +716,22 @@ class TestStreamDigest:
         checkpoint = ServeCheckpoint(ckpt)
         base = checkpoint.read_cursor().base_index
         tear_file(checkpoint.shard_path(base, 0), keep_fraction=0.3)
+
+    @staticmethod
+    def _record_binding(monkeypatch, calls: list, fail: bool = False) -> None:
+        """Record ``(thread, end)`` of every call of the loop's
+        ``stream_fingerprint`` binding; raise ``OSError`` if ``fail``."""
+        import repro.serve.loop as loop
+
+        fingerprint = loop.stream_fingerprint
+
+        def recording(path, end=None, **kwargs):
+            calls.append((threading.get_ident(), end))
+            if fail:
+                raise OSError(5, "Input/output error", str(path))
+            return fingerprint(path, end, **kwargs)
+
+        monkeypatch.setattr(loop, "stream_fingerprint", recording)
 
     @pytest.mark.parametrize("leg", ["resume", "fallback", "finished", "crash"])
     def test_no_thread_outlives_the_call(self, partial, leg):
@@ -734,88 +756,215 @@ class TestStreamDigest:
         self, partial, offline_reference, monkeypatch, parallel
     ):
         ckpt, run = partial
-        caller = threading.get_ident()
+        offset = ServeCheckpoint(ckpt).read_cursor().stream_offset
         events = []
-        fingerprint = synth_stream.stream_fingerprint
-
-        def recording_fingerprint(path):
-            digest = fingerprint(path)
-            events.append(("digest", threading.get_ident()))
-            return digest
-
+        self._record_binding(monkeypatch, events)
         process_batch = ShardedMonitorPool.process_batch
 
         def recording_process_batch(self, batches):
-            alive = [t.name for t in threading.enumerate()]
-            digesting = any(n.startswith("repro-stream-digest") for n in alive)
-            events.append(("batch", digesting))
+            events.append("batch")
             return process_batch(self, batches)
 
-        monkeypatch.setattr(synth_stream, "stream_fingerprint", recording_fingerprint)
         monkeypatch.setattr(
             ShardedMonitorPool, "process_batch", recording_process_batch
         )
         result = run(parallel=parallel)
         assert result.resumed and result.finished
         assert result.fingerprint() == offline_reference.fingerprint()
-        (kind, thread), *batches = events
-        assert kind == "digest" and thread != caller
-        assert batches and batches == [("batch", False)] * len(batches)
+        first, *batches = events
+        assert first == (threading.get_ident(), offset)
+        assert batches and batches == ["batch"] * len(batches)
 
-    @pytest.mark.parametrize("leg", ["fresh", "resume", "torn-state"])
+    @pytest.mark.parametrize("leg", ["resume", "finished"])
     def test_a_hashing_error_propagates(self, partial, monkeypatch, leg):
-        import repro.serve.loop as loop
-
         ckpt, run = partial
-
-        def failing(path):
-            raise OSError(5, "Input/output error", str(path))
-
-        if leg == "fresh":
-            shutil.rmtree(ckpt)
-        elif leg == "torn-state":
-            # The state fails first, but the stream cannot be read:
-            # that is no cursor fallback.
-            self._tear_base(ckpt)
-        monkeypatch.setattr(loop, "stream_fingerprint", failing)
-        monkeypatch.setattr(synth_stream, "stream_fingerprint", failing)
-        before = threading.active_count()
+        if leg == "finished":
+            run()
+        calls = []
+        self._record_binding(monkeypatch, calls, fail=True)
         registry = MetricsRegistry()
         with use_metrics(registry), pytest.raises(OSError, match="Input/output"):
             run()
-        assert threading.active_count() == before
+        assert len(calls) == 1
         assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 0
+
+    def test_fresh_start_hashes_nothing_before_its_first_batch(
+        self, stream_path, partial, monkeypatch
+    ):
+        ckpt, run = partial
+        shutil.rmtree(ckpt)
+        calls = []
+        self._record_binding(monkeypatch, calls, fail=True)
+        result = run(max_batches=1)
+        assert not result.resumed and calls == []
+        # The replay hashed the header and the batch's day lines.
+        cursor = ServeCheckpoint(ckpt).read_cursor()
+        assert cursor.stream_fingerprint == synth_stream.stream_fingerprint(
+            stream_path, cursor.stream_offset
+        )
+
+    def test_torn_state_falls_back_before_hashing(
+        self, partial, offline_reference, monkeypatch
+    ):
+        # The state fails first, so the stream is never hashed: the
+        # fallback run hashes from the head as it replays.
+        ckpt, run = partial
+        self._tear_base(ckpt)
+        calls = []
+        self._record_binding(monkeypatch, calls, fail=True)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = run()
+        assert not result.resumed and result.finished
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert calls == []
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
 
     def test_the_loop_binding_runs_on_the_calling_thread_only(
         self, partial, offline_reference, monkeypatch
     ):
         # A layer tracer wraps repro.serve.loop.stream_fingerprint with
-        # spans on one stack, so only the calling thread may call it: a
-        # fresh start and an unreadable cursor hash inline, and a resume
-        # (also one that falls back) through repro.synth.stream.
-        import repro.serve.loop as loop
-
+        # spans on one stack: a resume hashes its prefix through that
+        # binding, on the calling thread; a resume whose state or cursor
+        # fails falls back before hashing, and a fresh start hashes as
+        # it replays.
         ckpt, run = partial
-        caller = threading.get_ident()
-        threads = []
-        fingerprint = loop.stream_fingerprint
-
-        def recording(path):
-            threads.append(threading.get_ident())
-            return fingerprint(path)
-
-        monkeypatch.setattr(loop, "stream_fingerprint", recording)
+        offset = ServeCheckpoint(ckpt).read_cursor().stream_offset
+        calls = []
+        self._record_binding(monkeypatch, calls)
         assert run(max_batches=1).resumed
+        assert calls == [(threading.get_ident(), offset)]
         self._tear_base(ckpt)
         assert not run(max_batches=1).resumed
-        assert threads == []
         tear_file(ServeCheckpoint(ckpt).cursor_path, keep_fraction=0.4)
         assert not run(max_batches=1).resumed
         shutil.rmtree(ckpt)
         result = run()
         assert not result.resumed
         assert result.fingerprint() == offline_reference.fingerprint()
-        assert threads == [caller, caller]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_every_cursor_pins_the_prefix_it_consumed(
+        self, stream_path, serve_config, offline_reference, tmp_path, monkeypatch, n_shards
+    ):
+        cursors = []
+        commit = ServeCheckpoint.commit
+
+        def recording_commit(self, cursor):
+            cursors.append(cursor)
+            return commit(self, cursor)
+
+        monkeypatch.setattr(ServeCheckpoint, "commit", recording_commit)
+        ckpt = tmp_path / "ckpt"
+        result = None
+        # Two batches a leg: every other cursor carries a resumed digest.
+        while result is None or not result.finished:
+            result = serve_stream(
+                stream_path,
+                ckpt,
+                config=serve_config,
+                batch_size=BATCH,
+                n_shards=n_shards,
+                max_batches=2,
+            )
+            assert result.resumed == (len(cursors) > 2)
+        assert result.fingerprint() == offline_reference.fingerprint()
+        assert len(cursors) > 4 and cursors[-1].finished
+        for cursor in cursors:
+            assert cursor.stream_fingerprint == synth_stream.stream_fingerprint(
+                stream_path, end=cursor.stream_offset
+            ), cursor.commit_index
+        whole = synth_stream.stream_fingerprint(stream_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert cursors[-1].stream_fingerprint == whole
+        assert manifest["dataset_fingerprint"] == whole
+
+
+class TestStreamPrefix:
+    """The cursor pins only the prefix its state consumed: days appended
+    past it are served on, a prefix cut short falls back."""
+
+    @staticmethod
+    def _cut(stream_path: Path, stream: Path, drop: int) -> bytes:
+        """Write ``stream_path`` without its last ``drop`` day lines to
+        ``stream``; return the dropped bytes."""
+        data = stream_path.read_bytes()
+        cut = list(replay_stream(stream_path))[-drop - 1].end
+        stream.write_bytes(data[:cut])
+        return data[cut:]
+
+    @pytest.mark.parametrize("served", ["partly", "finished"])
+    def test_appended_days_are_served(
+        self, stream_path, serve_config, offline_reference, tmp_path, served
+    ):
+        stream = tmp_path / "stream.jsonl"
+        appended = self._cut(stream_path, stream, drop=1)
+        run = functools.partial(
+            serve_stream, stream, tmp_path / "ckpt", config=serve_config, batch_size=BATCH
+        )
+        first = run(max_batches=3 if served == "partly" else None)
+        assert first.finished == (served == "finished")
+        with stream.open("ab") as handle:
+            handle.write(appended)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = run()
+        assert result.finished and result.batches_reworked == 0
+        assert result.fingerprint() == offline_reference.fingerprint()
+        # A finished run sealed its windows: it cannot take more days, so
+        # it re-serves the longer stream from the head.
+        fell_back = served == "finished"
+        assert result.resumed != fell_back
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == fell_back
+
+    def test_stream_truncated_before_the_offset_falls_back(
+        self, stream_path, serve_config, tmp_path, caplog
+    ):
+        stream = tmp_path / "stream.jsonl"
+        shutil.copyfile(stream_path, stream)
+        run = functools.partial(
+            serve_stream, stream, tmp_path / "ckpt", config=serve_config, batch_size=BATCH
+        )
+        run(max_batches=3)
+        days = list(replay_stream(stream))
+        offset = ServeCheckpoint(tmp_path / "ckpt").read_cursor().stream_offset
+        consumed = [day.end for day in days].index(offset) + 1
+        stream.write_bytes(stream.read_bytes()[: days[consumed // 2].end])
+        registry = MetricsRegistry()
+        with use_metrics(registry), caplog.at_level(
+            logging.WARNING, logger="repro.serve.loop"
+        ):
+            result = run()
+        assert not result.resumed and result.finished
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
+        assert any("stream_offset" in r.message for r in caplog.records)
+        assert result.fingerprint() == (
+            offline_sweep_stream(stream, config=serve_config).fingerprint()
+        )
+
+    def test_header_only_stream_seals_and_resumes_as_a_no_op(
+        self, stream_path, serve_config, tmp_path
+    ):
+        stream = record_stream(
+            [],
+            tmp_path / "empty.jsonl",
+            calendar=stream_calendar(read_stream_header(stream_path)),
+        )
+        run = functools.partial(
+            serve_stream, stream, tmp_path / "ckpt", config=serve_config
+        )
+        first = run()
+        assert first.finished and first.batches_this_run == 0
+        cursor = ServeCheckpoint(tmp_path / "ckpt").read_cursor()
+        assert cursor.finished and cursor.stream_offset == 0
+        assert cursor.stream_fingerprint == synth_stream.stream_fingerprint(stream)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            again = run()
+        assert again.resumed and again.finished and again.batches_this_run == 0
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 0
+        assert again.fingerprint() == first.fingerprint()
 
 
 class TestFaultyWorkers:
@@ -888,6 +1037,25 @@ class TestValidation:
                 config=serve_config,
                 max_batches=0,
             )
+
+    def test_config_retries_reach_the_pool(self, stream_path, tmp_path, monkeypatch):
+        # ExperimentConfig.retries is the pool's one retry count, on a
+        # fresh start and on a resume alike.
+        seen = []
+        process_batch = ShardedMonitorPool.process_batch
+
+        def recording(self, batches):
+            seen.append(self.retries)
+            return process_batch(self, batches)
+
+        monkeypatch.setattr(ShardedMonitorPool, "process_batch", recording)
+        config = ExperimentConfig(retries=0)
+        for _ in range(2):
+            result = serve_stream(
+                stream_path, tmp_path / "ckpt", config=config, max_batches=1
+            )
+        assert result.resumed
+        assert seen == [0, 0]
 
 
 @pytest.fixture(scope="module")
