@@ -70,11 +70,10 @@ serve-demo:
 
 # Chaos soak smoke: record a 500-customer stream, replay it against the
 # serving layer for ~60s of wall clock while the smoke schedule injects
-# one fault per site (torn cursor, worker crash, slow shard, kill/resume,
-# checkpoint-I/O error, torn state), verify recovery + offline parity
-# after each, enforce the p99 latency SLO, and refresh the soak scenario
-# of BENCH_serve.json.  Exits non-zero on any violation.  See DESIGN.md
-# §11.
+# one fault per site (torn cursor, kill/resume, checkpoint-I/O error,
+# torn state), verify recovery + offline parity after each, enforce the
+# p99 latency SLO, and refresh the soak scenario of BENCH_serve.json.
+# Exits non-zero on any violation.  See DESIGN.md §11.
 soak-smoke:
 	mkdir -p soak-smoke
 	PYTHONPATH=src python -m repro.cli --loyal 250 --churners 250 \
@@ -82,8 +81,7 @@ soak-smoke:
 	PYTHONPATH=src python -m repro.cli -v \
 		--metrics-out soak-smoke/metrics.json \
 		soak soak-smoke/stream.jsonl --workdir soak-smoke/run \
-		--chaos smoke --duration 60 --batch-size 2000 \
-		--n-shards 2 --parallel --slow-seconds 1.0 \
+		--chaos smoke --duration 60 --batch-size 2000 --n-shards 2 \
 		--slo-p99-ms 30000 --min-throughput 50 \
 		--flight-dir soak-smoke/flight \
 		--metrics-stream-out soak-smoke/live.jsonl \

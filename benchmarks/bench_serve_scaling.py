@@ -81,7 +81,6 @@ def test_population_scaling(benchmark, output_dir, tmp_path):
         "seed": SEED,
         "batch_size": BATCH_SIZE,
         "n_shards": 1,
-        "parallel": False,
         "repeats": REPEATS,
         "results": [small, large],
         "ratio": ratio,

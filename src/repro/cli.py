@@ -318,11 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--n-shards", type=int, default=1, help="customer shard count"
     )
-    serve.add_argument(
-        "--parallel",
-        action="store_true",
-        help="process shards in worker processes (bit-identical either way)",
-    )
     serve.add_argument("--window-months", type=int, default=2)
     serve.add_argument("--alpha", type=float, default=2.0)
     serve.add_argument(
@@ -406,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help=(
             "fault schedule: 'smoke' injects one fault per site "
-            "(torn cursor, worker crash, slow shard, kill/resume, "
-            "checkpoint I/O error, torn state) at batches 1..6; "
-            "'none' soaks fault-free"
+            "(torn cursor, kill/resume, checkpoint I/O error, torn state) "
+            "at batches 1..4; 'none' soaks fault-free"
         ),
     )
     soak.add_argument(
@@ -432,23 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument("--batch-size", type=int, default=256)
     soak.add_argument("--n-shards", type=int, default=2)
-    soak.add_argument(
-        "--parallel",
-        action="store_true",
-        help="worker-process shards (required for crash/slow faults)",
-    )
-    soak.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        help="per-wave shard timeout in seconds (slow faults trip it)",
-    )
-    soak.add_argument(
-        "--slow-seconds",
-        type=float,
-        default=1.0,
-        help="injected slow-shard stall for the smoke schedule",
-    )
     soak.add_argument("--slo-p50-ms", type=float, default=None)
     soak.add_argument("--slo-p95-ms", type=float, default=None)
     soak.add_argument(
@@ -979,7 +956,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.checkpoint_dir,
                 batch_size=args.batch_size,
                 n_shards=args.n_shards,
-                parallel=args.parallel,
                 config=config,
                 beta=args.beta,
                 first_alarm_window=args.first_alarm_window,
@@ -1085,8 +1061,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             rate=args.rate,
             batch_size=args.batch_size,
             n_shards=args.n_shards,
-            parallel=args.parallel,
-            shard_timeout_s=args.shard_timeout,
             slo_p50_ms=args.slo_p50_ms,
             slo_p95_ms=args.slo_p95_ms,
             slo_p99_ms=args.slo_p99_ms,
@@ -1095,9 +1069,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         chaos = None
         if args.chaos == "smoke":
             n_batches, _ = stream_shape(args.stream, plan.batch_size)
-            chaos = ChaosSchedule.smoke(
-                n_batches, slow_seconds=args.slow_seconds
-            )
+            chaos = ChaosSchedule.smoke(n_batches)
         if args.status_port is not None:
             server = StatusServer(board, port=args.status_port)
             print(

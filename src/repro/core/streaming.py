@@ -273,11 +273,11 @@ class StabilityMonitor:
 
     Usage
     -----
-    Feed baskets in non-decreasing day order via :meth:`ingest` (one
-    basket), :meth:`ingest_many` (an iterable) or :meth:`ingest_days`
-    (whole days as columns); each returns a :class:`WindowCloseReport`
-    for every window that closed because time advanced past it.  Call
-    :meth:`finish` at end of stream to close the remaining windows.
+    Feed baskets in non-decreasing day order via :meth:`ingest_many`
+    (an iterable) or :meth:`ingest_days` (whole days as columns); each
+    returns a :class:`WindowCloseReport` for every window that closed
+    because time advanced past it.  Call :meth:`finish` at end of
+    stream to close the remaining windows.
     """
 
     def __init__(
@@ -383,18 +383,6 @@ class StabilityMonitor:
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
-    def ingest(self, basket: Basket) -> list[WindowCloseReport]:
-        """Feed one basket (a one-basket :meth:`ingest_days`); returns
-        reports for any windows this closes.
-
-        Raises
-        ------
-        DataError
-            If baskets arrive out of order, past the grid, or after
-            :meth:`finish`.
-        """
-        return self.ingest_many([basket])
-
     def ingest_many(self, baskets: Iterable[Basket]) -> list[WindowCloseReport]:
         """Feed a day-ordered iterable of baskets: whole days, about
         :data:`_CHUNK_BASKETS` baskets at a time, go to one

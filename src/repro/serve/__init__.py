@@ -10,9 +10,8 @@ Layout
 ------
 :mod:`repro.serve.pool`
     :class:`ShardedMonitorPool` — customers partitioned
-    ``customer_id % n_shards`` across monitors; serial or
-    :func:`~repro.runtime.executor.run_sharded` parallel batch
-    processing, bit-identical either way.
+    ``customer_id % n_shards`` across monitors, each batch played
+    through every shard in process, bit-identical to one monitor.
 :mod:`repro.serve.checkpoint`
     :class:`ServeCheckpoint` — state generations (a full base at each
     window close, a per-batch journal in between) sealed by an atomic
@@ -29,8 +28,8 @@ Layout
 
 The headline invariant: serving a recorded stream to completion is
 bit-identical to the offline batch sweep over the same log — regardless
-of shard count, parallelism, or how many times the run was killed and
-resumed (compare :meth:`ServeResult.fingerprint` with
+of shard count or how many times the run was killed and resumed
+(compare :meth:`ServeResult.fingerprint` with
 :meth:`OfflineSweep.fingerprint`).
 """
 

@@ -44,8 +44,8 @@ The headline invariant — pinned by the parity tests and checkable via
 :func:`score_fingerprint` — is that serving a recorded stream to
 completion is **bit-identical** to :func:`offline_sweep` (one
 :class:`~repro.core.streaming.StabilityMonitor` over the same log),
-regardless of shard count, parallelism, or how many times the run was
-killed and resumed along the way.
+regardless of shard count or how many times the run was killed and
+resumed along the way.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ if TYPE_CHECKING:
     from repro.data.basket import Basket, DayBatch
     from repro.data.calendar import StudyCalendar
     from repro.obs.export import MetricsPublisher
-    from repro.runtime.faults import FaultPlan
     from repro.serve.api import StatusBoard
 
 __all__ = [
@@ -290,14 +289,12 @@ def serve_stream(
     config: ExperimentConfig | None = None,
     beta: float = 0.5,
     first_alarm_window: int = 0,
-    timeout: float | None = None,
-    fault_plan: FaultPlan | None = None,
     status: StatusBoard | None = None,
     publisher: MetricsPublisher | None = None,
     max_batches: int | None = None,
     should_stop: Callable[[], bool] | None = None,
     on_state_written: Callable[[int], None] | None = None,
-    on_batch_start: Callable[[int], FaultPlan | None] | None = None,
+    on_batch_start: Callable[[int], None] | None = None,
     checkpoint_io_retries: int = 2,
     checkpoint_io_backoff_s: float = 0.05,
     checkpoint_io_fault: Callable[[str, int, int], None] | None = None,
@@ -317,12 +314,15 @@ def serve_stream(
         Checkpoint cadence: a batch is the smallest run of consecutive
         whole days holding at least this many baskets (days are atomic,
         so the resume cursor points just past a whole day's line).
-    n_shards, parallel, timeout, fault_plan:
-        Shard-pool shape; see :class:`~repro.serve.pool.ShardedMonitorPool`.
+    n_shards:
+        Shard count; see :class:`~repro.serve.pool.ShardedMonitorPool`.
+    parallel:
+        Accepted and ignored: shards run in process.  The keyword stays
+        only because the benchmark's workloads
+        (``perfbench/workloads.py``) pass it; it goes once they do not.
     config, beta, first_alarm_window:
         Scoring configuration (the same objects the offline protocol
-        takes, so parity is comparing like with like); the pool's
-        retry waves are ``config.retries``.
+        takes, so parity is comparing like with like).
     status:
         Optional :class:`~repro.serve.api.StatusBoard` kept current
         with phase/counters/cursor/scores.
@@ -345,13 +345,9 @@ def serve_stream(
         cursor commit — raising from it simulates the worst-case crash
         point for the rework-bound tests.
     on_batch_start:
-        Chaos hook called with the commit index a batch is about to
-        commit as, *before* the batch is processed.  Returning a
-        :class:`~repro.runtime.faults.FaultPlan` installs it on the
-        shard pool for exactly that batch (the base ``fault_plan`` is
-        restored afterwards); returning ``None`` leaves the base plan.
-        The soak harness keys its per-batch worker-crash and slow-shard
-        injections (and its rate pacing) on this hook.
+        Hook called with the commit index a batch is about to commit
+        as, *before* the batch is processed (the soak harness paces its
+        basket rate on it).
     checkpoint_io_retries, checkpoint_io_backoff_s, checkpoint_io_fault:
         Transient checkpoint-I/O budget; see
         :class:`~repro.serve.checkpoint.ServeCheckpoint`.  A write that
@@ -423,12 +419,7 @@ def serve_stream(
                 cursor, serve_fingerprint=serve_fp, n_shards=n_shards
             )
             pool = ShardedMonitorPool.from_snapshots(
-                loaded.shard_payloads,
-                loaded.shard_journals,
-                parallel=parallel,
-                retries=config.retries,
-                timeout=timeout,
-                fault_plan=fault_plan,
+                loaded.shard_payloads, loaded.shard_journals
             )
             # The shards are aligned, so one clock: the day of the line
             # that ends at the cursor's offset.
@@ -486,10 +477,6 @@ def serve_stream(
             significance=config.significance(),
             counting=config.counting,
             first_alarm_window=first_alarm_window,
-            parallel=parallel,
-            retries=config.retries,
-            timeout=timeout,
-            fault_plan=fault_plan,
         )
     active_pool = pool
 
@@ -499,7 +486,6 @@ def serve_stream(
             serve_fingerprint=serve_fp,
             n_shards=n_shards,
             batch_size=batch_size,
-            parallel=parallel,
         )
         if resumed:
             status.set_run_info(stream_fingerprint=digest_fingerprint(digest))
@@ -604,10 +590,7 @@ def serve_stream(
         nonlocal last_day_consumed
         n_baskets = sum(b.n_baskets for b in group)
         if on_batch_start is not None:
-            batch_plan = on_batch_start(commit_index + 1)
-            active_pool.set_fault_plan(
-                batch_plan if batch_plan is not None else fault_plan
-            )
+            on_batch_start(commit_index + 1)
         if status is not None:
             status.set_phase("serving")
         with timed_stage(
@@ -704,7 +687,6 @@ def serve_stream(
         "serve",
         config=config,
         dataset_fingerprint=digest_fingerprint(digest),
-        execution=active_pool.last_report,
         tracer=tracer,
         metrics=registry,
     )

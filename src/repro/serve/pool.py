@@ -1,20 +1,19 @@
-"""Customer-sharded monitor pool with bit-identical serial fallback.
+"""Customer-sharded monitor pool, bit-identical to one monitor.
 
-A serving deployment cannot hold 6M customers' incremental state behind
-one GIL: :class:`ShardedMonitorPool` partitions customers across
-``n_shards`` independent :class:`~repro.core.streaming.StabilityMonitor`
-instances (``customer_id % n_shards``, so all of a customer's baskets
-land in one shard).  It routes each checkpoint batch's columns to the
-shards in numpy and feeds each shard its slice in one
-:meth:`~repro.core.streaming.StabilityMonitor.ingest_days` call —
-serially in-process, or fanned out to worker processes through
-:func:`~repro.runtime.executor.run_sharded` with its full
-retry/degrade protocol.  The item unions the monitors take are the
-batch's checkpoint journal (:meth:`ShardedMonitorPool.journal_shards`).
+:class:`ShardedMonitorPool` partitions customers across ``n_shards``
+independent :class:`~repro.core.streaming.StabilityMonitor` instances
+(``customer_id % n_shards``, so all of a customer's baskets land in one
+shard).  The paper scores each customer from that customer's own
+baskets alone, so the shards are a partition of independent customers:
+the pool routes each checkpoint batch's columns to the shards in numpy
+and feeds each shard its slice in one
+:meth:`~repro.core.streaming.StabilityMonitor.ingest_days` call, in
+process.  The item unions the monitors take are the batch's checkpoint
+journal (:meth:`ShardedMonitorPool.journal_shards`).
 
 The pool preserves the serving layer's headline invariant — sharded
 scoring is **bit-identical** to a single monitor over the same stream —
-through three properties:
+through two properties:
 
 * every shard's clock advances through *every* day of the stream
   (:meth:`StabilityMonitor.advance_to_day`), so all shards close the
@@ -22,14 +21,7 @@ through three properties:
   customers shopped;
 * a customer's state is content-determined (new items join their row
   in sorted order), so the basket interleaving *across* customers never
-  affects any one customer's scores;
-* the parallel path ships each shard's state to its worker and back
-  as one checksummed snapshot container (:mod:`repro.runtime.snapshot`),
-  whose round-trip guarantee pins that a restored monitor emits
-  identical reports — the same slab-reference pattern the batch engine
-  uses, so a retried or degraded worker attempt recomputes from the
-  exact same state (``fn`` stays pure/idempotent as ``run_sharded``
-  requires).
+  affects any one customer's scores.
 """
 
 from __future__ import annotations
@@ -43,18 +35,14 @@ from repro.core.detector import Alarm
 from repro.core.streaming import ItemUnion, StabilityMonitor, WindowCloseReport, merge_unions
 from repro.data.basket import DayBatch, day_columns
 from repro.errors import ConfigError
-from repro.runtime.executor import ExecutionReport, run_sharded
-from repro.runtime.snapshot import (
-    decode_snapshot,
-    encode_snapshot,
-    restore_monitor,
-    snapshot_monitor,
-)
+# Unused here: perfbench/tracing.py wraps this name to time the
+# executor layer, so it stays bound until the benchmark stops patching it.
+from repro.runtime.executor import run_sharded  # noqa: F401
+from repro.runtime.snapshot import restore_monitor, snapshot_monitor
 
 if TYPE_CHECKING:
     from repro.core.significance import SignificanceFunction
     from repro.core.windowing import WindowGrid
-    from repro.runtime.faults import FaultPlan
 
 __all__ = ["ShardedMonitorPool", "shard_of", "merge_reports"]
 
@@ -62,16 +50,6 @@ __all__ = ["ShardedMonitorPool", "shard_of", "merge_reports"]
 #: takes it: the days, each day's end in the shard's baskets, and the
 #: baskets' ``customers``, ``sizes`` and ``items`` columns.
 _ShardColumns = tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]
-#: Wire shapes shipped to and from worker processes: plain tuples,
-#: int64 arrays and encoded snapshots only, so pickling never depends
-#: on dataclass details across versions.
-_WireReport = tuple[
-    int,
-    tuple[tuple[int, float], ...],
-    tuple[tuple[int, int, float], ...],
-]
-_WireUnion = tuple[np.ndarray, np.ndarray, np.ndarray]
-_ShardTask = tuple[bytes, _ShardColumns]
 
 
 def shard_of(customer_id: int, n_shards: int) -> int:
@@ -111,48 +89,6 @@ def merge_reports(
     return merged
 
 
-def _serialize_report(report: WindowCloseReport) -> _WireReport:
-    return (
-        report.window_index,
-        tuple(report.stabilities.items()),
-        tuple(
-            (a.customer_id, a.window_index, a.stability) for a in report.alarms
-        ),
-    )
-
-
-def _deserialize_report(wire: _WireReport) -> WindowCloseReport:
-    window_index, stabilities, alarms = wire
-    return WindowCloseReport(
-        window_index=window_index,
-        stabilities=dict(stabilities),
-        alarms=tuple(
-            Alarm(customer_id=cid, window_index=w, stability=s)
-            for cid, w, s in alarms
-        ),
-    )
-
-
-def _process_shard_batch(
-    task: _ShardTask,
-) -> tuple[bytes, tuple[_WireReport, ...], _WireUnion]:
-    """Worker: restore one shard, play its slice of one batch, snapshot
-    back; the reports and the item union the slice added go with it.
-
-    Pure in the :func:`run_sharded` sense — state in, state out, no side
-    effects — so a timed-out attempt recomputed elsewhere cannot corrupt
-    anything.
-    """
-    blob, columns = task
-    monitor = restore_monitor(decode_snapshot(blob))
-    reports, unions = monitor.ingest_days(*columns)
-    return (
-        encode_snapshot(snapshot_monitor(monitor)),
-        tuple(_serialize_report(r) for r in reports),
-        tuple(merge_unions(unions)),
-    )
-
-
 def _shard_columns(batches: Sequence[DayBatch], n_shards: int) -> list[_ShardColumns]:
     """Each shard's slice of a group of day batches: every day, and the
     baskets of the customers it owns (``customer_id % n_shards``)."""
@@ -185,34 +121,12 @@ class ShardedMonitorPool:
         One :class:`StabilityMonitor` per shard, identically configured
         and clock-aligned (shard ``i`` owns customers with
         ``customer_id % n_shards == i``).
-    parallel:
-        Process each batch's shards in worker processes via
-        :func:`run_sharded` (retry waves, serial degrade) instead of
-        in-process.  Results are bit-identical either way; parallelism
-        is purely a throughput lever.
-    retries, timeout, fault_plan:
-        Passed through to :func:`run_sharded` in parallel mode.
     """
 
-    def __init__(
-        self,
-        monitors: Sequence[StabilityMonitor],
-        *,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, monitors: Sequence[StabilityMonitor]) -> None:
         if not monitors:
             raise ConfigError("a monitor pool needs at least one shard")
         self.monitors = list(monitors)
-        self.parallel = bool(parallel)
-        self.retries = int(retries)
-        self.timeout = timeout
-        self.fault_plan = fault_plan
-        #: Executor report of the most recent parallel batch (None until
-        #: one ran); surfaces retry/degrade history for the manifest.
-        self.last_report: ExecutionReport | None = None
         #: Per shard, the item unions the most recent
         #: :meth:`process_batch` took (see :meth:`journal_shards`).
         self._unions: list[list[ItemUnion]] = [[] for _ in self.monitors]
@@ -231,10 +145,6 @@ class ShardedMonitorPool:
         significance: SignificanceFunction | None = None,
         counting: str = "paper",
         first_alarm_window: int = 0,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> ShardedMonitorPool:
         """Build a fresh pool of identically configured shard monitors."""
         if n_shards < 1:
@@ -249,24 +159,13 @@ class ShardedMonitorPool:
             )
             for _ in range(n_shards)
         ]
-        return cls(
-            monitors,
-            parallel=parallel,
-            retries=retries,
-            timeout=timeout,
-            fault_plan=fault_plan,
-        )
+        return cls(monitors)
 
     @classmethod
     def from_snapshots(
         cls,
         payloads: Sequence[dict],
         journals: Sequence[Sequence[ItemUnion]] | None = None,
-        *,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> ShardedMonitorPool:
         """Restore a pool from per-shard snapshot payloads (a checkpoint),
         each shard with its ``journals``: the open-window item unions
@@ -284,22 +183,8 @@ class ShardedMonitorPool:
             [
                 restore_monitor(payload, unions)
                 for payload, unions in zip(payloads, journals, strict=True)
-            ],
-            parallel=parallel,
-            retries=retries,
-            timeout=timeout,
-            fault_plan=fault_plan,
+            ]
         )
-
-    def set_fault_plan(self, fault_plan: FaultPlan | None) -> None:
-        """Swap the injected fault plan for subsequent batches.
-
-        The plan is read at each :meth:`process_batch` call, so the
-        chaos harness can schedule a fault for exactly one batch by
-        installing a plan before it and restoring the base plan after
-        (the serving loop's ``on_batch_start`` hook does exactly this).
-        """
-        self.fault_plan = fault_plan
 
     def snapshot_shards(self) -> list[dict]:
         """One versioned snapshot payload per shard, in shard order."""
@@ -352,39 +237,12 @@ class ShardedMonitorPool:
         if not batches:
             return []
         shards = _shard_columns(batches, self.n_shards)
-        if self.parallel and self.n_shards > 1:
-            return self._process_parallel(shards)
         per_shard = []
         for shard, (monitor, columns) in enumerate(zip(self.monitors, shards, strict=True)):
             reports, self._unions[shard] = monitor.ingest_days(*columns)
             per_shard.append(reports)
         return merge_reports(per_shard)
 
-    def _process_parallel(self, shards: list[_ShardColumns]) -> list[WindowCloseReport]:
-        tasks: list[_ShardTask] = [
-            (encode_snapshot(snapshot_monitor(monitor)), columns)
-            for monitor, columns in zip(self.monitors, shards, strict=True)
-        ]
-        results, report = run_sharded(
-            _process_shard_batch,
-            tasks,
-            max_workers=self.n_shards,
-            retries=self.retries,
-            timeout=self.timeout,
-            fault_plan=self.fault_plan,
-        )
-        self.last_report = report
-        per_shard: list[list[WindowCloseReport]] = []
-        for shard, (blob, serialized, union) in enumerate(results):
-            self.monitors[shard] = restore_monitor(decode_snapshot(blob))
-            self._unions[shard] = [ItemUnion(*union)]
-            per_shard.append([_deserialize_report(r) for r in serialized])
-        return merge_reports(per_shard)
-
     def finish(self) -> list[WindowCloseReport]:
-        """Close every remaining window on every shard; merged reports.
-
-        Always runs in the parent process — end-of-stream work is one
-        pass over already-resident state, not worth a pool round trip.
-        """
+        """Close every remaining window on every shard; merged reports."""
         return merge_reports([monitor.finish() for monitor in self.monitors])

@@ -10,10 +10,6 @@ mid-soak.  The run is executed as a sequence of **legs** — bounded
 the next fault is scheduled — so every fault lands at a known commit
 index and every recovery is observed in isolation:
 
-* ``worker_crash`` / ``slow_shard`` — a one-batch
-  :class:`~repro.runtime.faults.FaultPlan` installed through the
-  serving loop's ``on_batch_start`` hook, exercising the executor's
-  retry waves;
 * ``kill_resume`` — :class:`SimulatedKill` raised from
   ``on_state_written``, the worst-case crash point between a batch's
   state write and its cursor commit; the resume leg must report exactly
@@ -39,7 +35,6 @@ still captures what happened.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import shutil
 import time
@@ -51,16 +46,14 @@ from repro.config import ExperimentConfig
 from repro.errors import ConfigError, SoakError
 from repro.obs import MetricsRegistry, get_metrics, get_tracer, timed_stage, use_metrics
 from repro.obs import metrics as obs_metrics
-from repro.runtime.faults import FaultPlan, tear_file
+from repro.runtime.faults import tear_file
 from repro.serve.checkpoint import ServeCheckpoint
 from repro.serve.loop import ServeResult, offline_sweep_stream, serve_stream
 from repro.soak.plan import (
     SITE_CKPT_IO,
     SITE_KILL_RESUME,
-    SITE_SLOW_SHARD,
     SITE_TEAR_CURSOR,
     SITE_TEAR_STATE,
-    SITE_WORKER_CRASH,
     ChaosCell,
     ChaosSchedule,
     SoakPlan,
@@ -190,7 +183,6 @@ class SoakReport:
                 "rate": self.plan.rate,
                 "batch_size": self.plan.batch_size,
                 "n_shards": self.plan.n_shards,
-                "parallel": self.plan.parallel,
             },
             "chaos": chaos_payload,
             "n_batches_per_loop": self.n_batches_per_loop,
@@ -303,24 +295,13 @@ class _LoopRunner:
     # ------------------------------------------------------------------
     # Leg machinery
     # ------------------------------------------------------------------
-    def _pace_hook(self, commit_index: int) -> FaultPlan | None:
+    def _pace_hook(self, commit_index: int) -> None:
         self.pacer.pace()
-        return None
-
-    def _fault_hook(
-        self, batch: int, batch_plan: FaultPlan
-    ) -> Callable[[int], FaultPlan | None]:
-        def hook(commit_index: int) -> FaultPlan | None:
-            self.pacer.pace()
-            return batch_plan if commit_index == batch else None
-
-        return hook
 
     def _run_leg(
         self,
         *,
         max_batches: int | None = None,
-        on_batch_start: Callable[[int], FaultPlan | None] | None = None,
         on_state_written: Callable[[int], None] | None = None,
         io_fault: Callable[[str, int, int], None] | None = None,
     ) -> ServeResult:
@@ -339,19 +320,13 @@ class _LoopRunner:
                     self.checkpoint_dir,
                     batch_size=self.plan.batch_size,
                     n_shards=self.plan.n_shards,
-                    parallel=self.plan.parallel,
                     config=self.config,
                     beta=self.beta,
                     first_alarm_window=self.first_alarm_window,
-                    timeout=self.plan.shard_timeout_s,
                     status=self.status,
                     publisher=self.publisher,
                     max_batches=max_batches,
-                    on_batch_start=(
-                        on_batch_start
-                        if on_batch_start is not None
-                        else self._pace_hook
-                    ),
+                    on_batch_start=self._pace_hook,
                     on_state_written=on_state_written,
                     checkpoint_io_retries=self.plan.checkpoint_io_retries,
                     checkpoint_io_fault=io_fault,
@@ -427,58 +402,6 @@ class _LoopRunner:
     # Site handlers — each leaves a committed cursor at ``cell.batch``
     # (or at commit 1 after a torn-checkpoint fallback probe).
     # ------------------------------------------------------------------
-    def _crash_leg(self, cell: ChaosCell, remaining: int) -> None:
-        assert self.chaos is not None
-        batch_plan = FaultPlan(crashes=((self.chaos.crash_shard, 0),))
-        before = self.registry.counter_value(obs_metrics.SHARD_RETRIES)
-        result = self._run_leg(
-            max_batches=remaining,
-            on_batch_start=self._fault_hook(cell.batch, batch_plan),
-        )
-        retries = (
-            self.registry.counter_value(obs_metrics.SHARD_RETRIES) - before
-        )
-        self._after_leg(result, cell.batch)
-        self._record(
-            cell,
-            injected=retries > 0,
-            rework=result.batches_reworked,
-            detail=f"shard {self.chaos.crash_shard} crashed; "
-            f"{retries} retry wave(s)",
-            rework_bound=1,
-        )
-
-    def _slow_leg(self, cell: ChaosCell, remaining: int) -> None:
-        assert self.chaos is not None
-        batch_plan = FaultPlan(
-            slow=((self.chaos.slow_shard, 0, cell.seconds),)
-        )
-        before_timeouts = self.registry.counter_value(
-            obs_metrics.SHARD_TIMEOUTS
-        )
-        started = time.perf_counter()
-        result = self._run_leg(
-            max_batches=remaining,
-            on_batch_start=self._fault_hook(cell.batch, batch_plan),
-        )
-        stalled = time.perf_counter() - started
-        timeouts = (
-            self.registry.counter_value(obs_metrics.SHARD_TIMEOUTS)
-            - before_timeouts
-        )
-        self._after_leg(result, cell.batch)
-        # With a shard timeout below the injected delay the pool's
-        # timeout/retry path fires (counted); without one, the stall
-        # itself is the observable.
-        self._record(
-            cell,
-            injected=timeouts > 0 or stalled >= cell.seconds,
-            rework=result.batches_reworked,
-            detail=f"shard {self.chaos.slow_shard} slept {cell.seconds}s; "
-            f"{timeouts} timeout(s), leg wall {stalled:.2f}s",
-            rework_bound=1,
-        )
-
     def _kill_leg(self, cell: ChaosCell, remaining: int) -> None:
         def killer(commit_index: int) -> None:
             if commit_index == cell.batch:
@@ -604,8 +527,6 @@ class _LoopRunner:
                 f"soak loop directory already exists: {self.checkpoint_dir}"
             )
         handlers: dict[str, Callable[[ChaosCell, int], None]] = {
-            SITE_WORKER_CRASH: self._crash_leg,
-            SITE_SLOW_SHARD: self._slow_leg,
             SITE_KILL_RESUME: self._kill_leg,
             SITE_TEAR_CURSOR: self._tear_leg,
             SITE_TEAR_STATE: self._tear_leg,
@@ -690,8 +611,7 @@ def run_soak(
     ------
     ConfigError
         If the schedule does not fit the stream (a cell beyond the last
-        batch), needs a parallel pool the plan does not provide, or
-        schedules I/O faults with a zero retry budget.
+        batch) or schedules I/O faults with a zero retry budget.
 
     Notes
     -----
@@ -701,10 +621,7 @@ def run_soak(
     """
     stream = Path(stream_path)
     workdir = Path(workdir)
-    # The serving legs take their retry waves from the config.
-    config = dataclasses.replace(
-        config if config is not None else ExperimentConfig(), retries=plan.retries
-    )
+    config = config if config is not None else ExperimentConfig()
     n_batches, n_baskets = stream_shape(stream, plan.batch_size)
     if n_batches < 1:
         raise ConfigError(f"stream {stream} holds no data batches")
@@ -714,15 +631,6 @@ def run_soak(
                 f"chaos schedule targets batch {chaos.max_batch} but the "
                 f"stream only yields {n_batches} batch(es) at batch_size "
                 f"{plan.batch_size}"
-            )
-        if chaos.requires_parallel and not (
-            plan.parallel and plan.n_shards > 1
-        ):
-            raise ConfigError(
-                "worker_crash/slow_shard faults need parallel=True and "
-                f"n_shards >= 2 (got parallel={plan.parallel}, "
-                f"n_shards={plan.n_shards}) — the serial path has no "
-                "worker process to fault"
             )
         if chaos.io_errors and plan.checkpoint_io_retries < 1:
             raise ConfigError(

@@ -132,7 +132,7 @@ def test_monitor_matches_the_paper_equations(history):
         while pending and pending[0][1] < boundaries[k + 1]:
             customer, day, items = pending.pop(0)
             basket = Basket.of(customer_id=customer, day=day, items=items)
-            assert monitor.ingest(basket) == []
+            assert monitor.ingest_many([basket]) == []
         reports = (
             monitor.advance_to_day(boundaries[k + 1])
             if k + 1 < n_windows

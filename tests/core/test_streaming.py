@@ -35,42 +35,42 @@ class TestValidation:
 
     def test_out_of_order_rejected(self, grid):
         monitor = StabilityMonitor(grid)
-        monitor.ingest(_basket(1, 30, [1]))
+        monitor.ingest_many([_basket(1, 30, [1])])
         with pytest.raises(DataError, match="day order"):
-            monitor.ingest(_basket(1, 10, [1]))
+            monitor.ingest_many([_basket(1, 10, [1])])
 
     def test_cross_window_out_of_order_names_closed_window(self, grid):
         # Day 30 opens window 3 and closes 0-2; a basket for day 10
         # belongs to the already-scored window 1, which must refuse with
         # customer/day/window context rather than fold in silently.
         monitor = StabilityMonitor(grid)
-        monitor.ingest(_basket(1, 30, [1]))
+        monitor.ingest_many([_basket(1, 30, [1])])
         with pytest.raises(
             DataError,
             match=r"customer 7: basket at day 10 predates the open window 3",
         ):
-            monitor.ingest(_basket(7, 10, [1]))
+            monitor.ingest_many([_basket(7, 10, [1])])
 
     def test_same_window_out_of_order_names_customer_and_days(self, grid):
         # Days 15 and 12 share window 1: assignment would be unharmed,
         # but day order is still the stream contract.
         monitor = StabilityMonitor(grid)
-        monitor.ingest(_basket(1, 15, [1]))
+        monitor.ingest_many([_basket(1, 15, [1])])
         with pytest.raises(
             DataError, match=r"customer 2: .*day 12 after day 15"
         ):
-            monitor.ingest(_basket(2, 12, [1]))
+            monitor.ingest_many([_basket(2, 12, [1])])
 
     def test_outside_grid_rejected(self, grid):
         monitor = StabilityMonitor(grid)
         with pytest.raises(DataError, match="outside"):
-            monitor.ingest(_basket(1, 99, [1]))
+            monitor.ingest_many([_basket(1, 99, [1])])
 
     def test_ingest_after_finish_rejected(self, grid):
         monitor = StabilityMonitor(grid)
         monitor.finish()
         with pytest.raises(DataError, match="finished"):
-            monitor.ingest(_basket(1, 0, [1]))
+            monitor.ingest_many([_basket(1, 0, [1])])
 
     def test_unknown_customer_state_rejected(self, grid):
         with pytest.raises(DataError, match="not in the stream"):
@@ -80,29 +80,29 @@ class TestValidation:
 class TestWindowClosing:
     def test_reports_emitted_when_time_advances(self, grid):
         monitor = StabilityMonitor(grid)
-        assert monitor.ingest(_basket(1, 0, [1])) == []
-        reports = monitor.ingest(_basket(1, 25, [1]))
+        assert monitor.ingest_many([_basket(1, 0, [1])]) == []
+        reports = monitor.ingest_many([_basket(1, 25, [1])])
         assert [r.window_index for r in reports] == [0, 1]
         assert monitor.current_window == 2
 
     def test_finish_closes_remaining_windows(self, grid):
         monitor = StabilityMonitor(grid)
-        monitor.ingest(_basket(1, 0, [1]))
+        monitor.ingest_many([_basket(1, 0, [1])])
         reports = monitor.finish()
         assert [r.window_index for r in reports] == list(range(6))
         assert monitor.finish() == []  # idempotent
 
     def test_first_window_stability_undefined(self, grid):
         monitor = StabilityMonitor(grid)
-        monitor.ingest(_basket(1, 0, [1]))
-        report = monitor.ingest(_basket(1, 10, [1]))[0]
+        monitor.ingest_many([_basket(1, 0, [1])])
+        report = monitor.ingest_many([_basket(1, 10, [1])])[0]
         assert math.isnan(report.stabilities[1])
 
     def test_stable_customer_scores_one(self, grid):
         monitor = StabilityMonitor(grid)
         reports = []
         for day in range(0, 60, 10):
-            reports.extend(monitor.ingest(_basket(1, day, [1, 2])))
+            reports.extend(monitor.ingest_many([_basket(1, day, [1, 2])]))
         reports.extend(monitor.finish())
         assert len(reports) == 6
         for report in reports[1:]:
@@ -114,9 +114,9 @@ class TestAlarms:
         monitor = StabilityMonitor(grid, beta=0.6)
         reports = []
         for day in range(0, 40, 10):
-            reports.extend(monitor.ingest(_basket(1, day, [1, 2])))
+            reports.extend(monitor.ingest_many([_basket(1, day, [1, 2])]))
         for day in range(40, 60, 10):
-            reports.extend(monitor.ingest(_basket(1, day, [1])))
+            reports.extend(monitor.ingest_many([_basket(1, day, [1])]))
         reports.extend(monitor.finish())
         alarm_windows = [
             r.window_index for r in reports if any(a.customer_id == 1 for a in r.alarms)
@@ -131,7 +131,7 @@ class TestAlarms:
     def test_burn_in_suppresses_alarms(self, grid):
         monitor = StabilityMonitor(grid, beta=1.0, first_alarm_window=5)
         for day in range(0, 60, 10):
-            monitor.ingest(_basket(1, day, [1]))
+            monitor.ingest_many([_basket(1, day, [1])])
         reports = monitor.finish()
         alarmed = [r.window_index for r in reports if r.alarms]
         assert alarmed == [5]
@@ -139,9 +139,9 @@ class TestAlarms:
     def test_explain_alarm_names_missing_item(self, grid):
         monitor = StabilityMonitor(grid, beta=0.8)
         for day in range(0, 40, 10):
-            monitor.ingest(_basket(1, day, [1, 2]))
+            monitor.ingest_many([_basket(1, day, [1, 2])])
         for day in range(40, 60, 10):
-            monitor.ingest(_basket(1, day, [1]))
+            monitor.ingest_many([_basket(1, day, [1])])
         monitor.finish()
         ranked = monitor.explain_alarm(1, top_k=3)
         assert ranked
@@ -186,13 +186,13 @@ class TestAlarms:
     def test_registered_customer_is_not_scored_before_a_close(self, grid):
         monitor = StabilityMonitor(grid)
         monitor.register(3)
-        monitor.ingest(_basket(1, 0, [1]))
+        monitor.ingest_many([_basket(1, 0, [1])])
         # A snapshot gives the open window's customers rows, but no
         # window has closed on them yet.
         snapshot_monitor(monitor)
         assert monitor._columns["customers"].tolist() == [1, 3]
         assert monitor_scores([monitor]) == ({}, {}, {})
-        monitor.ingest(_basket(1, 15, [1]))
+        monitor.ingest_many([_basket(1, 15, [1])])
         scores, flags, alarm_windows = monitor_scores([monitor])
         assert list(scores) == [1, 3] and math.isnan(scores[3])
         assert flags == {1: False, 3: False}
@@ -203,15 +203,15 @@ class TestRegistration:
     def test_silent_registered_customer_is_scored(self, grid):
         monitor = StabilityMonitor(grid)
         monitor.register(7)
-        monitor.ingest(_basket(1, 0, [1]))
-        report = monitor.ingest(_basket(1, 15, [1]))[0]
+        monitor.ingest_many([_basket(1, 0, [1])])
+        report = monitor.ingest_many([_basket(1, 15, [1])])[0]
         assert 7 in report.stabilities
         assert math.isnan(report.stabilities[7])
 
     def test_customers_listed(self, grid):
         monitor = StabilityMonitor(grid)
         monitor.register(5)
-        monitor.ingest(_basket(2, 0, [1]))
+        monitor.ingest_many([_basket(2, 0, [1])])
         assert monitor.customers() == [2, 5]
 
 

@@ -121,7 +121,7 @@ class TestMetricsPublisher:
         assert line["counters"] == {"serve.ingested": 10}
         assert "wall_ts" in line
         # The flight ring holds the snapshot.
-        _, records = flight.trigger("fault:worker_crash"), None
+        _, records = flight.trigger("fault:kill_resume"), None
         header, flight_records = read_flight_jsonl(flight.flushed[-1])
         assert flight_records[-1]["kind"] == "metrics"
 
@@ -170,9 +170,9 @@ class TestMetricsPublisher:
     def test_trigger_flight_proxies_to_recorder(self, tmp_path):
         flight = FlightRecorder(tmp_path)
         publisher = MetricsPublisher(flight=flight, interval_s=0.0)
-        publisher.record_event("fault_injected", site="worker_crash")
-        path = publisher.trigger_flight("fault:worker_crash", commit_index=3)
+        publisher.record_event("fault_injected", site="kill_resume")
+        path = publisher.trigger_flight("fault:kill_resume", commit_index=3)
         assert path is not None and path.name == "flight-0003.jsonl"
         header, records = read_flight_jsonl(path)
-        assert header["reason"] == "fault:worker_crash"
+        assert header["reason"] == "fault:kill_resume"
         assert records[-1]["event"] == "fault_injected"

@@ -26,7 +26,7 @@ class TestRing:
         recorder = FlightRecorder(tmp_path, capacity=2)
         for i in range(4):
             recorder.record_event("tick", i=i)
-        _, records = read_flight_jsonl(recorder.trigger("fault:worker_crash"))
+        _, records = read_flight_jsonl(recorder.trigger("fault:kill_resume"))
         assert [r["i"] for r in records] == [2, 3]
 
     def test_record_kinds(self, tmp_path):
@@ -46,7 +46,7 @@ class TestTrigger:
     def test_artifact_named_by_commit_index(self, tmp_path):
         recorder = FlightRecorder(tmp_path)
         recorder.record_event("e")
-        path = recorder.trigger("fault:slow_shard", commit_index=17)
+        path = recorder.trigger("fault:ckpt_io", commit_index=17)
         assert path.name == "flight-0017.jsonl"
         assert path.parent == tmp_path
 

@@ -181,9 +181,9 @@ class TestHistogramQuantiles:
         assert NULL_METRICS.histogram("stage_s").quantile(0.99) == 0.0
 
     def test_quantiles_after_worker_dump_merge(self):
-        # The parallel pool merges worker dumps into the parent registry;
-        # quantiles over the merged values must equal quantiles over the
-        # union as if observed in one process.
+        # The shard executor (run_sharded) merges worker dumps into the
+        # parent registry; quantiles over the merged values must equal
+        # quantiles over the union as if observed in one process.
         workers = [MetricsRegistry() for _ in range(3)]
         union = []
         for index, worker in enumerate(workers):

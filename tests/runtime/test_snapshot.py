@@ -296,7 +296,7 @@ def _monitors(draw) -> StabilityMonitor:
         )
     )
     for customer_id, day, items in sorted(baskets, key=lambda b: b[1]):
-        monitor.ingest(Basket.of(customer_id=customer_id, day=day, items=items))
+        monitor.ingest_many([Basket.of(customer_id=customer_id, day=day, items=items)])
     monitor.register(draw(_IDS))
     monitor.advance_to_day(draw(st.integers(max(monitor.last_day_seen, 0), 39)))
     return monitor

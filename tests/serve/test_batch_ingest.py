@@ -88,7 +88,7 @@ def test_batch_ingest_matches_one_basket_at_a_time():
         seen: set[int] = set(SILENT)
         for lo, hi in _cuts(random.Random(seed), len(baskets), 40):
             part = baskets[lo:hi]
-            want = [report for basket in part for report in single.ingest(basket)]
+            want = [report for basket in part for report in single.ingest_many([basket])]
             got, _ = batched.ingest_days(*_columns(part))
             _assert_same_reports(got, want)
             _assert_same_reports(many.ingest_many(part), want)
@@ -135,25 +135,3 @@ def test_each_journal_folds_onto_the_previous_snapshot(n_shards):
             previous = [decode_snapshot(blob) for blob in live]
     assert folded > 20
 
-
-def test_parallel_journals_are_the_serial_ones():
-    """The worker path ships each shard's column slice to the same
-    ingest, and its unions back: batch by batch, the same journal and
-    the same shard snapshots as the in-process path."""
-    calendar, baskets = seeded_log(3)
-    days = list(iter_day_batches(baskets))
-    serial, parallel = (
-        ShardedMonitorPool.create(CONFIG.grid(calendar), n_shards=3, parallel=flag)
-        for flag in (False, True)
-    )
-    for lo, hi in _cuts(random.Random(3), len(days), 12)[:4]:
-        _assert_same_reports(
-            parallel.process_batch(days[lo:hi]), serial.process_batch(days[lo:hi])
-        )
-        for left, right in zip(parallel.journal_shards(), serial.journal_shards(), strict=True):
-            assert left["last_day_seen"] == right["last_day_seen"]
-            for name in ("customers", "item_offsets", "items"):
-                assert left[name].tolist() == right[name].tolist(), name
-        assert [encode_snapshot(p) for p in parallel.snapshot_shards()] == [
-            encode_snapshot(p) for p in serial.snapshot_shards()
-        ]

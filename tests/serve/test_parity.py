@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+import repro.serve.pool
 from repro.config import ExperimentConfig
+from repro.runtime.executor import run_sharded
 from repro.serve import (
     ServeCheckpoint,
     offline_sweep,
@@ -34,8 +36,11 @@ def _assert_tables_identical(result, reference):
 
 
 class TestParity:
+    # perfbench/workloads.py still passes ``parallel=True``, which
+    # serve_stream accepts and ignores.
     @pytest.mark.parametrize(
-        ("n_shards", "parallel"), [(1, False), (3, False), (3, True)]
+        ("n_shards", "parallel"),
+        [(1, False), (3, False), pytest.param(3, True, id="3-ignored-parallel")],
     )
     def test_serve_matches_offline(
         self,
@@ -57,6 +62,10 @@ class TestParity:
         assert result.finished
         _assert_tables_identical(result, offline_reference)
         assert result.fingerprint() == offline_reference.fingerprint()
+
+    def test_pool_binds_the_executor_the_benchmark_wraps(self):
+        # perfbench/tracing.py wraps repro.serve.pool.run_sharded by name.
+        assert repro.serve.pool.run_sharded is run_sharded
 
     def test_batch_size_never_changes_scores(
         self, stream_path, serve_config, offline_reference, tmp_path

@@ -10,8 +10,6 @@ from repro.core.streaming import StabilityMonitor
 from repro.data.basket import Basket, DayBatch, iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
-from repro.serve.pool import _process_shard_batch, _shard_columns  # noqa: PLC2701
-from repro.runtime.snapshot import encode_snapshot, snapshot_monitor
 
 
 def _reference_reports(serve_dataset, day_ordered_baskets, serve_config):
@@ -60,25 +58,6 @@ class TestSharding:
                 serve_dataset, day_ordered_baskets, serve_config
             ),
         )
-
-    def test_parallel_equals_serial(
-        self, serve_dataset, day_ordered_baskets, serve_config
-    ):
-        batches = list(iter_day_batches(day_ordered_baskets))
-
-        def run(parallel):
-            pool = ShardedMonitorPool.create(
-                serve_config.grid(serve_dataset.calendar),
-                n_shards=3,
-                significance=serve_config.significance(),
-                counting=serve_config.counting,
-                parallel=parallel,
-            )
-            reports = pool.process_batch(batches)
-            reports.extend(pool.finish())
-            return reports
-
-        _assert_reports_identical(run(False), run(True))
 
     def test_batched_equals_one_shot(
         self, serve_dataset, day_ordered_baskets, serve_config
@@ -188,22 +167,3 @@ class TestValidation:
     def test_merge_reports_sorts_by_customer(self):
         assert merge_reports([]) == []
 
-
-class TestWorkerPurity:
-    def test_worker_is_idempotent(
-        self, serve_dataset, day_ordered_baskets, serve_config
-    ):
-        monitor = StabilityMonitor.from_config(
-            serve_dataset.calendar, serve_config
-        )
-        batches = list(iter_day_batches(day_ordered_baskets[:200]))
-        (columns,) = _shard_columns(batches, 1)
-        task = (encode_snapshot(snapshot_monitor(monitor)), columns)
-        first = _process_shard_batch(task)
-        second = _process_shard_batch(task)
-        blob, reports, union = first
-        assert blob == second[0] and reports == second[1]
-        assert [part.tolist() for part in union] == [part.tolist() for part in second[2]]
-        # The worker's state is the state of a monitor fed in-process.
-        monitor.ingest_many(day_ordered_baskets[:200])
-        assert blob == encode_snapshot(snapshot_monitor(monitor))

@@ -23,7 +23,7 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, metrics as obs_metrics, use_metrics
-from repro.runtime.faults import FaultPlan, tear_file
+from repro.runtime.faults import tear_file
 from repro.runtime.snapshot import encode_snapshot
 from repro.serve import (
     ServeCheckpoint,
@@ -751,9 +751,8 @@ class TestStreamDigest:
             assert result.resumed == (leg != "fallback")
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
     def test_digest_finishes_before_the_first_batch(
-        self, partial, offline_reference, monkeypatch, parallel
+        self, partial, offline_reference, monkeypatch
     ):
         ckpt, run = partial
         offset = ServeCheckpoint(ckpt).read_cursor().stream_offset
@@ -768,7 +767,7 @@ class TestStreamDigest:
         monkeypatch.setattr(
             ShardedMonitorPool, "process_batch", recording_process_batch
         )
-        result = run(parallel=parallel)
+        result = run()
         assert result.resumed and result.finished
         assert result.fingerprint() == offline_reference.fingerprint()
         first, *batches = events
@@ -967,55 +966,6 @@ class TestStreamPrefix:
         assert again.fingerprint() == first.fingerprint()
 
 
-class TestFaultyWorkers:
-    def test_crashed_shard_worker_is_retried(
-        self, stream_path, serve_config, offline_reference, tmp_path
-    ):
-        result = serve_stream(
-            stream_path,
-            tmp_path / "faulty",
-            config=serve_config,
-            batch_size=BATCH,
-            n_shards=2,
-            parallel=True,
-            fault_plan=FaultPlan(crashes=((0, 0),)),
-        )
-        assert result.finished
-        assert result.fingerprint() == offline_reference.fingerprint()
-
-    def test_erroring_worker_then_crash_then_resume(
-        self, stream_path, serve_config, offline_reference, full_run, tmp_path
-    ):
-        ckpt = tmp_path / "faulty-crash"
-        hook, seen = _crash_on(3)
-        with pytest.raises(_Boom):
-            serve_stream(
-                stream_path,
-                ckpt,
-                config=serve_config,
-                batch_size=BATCH,
-                n_shards=2,
-                parallel=True,
-                fault_plan=FaultPlan(errors=((1, 0),)),
-                on_state_written=hook,
-            )
-        resumed = serve_stream(
-            stream_path,
-            ckpt,
-            config=serve_config,
-            batch_size=BATCH,
-            n_shards=2,
-            parallel=True,
-        )
-        assert resumed.resumed
-        assert resumed.batches_reworked == 1
-        assert (
-            seen["n"] + resumed.batches_this_run
-            == full_run.batches_this_run + 1
-        )
-        assert resumed.fingerprint() == offline_reference.fingerprint()
-
-
 class TestValidation:
     def test_bad_batch_size(self, stream_path, serve_config, tmp_path):
         with pytest.raises(ConfigError, match="batch_size"):
@@ -1037,25 +987,6 @@ class TestValidation:
                 config=serve_config,
                 max_batches=0,
             )
-
-    def test_config_retries_reach_the_pool(self, stream_path, tmp_path, monkeypatch):
-        # ExperimentConfig.retries is the pool's one retry count, on a
-        # fresh start and on a resume alike.
-        seen = []
-        process_batch = ShardedMonitorPool.process_batch
-
-        def recording(self, batches):
-            seen.append(self.retries)
-            return process_batch(self, batches)
-
-        monkeypatch.setattr(ShardedMonitorPool, "process_batch", recording)
-        config = ExperimentConfig(retries=0)
-        for _ in range(2):
-            result = serve_stream(
-                stream_path, tmp_path / "ckpt", config=config, max_batches=1
-            )
-        assert result.resumed
-        assert seen == [0, 0]
 
 
 @pytest.fixture(scope="module")
